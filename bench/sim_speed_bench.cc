@@ -2,7 +2,8 @@
  * @file
  * google-benchmark microbenchmarks of the simulator itself: functional
  * and timing simulation throughput (simulated instructions per second)
- * on the Smith-Waterman kernel, plus compile time of the mpc pipeline.
+ * on the Smith-Waterman kernel, the per-access cost of guest memory
+ * reads, plus compile time of the mpc pipeline.
  *
  * With --json the binary skips google-benchmark and instead emits one
  * JSON Lines record per (workload, mode) measuring simulated MIPS and
@@ -17,9 +18,11 @@
 #include <chrono>
 #include <cstdlib>
 #include <cstring>
+#include <vector>
 
 #include "bio/generator.h"
 #include "kernels/kernels.h"
+#include "sim/memory.h"
 #include "support/result.h"
 #include "workloads/workload.h"
 
@@ -101,6 +104,37 @@ BM_TimingSimulationWithBtac(benchmark::State &state)
     }
 }
 BENCHMARK(BM_TimingSimulationWithBtac)->Unit(benchmark::kMillisecond);
+
+/**
+ * Guest-memory reads cycling round-robin over state.range(0) resident
+ * pages: flat while the pages fit the software TLB
+ * (sim::Memory::kTlbSlots), one page-table walk per read beyond it.
+ */
+void
+BM_MemoryScatterRead(benchmark::State &state)
+{
+    constexpr size_t kReadsPerIter = 1024;
+    sim::Memory mem;
+    std::vector<uint64_t> addrs;
+    for (int64_t p = 0; p < state.range(0); ++p) {
+        uint64_t addr = (uint64_t(0x100 + p) << sim::Memory::kPageShift) +
+                        8 * uint64_t(p % 64);
+        mem.writeU64(addr, uint64_t(p));
+        addrs.push_back(addr);
+    }
+    size_t next = 0;
+    for (auto _ : state) {
+        uint64_t sum = 0;
+        for (size_t i = 0; i < kReadsPerIter; ++i) {
+            sum += mem.readU64(addrs[next]);
+            if (++next == addrs.size())
+                next = 0;
+        }
+        benchmark::DoNotOptimize(sum);
+    }
+    state.SetItemsProcessed(int64_t(state.iterations() * kReadsPerIter));
+}
+BENCHMARK(BM_MemoryScatterRead)->RangeMultiplier(4)->Range(1, 256);
 
 void
 BM_KernelCompile(benchmark::State &state)

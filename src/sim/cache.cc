@@ -14,20 +14,22 @@ Cache::Cache(const CacheParams &params, Cache *next, unsigned memLatency)
     BP5_ASSERT(lines % params_.assoc == 0, "size/assoc mismatch");
     numSets_ = static_cast<unsigned>(lines / params_.assoc);
     BP5_ASSERT(isPow2(numSets_), "set count must be a power of 2");
+    lineShift_ = floorLog2(params_.lineBytes);
+    tagShift_ = lineShift_ + floorLog2(numSets_);
     lines_.resize(lines);
 }
 
 uint64_t
 Cache::lineIndex(uint64_t addr) const
 {
-    uint64_t set = (addr / params_.lineBytes) & (numSets_ - 1);
+    uint64_t set = (addr >> lineShift_) & (numSets_ - 1);
     return set * params_.assoc;
 }
 
 uint64_t
 Cache::tagOf(uint64_t addr) const
 {
-    return addr / params_.lineBytes / numSets_;
+    return addr >> tagShift_;
 }
 
 unsigned

@@ -123,6 +123,8 @@ class Cache
     Cache *next_;
     unsigned memLatency_;
     unsigned numSets_;
+    unsigned lineShift_; ///< log2(lineBytes)
+    unsigned tagShift_;  ///< log2(lineBytes * numSets)
     std::vector<Line> lines_; // numSets * assoc
     uint64_t stamp_ = 0;
     CacheStats stats_;

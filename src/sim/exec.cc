@@ -81,13 +81,15 @@ doCompare(CoreState &st, unsigned bf, bool l64, bool sign, uint64_t a,
 
 // ------------------------------------------------------------------
 // Micro-op handlers.  Each handler fully retires one instruction:
-// architectural update, functional counter bumps, optional warming,
-// and the PC advance.  Semantics mirror Executor::stepDecoded() (the
-// differential engine test holds the two paths bit-identical).
+// architectural update, functional counter bumps and optional warming.
+// It receives the instruction's pc and returns the next one, so the
+// pc stays in a register across runFast's loop.  Semantics mirror
+// Executor::stepDecoded() (the differential engine test holds the two
+// paths bit-identical).
 // ------------------------------------------------------------------
 
 #define OP_HANDLER(name) \
-    void name(const MicroOp &mo, FastCtx &x)
+    uint64_t name(const MicroOp &mo, FastCtx &x, uint64_t pc)
 
 // --- D-form arithmetic / logical (immediate pre-extended, pre-shifted)
 
@@ -95,28 +97,28 @@ OP_HANDLER(hAddi)
 {
     const isa::Inst &i = mo.inst;
     x.st.gpr[i.rt] = (i.ra ? x.st.gpr[i.ra] : 0) + mo.imm;
-    x.pc += 4;
+    return pc + 4;
 }
 
 OP_HANDLER(hMulli)
 {
     const isa::Inst &i = mo.inst;
     x.st.gpr[i.rt] = x.st.gpr[i.ra] * mo.imm;
-    x.pc += 4;
+    return pc + 4;
 }
 
 OP_HANDLER(hOri)
 {
     const isa::Inst &i = mo.inst;
     x.st.gpr[i.rt] = x.st.gpr[i.ra] | mo.imm;
-    x.pc += 4;
+    return pc + 4;
 }
 
 OP_HANDLER(hXori)
 {
     const isa::Inst &i = mo.inst;
     x.st.gpr[i.rt] = x.st.gpr[i.ra] ^ mo.imm;
-    x.pc += 4;
+    return pc + 4;
 }
 
 OP_HANDLER(hAndiRc)
@@ -125,21 +127,21 @@ OP_HANDLER(hAndiRc)
     uint64_t r = x.st.gpr[i.ra] & mo.imm;
     x.st.gpr[i.rt] = r;
     setCr0(x.st, r);
-    x.pc += 4;
+    return pc + 4;
 }
 
 OP_HANDLER(hCmpi)
 {
     const isa::Inst &i = mo.inst;
     doCompare(x.st, i.bf, i.l64, true, x.st.gpr[i.ra], mo.imm);
-    x.pc += 4;
+    return pc + 4;
 }
 
 OP_HANDLER(hCmpli)
 {
     const isa::Inst &i = mo.inst;
     doCompare(x.st, i.bf, i.l64, false, x.st.gpr[i.ra], mo.imm);
-    x.pc += 4;
+    return pc + 4;
 }
 
 // --- loads / stores (templated over width, extension and addressing)
@@ -165,7 +167,7 @@ OP_HANDLER(hLoad)
     if constexpr (Sign && Size < 8)
         v = static_cast<uint64_t>(sext(v, Size * 8));
     x.st.gpr[i.rt] = v;
-    x.pc += 4;
+    return pc + 4;
 }
 
 template <unsigned Size, bool Indexed>
@@ -186,7 +188,7 @@ OP_HANDLER(hStore)
         x.mem.writeU32(ea, static_cast<uint32_t>(v));
     else
         x.mem.writeU64(ea, v);
-    x.pc += 4;
+    return pc + 4;
 }
 
 // --- X/XO-form ALU (record form folded into the handler)
@@ -204,7 +206,7 @@ OP_HANDLER(hStore)
         g[i.rt] = r;                                                  \
         if (i.rc)                                                     \
             setCr0(x.st, r);                                          \
-        x.pc += 4;                                                    \
+        return pc + 4;                                                \
     }
 
 #define ALU_NORC(name, expr)                                          \
@@ -217,7 +219,7 @@ OP_HANDLER(hStore)
         (void)a;                                                      \
         (void)b;                                                      \
         g[i.rt] = (expr);                                             \
-        x.pc += 4;                                                    \
+        return pc + 4;                                                \
     }
 
 ALU_RC(hAdd, a + b)
@@ -251,10 +253,6 @@ ALU_RC(hExtsb, static_cast<uint64_t>(sext(a, 8)))
 ALU_RC(hExtsh, static_cast<uint64_t>(sext(a, 16)))
 ALU_RC(hExtsw, static_cast<uint64_t>(sext(a, 32)))
 ALU_NORC(hCntlzd, static_cast<uint64_t>(std::countl_zero(a)))
-ALU_NORC(hSldi, a << i.rb)
-ALU_NORC(hSrdi, a >> i.rb)
-ALU_NORC(hSradi,
-         static_cast<uint64_t>(static_cast<int64_t>(a) >> i.rb))
 ALU_NORC(hMaxd,
          static_cast<uint64_t>(
              static_cast<int64_t>(a) > static_cast<int64_t>(b)
@@ -266,29 +264,45 @@ ALU_NORC(hMind,
                  ? static_cast<int64_t>(a)
                  : static_cast<int64_t>(b)))
 
+// Shift-immediate forms carry the shift amount in the rb field, which
+// is not a register number here, so only ra is read.
+#define SHIFT_IMM(name, expr)                                         \
+    OP_HANDLER(name)                                                  \
+    {                                                                 \
+        const isa::Inst &i = mo.inst;                                 \
+        uint64_t a = x.st.gpr[i.ra];                                  \
+        x.st.gpr[i.rt] = (expr);                                      \
+        return pc + 4;                                                \
+    }
+
+SHIFT_IMM(hSldi, a << i.rb)
+SHIFT_IMM(hSrdi, a >> i.rb)
+SHIFT_IMM(hSradi, static_cast<uint64_t>(static_cast<int64_t>(a) >> i.rb))
+
 #undef ALU_RC
 #undef ALU_NORC
+#undef SHIFT_IMM
 
 OP_HANDLER(hIsel)
 {
     const isa::Inst &i = mo.inst;
     auto &g = x.st.gpr;
     g[i.rt] = x.st.crBit(i.bi) ? g[i.ra] : g[i.rb];
-    x.pc += 4;
+    return pc + 4;
 }
 
 OP_HANDLER(hCmp)
 {
     const isa::Inst &i = mo.inst;
     doCompare(x.st, i.bf, i.l64, true, x.st.gpr[i.ra], x.st.gpr[i.rb]);
-    x.pc += 4;
+    return pc + 4;
 }
 
 OP_HANDLER(hCmpl)
 {
     const isa::Inst &i = mo.inst;
     doCompare(x.st, i.bf, i.l64, false, x.st.gpr[i.ra], x.st.gpr[i.rb]);
-    x.pc += 4;
+    return pc + 4;
 }
 
 // --- branches (direct targets precomputed into mo.imm)
@@ -306,10 +320,10 @@ OP_HANDLER(hB)
     ++x.c.branches;
     ++x.c.takenBranches;
     if (x.btac)
-        warmBtac(x, x.pc, true, mo.imm);
+        warmBtac(x, pc, true, mo.imm);
     if (mo.inst.lk)
-        x.st.lr = x.pc + 4;
-    x.pc = mo.imm;
+        x.st.lr = pc + 4;
+    return mo.imm;
 }
 
 /** BC with BO_ALWAYS: unconditional, not a condBranch. */
@@ -318,42 +332,42 @@ OP_HANDLER(hBcAlways)
     ++x.c.branches;
     ++x.c.takenBranches;
     if (x.btac)
-        warmBtac(x, x.pc, true, mo.imm);
+        warmBtac(x, pc, true, mo.imm);
     if (mo.inst.lk)
-        x.st.lr = x.pc + 4;
-    x.pc = mo.imm;
+        x.st.lr = pc + 4;
+    return mo.imm;
 }
 
-/** Shared tail of the conditional BC variants. */
-inline void
-finishBc(const MicroOp &mo, FastCtx &x, bool taken)
+/** Shared tail of the conditional BC variants; returns the next pc. */
+inline uint64_t
+finishBc(const MicroOp &mo, FastCtx &x, uint64_t pc, bool taken)
 {
     ++x.c.branches;
     ++x.c.condBranches;
     if (taken)
         ++x.c.takenBranches;
     if (x.pred)
-        x.pred->update(x.pc, taken);
+        x.pred->update(pc, taken);
     if (x.btac)
-        warmBtac(x, x.pc, taken, mo.imm);
+        warmBtac(x, pc, taken, mo.imm);
     if (mo.inst.lk)
-        x.st.lr = x.pc + 4;
-    x.pc = taken ? mo.imm : x.pc + 4;
+        x.st.lr = pc + 4;
+    return taken ? mo.imm : pc + 4;
 }
 
-OP_HANDLER(hBcTrue) { finishBc(mo, x, x.st.crBit(mo.inst.bi)); }
-OP_HANDLER(hBcFalse) { finishBc(mo, x, !x.st.crBit(mo.inst.bi)); }
+OP_HANDLER(hBcTrue) { return finishBc(mo, x, pc, x.st.crBit(mo.inst.bi)); }
+OP_HANDLER(hBcFalse) { return finishBc(mo, x, pc, !x.st.crBit(mo.inst.bi)); }
 
 OP_HANDLER(hBcDnz)
 {
     uint64_t v = --x.st.ctr;
-    finishBc(mo, x, v != 0);
+    return finishBc(mo, x, pc, v != 0);
 }
 
 OP_HANDLER(hBcDz)
 {
     uint64_t v = --x.st.ctr;
-    finishBc(mo, x, v == 0);
+    return finishBc(mo, x, pc, v == 0);
 }
 
 /** Indirect branches: target read from LR or CTR at execution. */
@@ -370,13 +384,13 @@ OP_HANDLER(hBcReg)
     if (cond) {
         ++x.c.condBranches;
         if (x.pred)
-            x.pred->update(x.pc, taken);
+            x.pred->update(pc, taken);
     }
     if (x.btac)
-        warmBtac(x, x.pc, taken, target);
+        warmBtac(x, pc, taken, target);
     if (i.lk)
-        x.st.lr = x.pc + 4;
-    x.pc = taken ? target : x.pc + 4;
+        x.st.lr = pc + 4;
+    return taken ? target : pc + 4;
 }
 
 // --- CR logic, SPR moves, syscall
@@ -385,63 +399,65 @@ OP_HANDLER(hCrand)
 {
     const isa::Inst &i = mo.inst;
     x.st.setCrBit(i.rt, x.st.crBit(i.ra) && x.st.crBit(i.rb));
-    x.pc += 4;
+    return pc + 4;
 }
 
 OP_HANDLER(hCror)
 {
     const isa::Inst &i = mo.inst;
     x.st.setCrBit(i.rt, x.st.crBit(i.ra) || x.st.crBit(i.rb));
-    x.pc += 4;
+    return pc + 4;
 }
 
 OP_HANDLER(hCrxor)
 {
     const isa::Inst &i = mo.inst;
     x.st.setCrBit(i.rt, x.st.crBit(i.ra) != x.st.crBit(i.rb));
-    x.pc += 4;
+    return pc + 4;
 }
 
 OP_HANDLER(hCrnor)
 {
     const isa::Inst &i = mo.inst;
     x.st.setCrBit(i.rt, !(x.st.crBit(i.ra) || x.st.crBit(i.rb)));
-    x.pc += 4;
+    return pc + 4;
 }
 
 OP_HANDLER(hMtLr)
 {
     x.st.lr = x.st.gpr[mo.inst.rt];
-    x.pc += 4;
+    return pc + 4;
 }
 
 OP_HANDLER(hMtCtr)
 {
     x.st.ctr = x.st.gpr[mo.inst.rt];
-    x.pc += 4;
+    return pc + 4;
 }
 
 OP_HANDLER(hMfLr)
 {
     x.st.gpr[mo.inst.rt] = x.st.lr;
-    x.pc += 4;
+    return pc + 4;
 }
 
 OP_HANDLER(hMfCtr)
 {
     x.st.gpr[mo.inst.rt] = x.st.ctr;
-    x.pc += 4;
+    return pc + 4;
 }
 
 OP_HANDLER(hMtsprBad)
 {
     (void)x;
+    (void)pc;
     panic("mtspr: unsupported SPR %u", mo.inst.spr);
 }
 
 OP_HANDLER(hMfsprBad)
 {
     (void)x;
+    (void)pc;
     panic("mfspr: unsupported SPR %u", mo.inst.spr);
 }
 
@@ -449,7 +465,7 @@ OP_HANDLER(hMfcr)
 {
     (void)mo;
     x.st.gpr[mo.inst.rt] = x.st.cr;
-    x.pc += 4;
+    return pc + 4;
 }
 
 OP_HANDLER(hSc)
@@ -478,7 +494,7 @@ OP_HANDLER(hSc)
         panic("unknown syscall %llu",
               static_cast<unsigned long long>(fn));
     }
-    x.pc += 4;
+    return pc + 4;
 }
 
 #undef OP_HANDLER
@@ -629,26 +645,28 @@ Executor::FastResult
 Executor::runFast(uint64_t max, Counters &c, const Warming *warm)
 {
     FastCtx x{state_, mem_, c, console_};
-    x.pc = state_.pc;
     if (warm) {
         x.pred = warm->pred;
         x.btac = warm->btac;
         x.l1d = warm->l1d;
     }
 
+    // The pc and the image live in locals (registers) for the whole
+    // burst; only the out-of-image fallback syncs state_.pc.
     FastResult res;
     uint64_t n = 0;
+    uint64_t pc = state_.pc;
+    MicroOp *const ops = ops_.data();
     const uint64_t base = imageBase_;
-    const uint64_t bytes = imageBytes_;
-    const bool fast = predecode_;
+    const uint64_t bytes = predecode_ ? imageBytes_ : 0;
     while (n < max) {
-        uint64_t off = x.pc - base;
-        if (fast && off < bytes && (off & 3) == 0) {
-            MicroOp &mo = ops_[off >> 2];
+        uint64_t off = pc - base;
+        if (off < bytes && (off & 3) == 0) {
+            MicroOp &mo = ops[off >> 2];
             if (!mo.fn)
-                buildMicroOp(mo, x.pc);
+                buildMicroOp(mo, pc);
             ++c.opCount[size_t(mo.inst.op)];
-            mo.fn(mo, x);
+            pc = mo.fn(mo, x, pc);
             ++n;
             if (x.halted) {
                 res.halted = true;
@@ -660,9 +678,9 @@ Executor::runFast(uint64_t max, Counters &c, const Warming *warm)
 
         // Out-of-image (or predecode disabled): per-step execution
         // with the same functional counter accounting and warming.
-        state_.pc = x.pc;
+        state_.pc = pc;
         StepInfo info = step();
-        x.pc = state_.pc;
+        pc = state_.pc;
         ++n;
         ++c.opCount[size_t(info.inst.op)];
         if (info.isBranch) {
@@ -696,7 +714,7 @@ Executor::runFast(uint64_t max, Counters &c, const Warming *warm)
     }
 
     c.instructions += n;
-    state_.pc = x.pc;
+    state_.pc = pc;
     res.executed = n;
     return res;
 }

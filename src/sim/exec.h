@@ -12,9 +12,12 @@
  *    image.  setImage() registers the program's text segment; each
  *    4-byte slot is lazily decoded once into a MicroOp whose execute
  *    function pointer is then called directly — no hashing, no
- *    isa::Inst copies — so the hot loop is ops[idx].fn(op, ctx).
- *    Used for functional runs and SMARTS fast-forward, optionally
- *    warming the branch predictor, BTAC and L1D en route.
+ *    isa::Inst copies.  Handlers take the instruction's pc and return
+ *    the next one, so the hot loop is pc = op.fn(op, ctx, pc) with pc
+ *    and the image held in locals; state.pc is written back only
+ *    around out-of-image steps and at the end of the burst.  Used for
+ *    functional runs and SMARTS fast-forward, optionally warming the
+ *    branch predictor, BTAC and L1D en route.
  *
  * Decode stays lazy (slot built on first execution) so the legacy
  * decode-at-first-use semantics are preserved exactly: data words
@@ -70,7 +73,6 @@ struct FastCtx
     Memory &mem;
     Counters &c;
     std::string &console;
-    uint64_t pc = 0;
     bool halted = false;
     int64_t exitCode = 0;
     /// Optional functional-warming hooks (SMARTS fast-forward).
@@ -82,8 +84,9 @@ struct FastCtx
 /** One pre-decoded slot of the micro-op image. */
 struct MicroOp
 {
-    using Fn = void (*)(const MicroOp &, FastCtx &);
-    Fn fn = nullptr;   ///< execute handler; nullptr = not yet decoded
+    /// Execute handler: retires the op at @p pc, returns the next pc.
+    using Fn = uint64_t (*)(const MicroOp &, FastCtx &, uint64_t pc);
+    Fn fn = nullptr;   ///< nullptr = not yet decoded
     isa::Inst inst;    ///< decoded form (timing model, slow paths)
     uint64_t imm = 0;  ///< pre-computed immediate: sign/zero-extended
                        ///< (and pre-shifted for ADDIS/ORIS), or the

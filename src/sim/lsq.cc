@@ -29,6 +29,7 @@ LoadStoreQueue::beginRun()
         storeCommit_.assign(params_.stores, 0);
         sq_.assign(params_.stores, SqEntry());
         loadSeq_ = storeSeq_ = sqSeq_ = 0;
+        loadPos_ = storePos_ = sqPos_ = 0;
     }
 }
 
@@ -43,13 +44,12 @@ LoadStoreQueue::reset()
 uint64_t
 LoadStoreQueue::reserveLsq(bool isLoad, uint64_t dc, bool *limited)
 {
-    std::vector<uint64_t> &ring = isLoad ? loadCommit_ : storeCommit_;
+    const std::vector<uint64_t> &ring = isLoad ? loadCommit_ : storeCommit_;
     uint64_t seq = isLoad ? loadSeq_ : storeSeq_;
-    uint64_t depth = ring.size();
-    if (seq >= depth) {
+    if (seq >= ring.size()) {
         // The slot this op reuses belongs to the entry `depth` back;
         // dispatch stalls until that entry has committed.
-        uint64_t freeAt = ring[seq % depth];
+        uint64_t freeAt = ring[isLoad ? loadPos_ : storePos_];
         if (dc <= freeAt) {
             dc = freeAt + 1;
             *limited = true;
@@ -67,12 +67,13 @@ LoadStoreQueue::orderLoadLsq(uint64_t pc, uint64_t addr, uint64_t ready)
 
     // Youngest matching store still in the queue window.
     const SqEntry *match = nullptr;
-    uint64_t depth = sq_.size();
+    size_t depth = sq_.size();
     uint64_t n = sqSeq_ < depth ? sqSeq_ : depth;
+    size_t pos = sqPos_;
     for (uint64_t back = 0; back < n; ++back) {
-        const SqEntry &e = sq_[(sqSeq_ - 1 - back) % depth];
-        if (e.granule == g) {
-            match = &e;
+        pos = (pos == 0 ? depth : pos) - 1;
+        if (sq_[pos].granule == g) {
+            match = &sq_[pos];
             break;
         }
     }

@@ -28,6 +28,7 @@
 #define BIOPERF5_SIM_LSQ_H
 
 #include <array>
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -116,10 +117,11 @@ class LoadStoreQueue
             slot.complete = cc;
             return;
         }
-        SqEntry &e = sq_[sqSeq_ % sq_.size()];
+        SqEntry &e = sq_[sqPos_];
         e.granule = g;
         e.complete = cc;
         ++sqSeq_;
+        sqPos_ = advance(sqPos_, sq_.size());
     }
 
     /** The memory op at the queue head committed at @p commitCycle. */
@@ -130,8 +132,10 @@ class LoadStoreQueue
             return;
         std::vector<uint64_t> &ring = isLoad ? loadCommit_ : storeCommit_;
         uint64_t &seq = isLoad ? loadSeq_ : storeSeq_;
-        ring[seq % ring.size()] = commitCycle;
+        size_t &pos = isLoad ? loadPos_ : storePos_;
+        ring[pos] = commitCycle;
         ++seq;
+        pos = advance(pos, ring.size());
     }
 
     /** Entries still in flight (commit > @p cycle); lsq mode only. */
@@ -140,6 +144,13 @@ class LoadStoreQueue
   private:
     /** 8-byte store-to-load matching granule (the table's key). */
     static uint64_t granuleOf(uint64_t addr) { return addr >> 3; }
+
+    /** Next slot of a ring of @p size after @p pos (no divide). */
+    static size_t
+    advance(size_t pos, size_t size)
+    {
+        return ++pos == size ? 0 : pos;
+    }
 
     uint64_t reserveLsq(bool isLoad, uint64_t dc, bool *limited);
     Order orderLoadLsq(uint64_t pc, uint64_t addr, uint64_t ready);
@@ -156,10 +167,14 @@ class LoadStoreQueue
     std::array<StoreSlot, 4096> table_{};
 
     // Lsq mode: occupancy rings (commit cycle of the entry depth back).
+    // *Seq_ count the ops ever committed; *Pos_ is *Seq_ % depth, the
+    // slot the next op takes, kept wrapped so no op divides.
     std::vector<uint64_t> loadCommit_;
     std::vector<uint64_t> storeCommit_;
     uint64_t loadSeq_ = 0;
     uint64_t storeSeq_ = 0;
+    size_t loadPos_ = 0;
+    size_t storePos_ = 0;
 
     // Lsq mode: store queue contents for forwarding/disambiguation.
     struct SqEntry
@@ -169,6 +184,7 @@ class LoadStoreQueue
     };
     std::vector<SqEntry> sq_;
     uint64_t sqSeq_ = 0;
+    size_t sqPos_ = 0; ///< sqSeq_ % depth: the next store's slot
 
     // Memory-dependence predictor: load PCs that violated once wait
     // and forward from then on (direct-mapped, tag = full pc).

@@ -73,7 +73,8 @@ struct Machine::TimingState
 
     // ROB occupancy: commit cycle of the instruction robSize back.
     std::vector<uint64_t> robCommitCycle;
-    uint64_t seq = 0; ///< dynamic instruction index
+    size_t robSlot = 0; ///< seq % robSize, kept wrapped (no divide)
+    uint64_t seq = 0;   ///< dynamic instruction index
 
     // Commit.
     uint64_t lastCommitCycle = 0;
@@ -233,7 +234,7 @@ Machine::scheduleInstruction(const StepInfo &info, TimingState &ts,
         ++dc;
     }
     // ROB space: the entry robSize back must have committed.
-    uint64_t rob_free = ts.robCommitCycle[ts.seq % config_.robSize];
+    uint64_t rob_free = ts.robCommitCycle[ts.robSlot];
     bool rob_limited = false;
     if (ts.seq >= config_.robSize && dc <= rob_free) {
         dc = rob_free + 1;
@@ -602,7 +603,9 @@ Machine::scheduleInstruction(const StepInfo &info, TimingState &ts,
         ts.groupSize = 0;
     }
 
-    ts.robCommitCycle[ts.seq % config_.robSize] = commit;
+    ts.robCommitCycle[ts.robSlot] = commit;
+    if (++ts.robSlot == ts.robCommitCycle.size())
+        ts.robSlot = 0;
     if (info.isLoad || info.isStore)
         memsys_.commit(info.isLoad, commit);
     ++ts.seq;

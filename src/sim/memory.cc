@@ -5,21 +5,19 @@
 
 namespace bp5::sim {
 
-Memory::Page &
-Memory::page(uint64_t addr)
+uint8_t *
+Memory::tlbFill(uint64_t pn, bool allocate) const
 {
-    uint64_t pn = addr >> kPageShift;
     auto it = pages_.find(pn);
-    if (it == pages_.end())
+    if (it == pages_.end()) {
+        if (!allocate)
+            return nullptr; // absence is never cached
         it = pages_.emplace(pn, Page(kPageSize, 0)).first;
-    return it->second;
-}
-
-const Memory::Page *
-Memory::pageIfPresent(uint64_t addr) const
-{
-    auto it = pages_.find(addr >> kPageShift);
-    return it == pages_.end() ? nullptr : &it->second;
+    }
+    TlbEntry &e = tlb_[pn & (kTlbSlots - 1)];
+    e.pageNum = pn;
+    e.data = it->second.data();
+    return e.data;
 }
 
 void
@@ -27,9 +25,8 @@ Memory::writeBlock(uint64_t addr, const void *src, size_t len)
 {
     const uint8_t *p = static_cast<const uint8_t *>(src);
     while (len > 0) {
-        uint64_t off = pageOff(addr);
-        size_t chunk = std::min<size_t>(len, kPageSize - off);
-        std::memcpy(page(addr).data() + off, p, chunk);
+        size_t chunk = std::min<size_t>(len, kPageSize - pageOff(addr));
+        std::memcpy(writePtr(addr, chunk), p, chunk);
         addr += chunk;
         p += chunk;
         len -= chunk;
@@ -41,10 +38,9 @@ Memory::readBlock(uint64_t addr, void *dst, size_t len) const
 {
     uint8_t *p = static_cast<uint8_t *>(dst);
     while (len > 0) {
-        uint64_t off = pageOff(addr);
-        size_t chunk = std::min<size_t>(len, kPageSize - off);
-        if (const Page *pg = pageIfPresent(addr))
-            std::memcpy(p, pg->data() + off, chunk);
+        size_t chunk = std::min<size_t>(len, kPageSize - pageOff(addr));
+        if (const uint8_t *src = readPtr(addr, chunk))
+            std::memcpy(p, src, chunk);
         else
             std::memset(p, 0, chunk);
         addr += chunk;

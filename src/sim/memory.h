@@ -3,21 +3,30 @@
  * Sparse flat physical memory for the MiniPOWER machine.  Backed by
  * 4 KiB pages allocated on first touch; all accesses are little-endian.
  *
- * Small aligned-width accesses are inlined with a one-entry cached
- * page pointer per direction (the compiled execution engine issues
- * one such access per memory micro-op), falling back to the block
- * routines when the access crosses a page boundary.  Page buffers are
- * heap-allocated vectors, so cached pointers stay valid across page
- * table rehashes; reads of absent pages return zero without
- * allocating (and are never cached, so a later write is observed).
+ * Every access translates its page number through a direct-mapped
+ * software TLB of kTlbSlots {pageNum, data*} entries indexed by
+ * pageNum & (kTlbSlots - 1) and shared by reads and writes: the DP
+ * kernels stream over a handful of arrays at once (sequences, score
+ * matrix, DP rows, stack), which a handful of resident translations
+ * cover without touching the page table.  A miss walks the page table
+ * (an unordered_map that owns the pages) and fills the slot.  Page
+ * buffers are heap-allocated vectors, so cached pointers stay valid
+ * across page-table rehashes; reads of absent pages return zero
+ * without allocating (and are never cached, so a later write is
+ * observed); clear() invalidates every slot.  Small accesses that
+ * cross a page boundary fall back to the block routines.
+ *
+ * Not copyable: a copy would carry TLB pointers into the source's
+ * pages.
  */
 
 #ifndef BIOPERF5_SIM_MEMORY_H
 #define BIOPERF5_SIM_MEMORY_H
 
+#include <array>
+#include <cstddef>
 #include <cstdint>
 #include <cstring>
-#include <memory>
 #include <unordered_map>
 #include <vector>
 
@@ -29,6 +38,12 @@ class Memory
   public:
     static constexpr unsigned kPageShift = 12;
     static constexpr uint64_t kPageSize = 1ULL << kPageShift;
+    /** Software-TLB slots (a power of two). */
+    static constexpr size_t kTlbSlots = 64;
+
+    Memory() = default;
+    Memory(const Memory &) = delete;
+    Memory &operator=(const Memory &) = delete;
 
     uint8_t
     readU8(uint64_t addr) const
@@ -55,26 +70,43 @@ class Memory
     /** Number of resident pages (for tests / footprint reports). */
     size_t residentPages() const { return pages_.size(); }
 
-    /** Drop all contents. */
+    /** Drop all contents and every cached translation. */
     void
     clear()
     {
         pages_.clear();
-        readPageNum_ = writePageNum_ = ~0ULL;
-        readPage_ = nullptr;
-        writePage_ = nullptr;
+        tlb_.fill(TlbEntry());
     }
 
   private:
     using Page = std::vector<uint8_t>;
 
-    Page &page(uint64_t addr);
-    const Page *pageIfPresent(uint64_t addr) const;
+    struct TlbEntry
+    {
+        uint64_t pageNum = ~0ULL; ///< never a real page number (< 2^52)
+        uint8_t *data = nullptr;
+    };
+
+    static_assert((kTlbSlots & (kTlbSlots - 1)) == 0,
+                  "TLB slot count must be a power of 2");
 
     static constexpr uint64_t pageOff(uint64_t a)
     {
         return a & (kPageSize - 1);
     }
+
+    /** Cached data pointer of page @p pn, or nullptr on a TLB miss. */
+    uint8_t *
+    tlbHit(uint64_t pn) const
+    {
+        const TlbEntry &e = tlb_[pn & (kTlbSlots - 1)];
+        return e.pageNum == pn ? e.data : nullptr;
+    }
+
+    /** TLB miss: find page @p pn (allocating it when @p allocate) and
+     *  fill its slot.  Returns nullptr, caching nothing, when the page
+     *  is absent and not allocated. */
+    uint8_t *tlbFill(uint64_t pn, bool allocate) const;
 
     /** Pointer into the page holding [addr, addr+len), or nullptr if
      *  the page is absent or the span crosses a page boundary. */
@@ -85,14 +117,13 @@ class Memory
         if (off + len > kPageSize)
             return nullptr;
         uint64_t pn = addr >> kPageShift;
-        if (pn != readPageNum_) {
-            const Page *pg = pageIfPresent(addr);
-            if (!pg)
-                return nullptr; // absence is never cached
-            readPageNum_ = pn;
-            readPage_ = pg->data();
+        uint8_t *data = tlbHit(pn);
+        if (!data) {
+            data = tlbFill(pn, false);
+            if (!data)
+                return nullptr;
         }
-        return readPage_ + off;
+        return data + off;
     }
 
     /** Writable pointer for [addr, addr+len), allocating the page;
@@ -104,11 +135,10 @@ class Memory
         if (off + len > kPageSize)
             return nullptr;
         uint64_t pn = addr >> kPageShift;
-        if (pn != writePageNum_) {
-            writePageNum_ = pn;
-            writePage_ = page(addr).data();
-        }
-        return writePage_ + off;
+        uint8_t *data = tlbHit(pn);
+        if (!data)
+            data = tlbFill(pn, true);
+        return data + off;
     }
 
     template <typename T>
@@ -135,11 +165,9 @@ class Memory
         writeBlock(addr, &v, sizeof(T));
     }
 
+    // Reads fill TLB slots, so both are mutable.
     mutable std::unordered_map<uint64_t, Page> pages_;
-    mutable uint64_t readPageNum_ = ~0ULL;
-    mutable const uint8_t *readPage_ = nullptr;
-    uint64_t writePageNum_ = ~0ULL;
-    uint8_t *writePage_ = nullptr;
+    mutable std::array<TlbEntry, kTlbSlots> tlb_{};
 };
 
 } // namespace bp5::sim

@@ -7,7 +7,9 @@
  * counters, on hand-written masm programs, on randomly generated masm
  * programs, and on all four application kernels.  Also regression
  * tests for the micro-op image lifecycle: reload at the same base must
- * rebuild micro-ops, and reset() must reproduce a fresh machine.
+ * rebuild micro-ops, and reset() must reproduce a fresh machine; and of
+ * the pc handoff between the micro-op loop and per-step execution of
+ * code outside the image.
  */
 
 #include <gtest/gtest.h>
@@ -16,6 +18,7 @@
 #include <string>
 #include <vector>
 
+#include "isa/encode.h"
 #include "kernels/kernels.h"
 #include "masm/assembler.h"
 #include "sim/machine.h"
@@ -512,6 +515,134 @@ TEST(EngineDiff, ResetEqualsFreshPerWorkload)
         w.simulate(km);
         EXPECT_EQ(km.totals(), first);
     }
+}
+
+// --------------------------------------------------------------------
+// Out-of-image code: the pc handoff between runFast's micro-op loop
+// and per-step execution.
+// --------------------------------------------------------------------
+
+/// Round trips through the out-of-image stub, and the exit code the
+/// program then reports (each trip adds 5+4+3+2+1 to r20).
+constexpr int kOutOfImageTrips = 300;
+constexpr int64_t kOutOfImageExit = 15 * kOutOfImageTrips;
+
+/**
+ * A program that copies a stub (carried as data words in its own
+ * image, so never decoded there) to 0x500000, outside the image, then
+ * calls it kOutOfImageTrips times: bl to a trampoline that jumps in
+ * with bctr; the stub runs a bdnz loop with a store and a load, and
+ * blr branches back into the image.
+ */
+std::string
+outOfImageProgram()
+{
+    using namespace isa;
+    const std::vector<Inst> stub = {
+        mkLi(22, 5),
+        mkMtspr(SPR_CTR, 22),
+        mkX(Op::ADD, 20, 20, 22), // loop:
+        mkD(Op::STD, 20, 12, 64),
+        mkD(Op::LD, 23, 12, 64),
+        mkD(Op::ADDI, 22, 22, -1),
+        mkBc(BO_DNZ, 0, -16),     // bdnz loop
+        mkBclr(),                 // blr: back into the image
+    };
+    std::string words;
+    for (const Inst &i : stub)
+        words += "        .word " + std::to_string(encode(i)) + "\n";
+    return R"(
+        addis   r12, r0, 0x50     # stub lives at 0x500000
+        bl      past              # LR = address of the stub words
+)" + words + R"(
+past:
+        mflr    r14
+        li      r15, )" + std::to_string(stub.size()) + R"(
+        mtctr   r15
+        mr      r16, r12
+copy:
+        lwz     r17, 0(r14)
+        stw     r17, 0(r16)
+        addi    r14, r14, 4
+        addi    r16, r16, 4
+        bdnz    copy
+        li      r20, 0
+        li      r21, )" + std::to_string(kOutOfImageTrips) + R"(
+again:
+        bl      call              # LR = back
+back:
+        addi    r21, r21, -1
+        cmpdi   r21, 0
+        bne     again
+        mr      r3, r20
+        li      r0, 0
+        sc
+call:
+        mtctr   r12
+        bctr
+)";
+}
+
+EngineRun
+runOutOfImage(bool predecode, bool sampled)
+{
+    masm::Program p = masm::assemble(outOfImageProgram());
+    sim::Machine m(sim::MachineConfig::power5WithBtac());
+    m.setPredecode(predecode);
+    if (sampled)
+        m.setSampling({200, 800, true});
+    m.loadProgram(p);
+    m.state().pc = p.base;
+    EngineRun er;
+    er.res = sampled ? m.run(2'000'000) : m.runFunctional(2'000'000);
+    er.state = m.state();
+    return er;
+}
+
+void
+expectSameArchState(const EngineRun &a, const EngineRun &b)
+{
+    EXPECT_EQ(a.res.halted, b.res.halted);
+    EXPECT_EQ(a.res.exitCode, b.res.exitCode);
+    EXPECT_EQ(a.state.gpr, b.state.gpr);
+    EXPECT_EQ(a.state.cr, b.state.cr);
+    EXPECT_EQ(a.state.lr, b.state.lr);
+    EXPECT_EQ(a.state.ctr, b.state.ctr);
+    EXPECT_EQ(a.state.pc, b.state.pc);
+}
+
+TEST(EngineDiff, OutOfImageRoundTrip)
+{
+    EngineRun fast = runOutOfImage(true, false);
+    EngineRun ref = runOutOfImage(false, false);
+    EngineRun sampled = runOutOfImage(true, true);
+    EngineRun sampledRef = runOutOfImage(false, true);
+
+    ASSERT_TRUE(fast.res.halted);
+    EXPECT_EQ(fast.res.exitCode, kOutOfImageExit);
+
+    // Functional: the micro-op engine against the reference interpreter.
+    expectSameArchState(fast, ref);
+    EXPECT_EQ(fast.res.counters, ref.res.counters);
+
+    // Warmed sampled runs: identical warming on both engines means
+    // even the extrapolated timing counters match.
+    EXPECT_TRUE(sampled.res.sampled);
+    EXPECT_GT(sampled.res.sampling.windows, 1u);
+    expectSameArchState(sampled, sampledRef);
+    EXPECT_EQ(sampled.res.counters, sampledRef.res.counters);
+
+    // Sampled against functional: the architectural counters are exact.
+    expectSameArchState(sampled, fast);
+    const sim::Counters &s = sampled.res.counters;
+    const sim::Counters &f = fast.res.counters;
+    EXPECT_EQ(s.instructions, f.instructions);
+    EXPECT_EQ(s.branches, f.branches);
+    EXPECT_EQ(s.condBranches, f.condBranches);
+    EXPECT_EQ(s.takenBranches, f.takenBranches);
+    EXPECT_EQ(s.loads, f.loads);
+    EXPECT_EQ(s.stores, f.stores);
+    EXPECT_EQ(s.opCount, f.opCount);
 }
 
 } // namespace

@@ -1,11 +1,14 @@
 /**
  * @file
  * Unit tests for the simulator's building blocks in isolation: sparse
- * memory, set-associative caches, direction predictors, and the
+ * memory and its software TLB, set-associative caches, direction predictors, and the
  * score-based BTAC.
  */
 
 #include <gtest/gtest.h>
+
+#include <map>
+#include <type_traits>
 
 #include "sim/btac.h"
 #include "sim/cache.h"
@@ -78,6 +81,167 @@ TEST(Memory, ClearDropsEverything)
     EXPECT_EQ(m.readU64(0x1000), 0u);
     EXPECT_EQ(m.residentPages(), 0u);
 }
+
+// -------------------------------------------------------- memory TLB
+
+// A copy would carry TLB pointers into the source's pages.
+static_assert(!std::is_copy_constructible_v<Memory>);
+static_assert(!std::is_copy_assignable_v<Memory>);
+
+/** Base address of page @p pn. */
+constexpr uint64_t
+pageBase(uint64_t pn)
+{
+    return pn << Memory::kPageShift;
+}
+
+TEST(MemoryTlb, ConflictingPagesEvictEachOther)
+{
+    // Pages kTlbSlots apart share one slot; alternating between them
+    // evicts on every access and must never return the other's data.
+    Memory m;
+    const uint64_t a = pageBase(5) + 0x18;
+    const uint64_t b = pageBase(5 + Memory::kTlbSlots) + 0x18;
+    for (uint64_t i = 0; i < 16; ++i) {
+        m.writeU64(a, 0xa000 + i);
+        m.writeU64(b, 0xb000 + i);
+        EXPECT_EQ(m.readU64(a), 0xa000 + i);
+        EXPECT_EQ(m.readU64(b), 0xb000 + i);
+        EXPECT_EQ(m.readU8(a), uint8_t(i));
+    }
+    EXPECT_EQ(m.residentPages(), 2u);
+}
+
+TEST(MemoryTlb, AbsentReadIsNotCachedBeforeWrite)
+{
+    Memory m;
+    const uint64_t addr = pageBase(9) + 0x40;
+    EXPECT_EQ(m.readU32(addr), 0u);
+    EXPECT_EQ(m.residentPages(), 0u); // reads never allocate
+    m.writeU32(addr, 0xfeedf00d);
+    EXPECT_EQ(m.readU32(addr), 0xfeedf00du);
+    EXPECT_EQ(m.residentPages(), 1u);
+}
+
+TEST(MemoryTlb, ClearDropsCachedTranslations)
+{
+    Memory m;
+    const uint64_t addr = pageBase(3) + 8;
+    m.writeU64(addr, 42);
+    EXPECT_EQ(m.readU64(addr), 42u); // translation now cached
+    m.clear();
+    // A stale slot would let this write land in the freed page without
+    // allocating a new one.
+    m.writeU16(addr + 16, 7);
+    EXPECT_EQ(m.residentPages(), 1u);
+    EXPECT_EQ(m.readU64(addr), 0u);
+    EXPECT_EQ(m.readU16(addr + 16), 7u);
+}
+
+TEST(MemoryTlb, RoundRobinBeyondCapacity)
+{
+    Memory m;
+    const uint64_t pages = 3 * Memory::kTlbSlots + 5;
+    for (uint64_t pn = 0; pn < pages; ++pn)
+        m.writeU64(pageBase(pn) + 8 * (pn % 16), pn * 0x9e3779b9ULL);
+    for (int pass = 0; pass < 3; ++pass) {
+        for (uint64_t pn = 0; pn < pages; ++pn) {
+            ASSERT_EQ(m.readU64(pageBase(pn) + 8 * (pn % 16)),
+                      pn * 0x9e3779b9ULL)
+                << "page " << pn << " pass " << pass;
+        }
+    }
+    EXPECT_EQ(m.residentPages(), pages);
+}
+
+/**
+ * Differential test against a byte map: random reads and writes of
+ * every width and of short blocks, at aligned, unaligned and
+ * page-straddling addresses over more pages than the TLB holds
+ * (including pages that share a slot), with an occasional clear().
+ */
+class MemoryTlbFuzz : public ::testing::TestWithParam<int> {};
+
+TEST_P(MemoryTlbFuzz, MatchesByteMapReference)
+{
+    Rng r(0x5eed0000ULL + uint64_t(GetParam()));
+    Memory m;
+    std::map<uint64_t, uint8_t> ref;
+
+    auto refRead = [&](uint64_t addr, unsigned len) {
+        uint64_t v = 0;
+        for (unsigned k = 0; k < len; ++k) {
+            auto it = ref.find(addr + k);
+            uint64_t byte = it == ref.end() ? 0 : it->second;
+            v |= byte << (8 * k);
+        }
+        return v;
+    };
+    auto pickAddr = [&]() {
+        // 96 pages in two clusters kTlbSlots apart, so slots conflict.
+        uint64_t pn = r.below(48) + (r.chance(0.5) ? Memory::kTlbSlots : 0);
+        uint64_t off = r.chance(0.25)
+                           ? Memory::kPageSize - 1 - r.below(8) // straddle
+                           : r.below(Memory::kPageSize);
+        return pageBase(pn) + off;
+    };
+
+    for (int op = 0; op < 20000; ++op) {
+        uint64_t addr = pickAddr();
+        unsigned len = 1u << r.below(4); // 1, 2, 4 or 8
+        switch (r.below(11)) {
+          case 0: case 1: case 2: case 3: {
+            uint64_t v = r.next();
+            switch (len) {
+              case 1: m.writeU8(addr, uint8_t(v)); break;
+              case 2: m.writeU16(addr, uint16_t(v)); break;
+              case 4: m.writeU32(addr, uint32_t(v)); break;
+              default: m.writeU64(addr, v); break;
+            }
+            for (unsigned k = 0; k < len; ++k)
+                ref[addr + k] = uint8_t(v >> (8 * k));
+            break;
+          }
+          case 4: case 5: case 6: case 7: {
+            uint64_t got = 0;
+            switch (len) {
+              case 1: got = m.readU8(addr); break;
+              case 2: got = m.readU16(addr); break;
+              case 4: got = m.readU32(addr); break;
+              default: got = m.readU64(addr); break;
+            }
+            ASSERT_EQ(got, refRead(addr, len))
+                << "op " << op << " addr 0x" << std::hex << addr
+                << " len " << std::dec << len;
+            break;
+          }
+          case 8: {
+            std::vector<uint8_t> buf(1 + r.below(40));
+            for (uint8_t &b : buf)
+                b = uint8_t(r.next());
+            m.writeBlock(addr, buf.data(), buf.size());
+            for (size_t k = 0; k < buf.size(); ++k)
+                ref[addr + k] = buf[k];
+            break;
+          }
+          case 9: {
+            std::vector<uint8_t> buf(1 + r.below(40));
+            m.readBlock(addr, buf.data(), buf.size());
+            for (size_t k = 0; k < buf.size(); ++k)
+                ASSERT_EQ(buf[k], refRead(addr + k, 1)) << "op " << op;
+            break;
+          }
+          default:
+            if (r.chance(0.01)) {
+                m.clear();
+                ref.clear();
+            }
+            break;
+        }
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, MemoryTlbFuzz, ::testing::Range(0, 4));
 
 // ------------------------------------------------------------- cache
 

@@ -2,8 +2,10 @@
  * @file
  * google-benchmark microbenchmarks of the simulator itself: functional
  * and timing simulation throughput (simulated instructions per second)
- * on the Smith-Waterman kernel, the per-access cost of guest memory
- * reads, plus compile time of the mpc pipeline.
+ * on the Smith-Waterman kernel, the per-instruction cost of the
+ * functional executor's two entry points (Executor::step and runFast), the
+ * per-access cost of guest memory reads, plus compile time of the mpc
+ * pipeline.
  *
  * With --json the binary skips google-benchmark and instead emits one
  * JSON Lines record per (workload, mode) measuring simulated MIPS and
@@ -22,6 +24,7 @@
 
 #include "bio/generator.h"
 #include "kernels/kernels.h"
+#include "sim/exec.h"
 #include "sim/memory.h"
 #include "support/result.h"
 #include "workloads/workload.h"
@@ -135,6 +138,130 @@ BM_MemoryScatterRead(benchmark::State &state)
     state.SetItemsProcessed(int64_t(state.iterations() * kReadsPerIter));
 }
 BENCHMARK(BM_MemoryScatterRead)->RangeMultiplier(4)->Range(1, 256);
+
+/**
+ * One Dropgsw invocation on a bare sim::Executor, laid out as
+ * KernelMachine lays it out: code at kCodeBase; from kDataBase the two
+ * sequences' residue codes, the int32 substitution matrix, two zeroed
+ * score rows and the gap penalties, each 8-byte aligned.  reset()
+ * rewrites the data and the registers, so every pass of either entry point
+ * retires the identical instruction stream.
+ */
+class ExecutorRig
+{
+  public:
+    ExecutorRig() : exec_(state_, mem_)
+    {
+        masm::Program prog =
+            compileKernel(KernelKind::Dropgsw, mpc::Variant::Baseline)
+                .program(kCodeBase);
+        mem_.writeBlock(prog.base, prog.image.data(), prog.image.size());
+        exec_.setImage(prog.base, prog.image.size());
+        const Fixture &f = fx();
+        expected_ = refDropgsw(AlignProblem{&f.a, &f.b, &f.m, f.gap});
+    }
+
+    void
+    reset()
+    {
+        const Fixture &f = fx();
+        uint64_t cursor = kDataBase;
+        auto put = [&](const void *src, size_t len) {
+            uint64_t addr = cursor;
+            mem_.writeBlock(addr, src, len);
+            cursor = (cursor + len + 7) & ~7ULL;
+            return addr;
+        };
+        std::vector<int32_t> matrix;
+        const unsigned n = bio::SubstitutionMatrix::kMaxResidues;
+        for (unsigned i = 0; i < n; ++i) {
+            for (unsigned j = 0; j < n; ++j) {
+                bool in = i < f.m.size() && j < f.m.size();
+                matrix.push_back(in ? f.m.score(i, j) : 0);
+            }
+        }
+        std::vector<uint8_t> row((f.b.size() + 1) * 8, 0);
+        const int64_t gap[] = {f.gap.open, f.gap.extend};
+
+        state_ = sim::CoreState();
+        state_.pc = kCodeBase;
+        state_.gpr[1] = kStackTop;
+        const uint64_t args[] = {
+            put(f.a.codes().data(), f.a.size()), f.a.size(),
+            put(f.b.codes().data(), f.b.size()), f.b.size(),
+            put(matrix.data(), matrix.size() * 4),
+            put(row.data(), row.size()), put(row.data(), row.size()),
+            put(gap, sizeof(gap))};
+        for (size_t i = 0; i < std::size(args); ++i)
+            state_.gpr[3 + i] = args[i];
+    }
+
+    /** Abort the benchmark if a pass did not compute the kernel. */
+    void
+    check(benchmark::State &state, bool halted) const
+    {
+        if (!halted || int64_t(state_.gpr[3]) != expected_)
+            state.SkipWithError("Dropgsw result differs from reference");
+    }
+
+    sim::Executor &exec() { return exec_; }
+
+  private:
+    sim::Memory mem_;
+    sim::CoreState state_;
+    sim::Executor exec_;
+    int64_t expected_ = 0;
+};
+
+/** Report host time per simulated instruction (s/inst, SI-scaled). */
+void
+reportPerInstruction(benchmark::State &state, const sim::Counters &c)
+{
+    state.SetItemsProcessed(int64_t(c.instructions));
+    state.counters["time/inst"] = benchmark::Counter(
+        double(c.instructions),
+        benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
+}
+
+/**
+ * Executor::step(), one call per instruction: the functional half of
+ * the timing model's per-instruction cost.  Same kernel and instruction
+ * count as BM_ExecutorRunFast.
+ */
+void
+BM_ExecutorStep(benchmark::State &state)
+{
+    ExecutorRig rig;
+    sim::Counters c;
+    for (auto _ : state) {
+        state.PauseTiming();
+        rig.reset();
+        state.ResumeTiming();
+        sim::StepInfo info;
+        do {
+            info = rig.exec().step(c);
+        } while (!info.halted);
+        rig.check(state, info.halted);
+    }
+    reportPerInstruction(state, c);
+}
+BENCHMARK(BM_ExecutorStep)->Unit(benchmark::kMicrosecond);
+
+/** Executor::runFast(): the compiled-engine loop of functional runs. */
+void
+BM_ExecutorRunFast(benchmark::State &state)
+{
+    ExecutorRig rig;
+    sim::Counters c;
+    for (auto _ : state) {
+        state.PauseTiming();
+        rig.reset();
+        state.ResumeTiming();
+        rig.check(state, rig.exec().runFast(UINT64_MAX, c).halted);
+    }
+    reportPerInstruction(state, c);
+}
+BENCHMARK(BM_ExecutorRunFast)->Unit(benchmark::kMicrosecond);
 
 void
 BM_KernelCompile(benchmark::State &state)

@@ -224,13 +224,6 @@ class KernelMachine
     }
 
     /**
-     * Toggle the pre-decoded execution engine (see
-     * sim::Machine::setPredecode); reference mode for differential
-     * tests.
-     */
-    void setPredecode(bool on) { machine_.setPredecode(on); }
-
-    /**
      * Collect per-branch-site PMU counters (see sim::BranchProfile).
      * Accumulates across run() calls; cleared by reset().
      */

@@ -12,8 +12,8 @@
  * partial window is retained, so the raw counter columns of the
  * emitted series sum exactly to the end-of-run Counters — tested.
  *
- * This subsumes the old Machine::run(max, interval_cycles) special
- * case, which survives only as a deprecated shim.
+ * It is the only way to record a timeline: attach it with
+ * Machine::setTraceSink() or KernelMachine::setSampleInterval().
  */
 
 #ifndef BIOPERF5_OBS_PMU_SAMPLER_H

@@ -14,7 +14,7 @@ using isa::Op;
 
 namespace {
 
-/** Evaluate a BO condition (with CTR side effect applied by caller). */
+/** Evaluate a BO condition against @p ctr (bclr/bcctr: no decrement). */
 bool
 evalBranchCond(unsigned bo, unsigned bi, const CoreState &st, uint64_t ctr)
 {
@@ -80,12 +80,12 @@ doCompare(CoreState &st, unsigned bf, bool l64, bool sign, uint64_t a,
 }
 
 // ------------------------------------------------------------------
-// Micro-op handlers.  Each handler fully retires one instruction:
-// architectural update, functional counter bumps and optional warming.
+// Micro-op handlers: the simulator's only copy of MiniPOWER semantics.
+// Each handler fully retires one instruction: architectural update,
+// branch/load/store counter bumps, optional warming, and the outcome
+// (effective address, branch direction and target) in the FastCtx.
 // It receives the instruction's pc and returns the next one, so the
-// pc stays in a register across runFast's loop.  Semantics mirror
-// Executor::stepDecoded() (the differential engine test holds the two
-// paths bit-identical).
+// pc stays in a register across runFast's loop.
 // ------------------------------------------------------------------
 
 #define OP_HANDLER(name) \
@@ -153,6 +153,7 @@ OP_HANDLER(hLoad)
     uint64_t base = i.ra ? x.st.gpr[i.ra] : 0;
     uint64_t ea = base + (Indexed ? x.st.gpr[i.rb] : mo.imm);
     ++x.c.loads;
+    x.memAddr = ea;
     if (x.l1d)
         x.l1d->access(ea, false);
     uint64_t v;
@@ -177,6 +178,7 @@ OP_HANDLER(hStore)
     uint64_t base = i.ra ? x.st.gpr[i.ra] : 0;
     uint64_t ea = base + (Indexed ? x.st.gpr[i.rb] : mo.imm);
     ++x.c.stores;
+    x.memAddr = ea;
     if (x.l1d)
         x.l1d->access(ea, true);
     uint64_t v = x.st.gpr[i.rt];
@@ -315,22 +317,13 @@ warmBtac(FastCtx &x, uint64_t pc, bool taken, uint64_t target)
     x.btac->update(pc, taken, taken ? target : 0, bl);
 }
 
+/** B, and BC with BO_ALWAYS: unconditional, not a condBranch. */
 OP_HANDLER(hB)
 {
     ++x.c.branches;
     ++x.c.takenBranches;
-    if (x.btac)
-        warmBtac(x, pc, true, mo.imm);
-    if (mo.inst.lk)
-        x.st.lr = pc + 4;
-    return mo.imm;
-}
-
-/** BC with BO_ALWAYS: unconditional, not a condBranch. */
-OP_HANDLER(hBcAlways)
-{
-    ++x.c.branches;
-    ++x.c.takenBranches;
+    x.taken = true;
+    x.target = mo.imm;
     if (x.btac)
         warmBtac(x, pc, true, mo.imm);
     if (mo.inst.lk)
@@ -346,6 +339,8 @@ finishBc(const MicroOp &mo, FastCtx &x, uint64_t pc, bool taken)
     ++x.c.condBranches;
     if (taken)
         ++x.c.takenBranches;
+    x.taken = taken;
+    x.target = mo.imm;
     if (x.pred)
         x.pred->update(pc, taken);
     if (x.btac)
@@ -381,6 +376,8 @@ OP_HANDLER(hBcReg)
     ++x.c.branches;
     if (taken)
         ++x.c.takenBranches;
+    x.taken = taken;
+    x.target = target;
     if (cond) {
         ++x.c.condBranches;
         if (x.pred)
@@ -516,7 +513,7 @@ Executor::invalidateDecodeCache()
         mo = MicroOp();
 }
 
-void
+const MicroOp &
 Executor::buildMicroOp(MicroOp &mo, uint64_t pc) const
 {
     uint32_t word = mem_.readU32(pc);
@@ -601,7 +598,7 @@ Executor::buildMicroOp(MicroOp &mo, uint64_t pc) const
             fn = hB;
         } else {
             switch (d.bo) {
-              case isa::BO_ALWAYS: fn = hBcAlways; break;
+              case isa::BO_ALWAYS: fn = hB; break;
               case isa::BO_COND_TRUE: fn = hBcTrue; break;
               case isa::BO_COND_FALSE: fn = hBcFalse; break;
               case isa::BO_DNZ: fn = hBcDnz; break;
@@ -639,7 +636,44 @@ Executor::buildMicroOp(MicroOp &mo, uint64_t pc) const
               static_cast<unsigned long long>(pc));
     }
     mo.fn = fn;
+    return mo;
 }
+
+/**
+ * The micro-op for @p pc: its image slot (decoded on first use) or,
+ * outside the image, the scratch slot decoded from current memory.
+ * The image comes in as arguments so runFast can keep it in registers.
+ */
+inline const MicroOp &
+Executor::microOpAt(MicroOp *ops, uint64_t base, uint64_t bytes,
+                    uint64_t pc)
+{
+    uint64_t off = pc - base;
+    if (off < bytes && (off & 3) == 0) {
+        MicroOp &mo = ops[off >> 2];
+        return mo.fn ? mo : buildMicroOp(mo, pc);
+    }
+    return buildMicroOp(scratch_, pc);
+}
+
+namespace {
+
+/**
+ * The retire path shared by step() and runFast(): count the op in
+ * opCount, then run its handler, which bumps the branch/load/store
+ * counters.  @p c is x.c, passed on its own so runFast keeps it in a
+ * register across the handler calls.  The callers add the retired
+ * count to c.instructions: runFast once per burst, because a memory
+ * increment per instruction is a measurable share of its few-ns loop.
+ */
+inline uint64_t
+retire(const MicroOp &mo, FastCtx &x, Counters &c, uint64_t pc)
+{
+    ++c.opCount[size_t(mo.inst.op)];
+    return mo.fn(mo, x, pc);
+}
+
+} // namespace
 
 Executor::FastResult
 Executor::runFast(uint64_t max, Counters &c, const Warming *warm)
@@ -651,436 +685,53 @@ Executor::runFast(uint64_t max, Counters &c, const Warming *warm)
         x.l1d = warm->l1d;
     }
 
-    // The pc and the image live in locals (registers) for the whole
-    // burst; only the out-of-image fallback syncs state_.pc.
+    // The pc, the image and the retired count live in locals
+    // (registers) for the whole burst; state_.pc and c.instructions
+    // are written back once at the end.
     FastResult res;
     uint64_t n = 0;
     uint64_t pc = state_.pc;
     MicroOp *const ops = ops_.data();
     const uint64_t base = imageBase_;
-    const uint64_t bytes = predecode_ ? imageBytes_ : 0;
+    const uint64_t bytes = imageBytes_;
     while (n < max) {
-        uint64_t off = pc - base;
-        if (off < bytes && (off & 3) == 0) {
-            MicroOp &mo = ops[off >> 2];
-            if (!mo.fn)
-                buildMicroOp(mo, pc);
-            ++c.opCount[size_t(mo.inst.op)];
-            pc = mo.fn(mo, x, pc);
-            ++n;
-            if (x.halted) {
-                res.halted = true;
-                res.exitCode = x.exitCode;
-                break;
-            }
-            continue;
-        }
-
-        // Out-of-image (or predecode disabled): per-step execution
-        // with the same functional counter accounting and warming.
-        state_.pc = pc;
-        StepInfo info = step();
-        pc = state_.pc;
+        pc = retire(microOpAt(ops, base, bytes, pc), x, c, pc);
         ++n;
-        ++c.opCount[size_t(info.inst.op)];
-        if (info.isBranch) {
-            ++c.branches;
-            if (info.isCondBranch) {
-                ++c.condBranches;
-                if (x.pred)
-                    x.pred->update(info.pc, info.taken);
-            }
-            if (info.taken)
-                ++c.takenBranches;
-            if (x.btac)
-                warmBtac(x, info.pc, info.taken,
-                         info.taken ? info.target : 0);
-        }
-        if (info.isLoad) {
-            ++c.loads;
-            if (x.l1d)
-                x.l1d->access(info.memAddr, false);
-        }
-        if (info.isStore) {
-            ++c.stores;
-            if (x.l1d)
-                x.l1d->access(info.memAddr, true);
-        }
-        if (info.halted) {
+        if (x.halted) {
             res.halted = true;
-            res.exitCode = info.exitCode;
+            res.exitCode = x.exitCode;
             break;
         }
     }
 
-    c.instructions += n;
     state_.pc = pc;
+    c.instructions += n;
     res.executed = n;
     return res;
 }
 
-void
-Executor::execSyscall(StepInfo &info)
-{
-    uint64_t fn = state_.gpr[0];
-    uint64_t arg = state_.gpr[3];
-    switch (fn) {
-      case isa::SYS_EXIT:
-        info.halted = true;
-        info.exitCode = static_cast<int64_t>(arg);
-        break;
-      case isa::SYS_PUTC:
-        console_ += static_cast<char>(arg & 0xff);
-        break;
-      case isa::SYS_PUTINT:
-        console_ += strprintf("%lld",
-                              static_cast<long long>(
-                                  static_cast<int64_t>(arg)));
-        break;
-      case isa::SYS_PUTHEX:
-        console_ += strprintf("0x%llx",
-                              static_cast<unsigned long long>(arg));
-        break;
-      default:
-        panic("unknown syscall %llu",
-              static_cast<unsigned long long>(fn));
-    }
-}
-
 StepInfo
-Executor::step()
+Executor::step(Counters &c)
 {
-    uint64_t pc = state_.pc;
-    if (predecode_) {
-        uint64_t off = pc - imageBase_;
-        if (off < imageBytes_ && (off & 3) == 0) {
-            MicroOp &mo = ops_[off >> 2];
-            if (!mo.fn)
-                buildMicroOp(mo, pc);
-            return stepDecoded(mo.inst, pc);
-        }
-    }
-    uint32_t word = mem_.readU32(pc);
-    isa::Inst d = isa::decode(word);
-    if (!d.valid()) {
-        panic("invalid instruction 0x%08x at pc 0x%llx", word,
-              static_cast<unsigned long long>(pc));
-    }
-    return stepDecoded(d, pc);
-}
+    FastCtx x{state_, mem_, c, console_};
+    const uint64_t pc = state_.pc;
+    const MicroOp &mo = microOpAt(ops_.data(), imageBase_, imageBytes_, pc);
+    state_.pc = retire(mo, x, c, pc);
+    ++c.instructions;
 
-StepInfo
-Executor::stepDecoded(const isa::Inst &inst, uint64_t pc)
-{
+    const isa::OpInfo &opi = mo.inst.info();
     StepInfo info;
     info.pc = pc;
-    info.inst = inst;
-
-    auto &g = state_.gpr;
-    uint64_t nextPc = pc + 4;
-
-    // Base value for D/X-form address and addi computations.
-    auto baseRa = [&]() -> uint64_t {
-        return inst.ra == 0 ? 0 : g[inst.ra];
-    };
-    auto load = [&](unsigned size, bool sign, uint64_t ea) {
-        info.isLoad = true;
-        info.memAddr = ea;
-        info.memSize = size;
-        uint64_t v = 0;
-        switch (size) {
-          case 1: v = mem_.readU8(ea); break;
-          case 2: v = mem_.readU16(ea); break;
-          case 4: v = mem_.readU32(ea); break;
-          case 8: v = mem_.readU64(ea); break;
-        }
-        if (sign && size < 8)
-            v = static_cast<uint64_t>(sext(v, size * 8));
-        g[inst.rt] = v;
-    };
-    auto store = [&](unsigned size, uint64_t ea) {
-        info.isStore = true;
-        info.memAddr = ea;
-        info.memSize = size;
-        uint64_t v = g[inst.rt];
-        switch (size) {
-          case 1: mem_.writeU8(ea, static_cast<uint8_t>(v)); break;
-          case 2: mem_.writeU16(ea, static_cast<uint16_t>(v)); break;
-          case 4: mem_.writeU32(ea, static_cast<uint32_t>(v)); break;
-          case 8: mem_.writeU64(ea, v); break;
-        }
-    };
-    auto branchTo = [&](uint64_t target, bool taken) {
-        info.isBranch = true;
-        info.taken = taken;
-        if (taken) {
-            info.target = target;
-            nextPc = target;
-        }
-    };
-    auto record = [&](uint64_t result) {
-        if (inst.rc)
-            setCr0(state_, result);
-    };
-
-    int64_t simm = inst.imm;
-    uint64_t uimm = static_cast<uint32_t>(inst.imm);
-
-    switch (inst.op) {
-      case Op::ADDI:
-        g[inst.rt] = baseRa() + static_cast<uint64_t>(simm);
-        break;
-      case Op::ADDIS:
-        g[inst.rt] = baseRa() + (static_cast<uint64_t>(simm) << 16);
-        break;
-      case Op::MULLI:
-        g[inst.rt] = g[inst.ra] * static_cast<uint64_t>(simm);
-        break;
-      case Op::ORI:
-        g[inst.rt] = g[inst.ra] | uimm;
-        break;
-      case Op::ORIS:
-        g[inst.rt] = g[inst.ra] | (uimm << 16);
-        break;
-      case Op::XORI:
-        g[inst.rt] = g[inst.ra] ^ uimm;
-        break;
-      case Op::ANDI_RC:
-        g[inst.rt] = g[inst.ra] & uimm;
-        setCr0(state_, g[inst.rt]);
-        break;
-      case Op::CMPI:
-        doCompare(state_, inst.bf, inst.l64, true, g[inst.ra],
-                  static_cast<uint64_t>(simm));
-        break;
-      case Op::CMPLI:
-        doCompare(state_, inst.bf, inst.l64, false, g[inst.ra], uimm);
-        break;
-
-      case Op::LBZ: load(1, false, baseRa() + simm); break;
-      case Op::LHZ: load(2, false, baseRa() + simm); break;
-      case Op::LHA: load(2, true, baseRa() + simm); break;
-      case Op::LWZ: load(4, false, baseRa() + simm); break;
-      case Op::LWA: load(4, true, baseRa() + simm); break;
-      case Op::LD:  load(8, false, baseRa() + simm); break;
-      case Op::STB: store(1, baseRa() + simm); break;
-      case Op::STH: store(2, baseRa() + simm); break;
-      case Op::STW: store(4, baseRa() + simm); break;
-      case Op::STD: store(8, baseRa() + simm); break;
-
-      case Op::LBZX: load(1, false, baseRa() + g[inst.rb]); break;
-      case Op::LHZX: load(2, false, baseRa() + g[inst.rb]); break;
-      case Op::LHAX: load(2, true, baseRa() + g[inst.rb]); break;
-      case Op::LWZX: load(4, false, baseRa() + g[inst.rb]); break;
-      case Op::LWAX: load(4, true, baseRa() + g[inst.rb]); break;
-      case Op::LDX:  load(8, false, baseRa() + g[inst.rb]); break;
-      case Op::STBX: store(1, baseRa() + g[inst.rb]); break;
-      case Op::STHX: store(2, baseRa() + g[inst.rb]); break;
-      case Op::STWX: store(4, baseRa() + g[inst.rb]); break;
-      case Op::STDX: store(8, baseRa() + g[inst.rb]); break;
-
-      case Op::ADD:
-        g[inst.rt] = g[inst.ra] + g[inst.rb];
-        record(g[inst.rt]);
-        break;
-      case Op::SUBF: // rt = rb - ra (PowerPC subtract-from)
-        g[inst.rt] = g[inst.rb] - g[inst.ra];
-        record(g[inst.rt]);
-        break;
-      case Op::NEG:
-        g[inst.rt] = ~g[inst.ra] + 1;
-        record(g[inst.rt]);
-        break;
-      case Op::MULLD:
-        g[inst.rt] = g[inst.ra] * g[inst.rb];
-        record(g[inst.rt]);
-        break;
-      case Op::DIVD: {
-        int64_t a = static_cast<int64_t>(g[inst.ra]);
-        int64_t b = static_cast<int64_t>(g[inst.rb]);
-        // PowerPC leaves the result undefined for /0 and overflow; the
-        // model defines it as 0 so runs stay deterministic.
-        g[inst.rt] = (b == 0 || (a == INT64_MIN && b == -1))
-                         ? 0
-                         : static_cast<uint64_t>(a / b);
-        record(g[inst.rt]);
-        break;
-      }
-      case Op::DIVDU:
-        g[inst.rt] = g[inst.rb] ? g[inst.ra] / g[inst.rb] : 0;
-        record(g[inst.rt]);
-        break;
-
-      case Op::AND:  g[inst.rt] = g[inst.ra] & g[inst.rb]; record(g[inst.rt]); break;
-      case Op::ANDC: g[inst.rt] = g[inst.ra] & ~g[inst.rb]; record(g[inst.rt]); break;
-      case Op::OR:   g[inst.rt] = g[inst.ra] | g[inst.rb]; record(g[inst.rt]); break;
-      case Op::ORC:  g[inst.rt] = g[inst.ra] | ~g[inst.rb]; record(g[inst.rt]); break;
-      case Op::XOR:  g[inst.rt] = g[inst.ra] ^ g[inst.rb]; record(g[inst.rt]); break;
-      case Op::NOR:  g[inst.rt] = ~(g[inst.ra] | g[inst.rb]); record(g[inst.rt]); break;
-      case Op::NAND: g[inst.rt] = ~(g[inst.ra] & g[inst.rb]); record(g[inst.rt]); break;
-      case Op::EQV:  g[inst.rt] = ~(g[inst.ra] ^ g[inst.rb]); record(g[inst.rt]); break;
-
-      case Op::SLD: {
-        unsigned sh = g[inst.rb] & 0x7f;
-        g[inst.rt] = sh >= 64 ? 0 : g[inst.ra] << sh;
-        record(g[inst.rt]);
-        break;
-      }
-      case Op::SRD: {
-        unsigned sh = g[inst.rb] & 0x7f;
-        g[inst.rt] = sh >= 64 ? 0 : g[inst.ra] >> sh;
-        record(g[inst.rt]);
-        break;
-      }
-      case Op::SRAD: {
-        unsigned sh = g[inst.rb] & 0x7f;
-        int64_t v = static_cast<int64_t>(g[inst.ra]);
-        g[inst.rt] = static_cast<uint64_t>(sh >= 64 ? (v < 0 ? -1 : 0)
-                                                    : (v >> sh));
-        record(g[inst.rt]);
-        break;
-      }
-      case Op::SLDI:
-        g[inst.rt] = g[inst.ra] << inst.rb;
-        break;
-      case Op::SRDI:
-        g[inst.rt] = g[inst.ra] >> inst.rb;
-        break;
-      case Op::SRADI:
-        g[inst.rt] = static_cast<uint64_t>(
-            static_cast<int64_t>(g[inst.ra]) >> inst.rb);
-        break;
-
-      case Op::EXTSB:
-        g[inst.rt] = static_cast<uint64_t>(sext(g[inst.ra], 8));
-        record(g[inst.rt]);
-        break;
-      case Op::EXTSH:
-        g[inst.rt] = static_cast<uint64_t>(sext(g[inst.ra], 16));
-        record(g[inst.rt]);
-        break;
-      case Op::EXTSW:
-        g[inst.rt] = static_cast<uint64_t>(sext(g[inst.ra], 32));
-        record(g[inst.rt]);
-        break;
-      case Op::CNTLZD:
-        g[inst.rt] = static_cast<uint64_t>(std::countl_zero(g[inst.ra]));
-        break;
-
-      case Op::CMP:
-        doCompare(state_, inst.bf, inst.l64, true, g[inst.ra],
-                  g[inst.rb]);
-        break;
-      case Op::CMPL:
-        doCompare(state_, inst.bf, inst.l64, false, g[inst.ra],
-                  g[inst.rb]);
-        break;
-
-      case Op::ISEL:
-        g[inst.rt] = state_.crBit(inst.bi) ? g[inst.ra] : g[inst.rb];
-        break;
-      case Op::MAXD: {
-        int64_t a = static_cast<int64_t>(g[inst.ra]);
-        int64_t b = static_cast<int64_t>(g[inst.rb]);
-        g[inst.rt] = static_cast<uint64_t>(a > b ? a : b);
-        break;
-      }
-      case Op::MIND: {
-        int64_t a = static_cast<int64_t>(g[inst.ra]);
-        int64_t b = static_cast<int64_t>(g[inst.rb]);
-        g[inst.rt] = static_cast<uint64_t>(a < b ? a : b);
-        break;
-      }
-
-      case Op::B: {
-        uint64_t target = inst.aa ? static_cast<uint64_t>(inst.imm)
-                                  : pc + static_cast<int64_t>(inst.imm);
-        if (inst.lk)
-            state_.lr = pc + 4;
-        branchTo(target, true);
-        break;
-      }
-      case Op::BC: {
-        uint64_t ctr = state_.ctr;
-        if (inst.bo == isa::BO_DNZ || inst.bo == isa::BO_DZ)
-            state_.ctr = --ctr;
-        bool taken = evalBranchCond(inst.bo, inst.bi, state_, state_.ctr);
-        if (inst.lk)
-            state_.lr = pc + 4;
-        uint64_t target = inst.aa ? static_cast<uint64_t>(inst.imm)
-                                  : pc + static_cast<int64_t>(inst.imm);
-        branchTo(target, taken);
-        info.isCondBranch = inst.bo != isa::BO_ALWAYS;
-        break;
-      }
-      case Op::BCLR: {
-        bool taken = evalBranchCond(inst.bo, inst.bi, state_, state_.ctr);
-        uint64_t target = state_.lr & ~3ULL;
-        if (inst.lk)
-            state_.lr = pc + 4;
-        branchTo(target, taken);
-        info.isCondBranch = inst.bo != isa::BO_ALWAYS;
-        break;
-      }
-      case Op::BCCTR: {
-        bool taken = evalBranchCond(inst.bo, inst.bi, state_, state_.ctr);
-        uint64_t target = state_.ctr & ~3ULL;
-        if (inst.lk)
-            state_.lr = pc + 4;
-        branchTo(target, taken);
-        info.isCondBranch = inst.bo != isa::BO_ALWAYS;
-        break;
-      }
-
-      case Op::CRAND:
-        state_.setCrBit(inst.rt,
-                        state_.crBit(inst.ra) && state_.crBit(inst.rb));
-        break;
-      case Op::CROR:
-        state_.setCrBit(inst.rt,
-                        state_.crBit(inst.ra) || state_.crBit(inst.rb));
-        break;
-      case Op::CRXOR:
-        state_.setCrBit(inst.rt,
-                        state_.crBit(inst.ra) != state_.crBit(inst.rb));
-        break;
-      case Op::CRNOR:
-        state_.setCrBit(inst.rt,
-                        !(state_.crBit(inst.ra) || state_.crBit(inst.rb)));
-        break;
-
-      case Op::MTSPR:
-        if (inst.spr == isa::SPR_LR)
-            state_.lr = g[inst.rt];
-        else if (inst.spr == isa::SPR_CTR)
-            state_.ctr = g[inst.rt];
-        else
-            panic("mtspr: unsupported SPR %u", inst.spr);
-        break;
-      case Op::MFSPR:
-        if (inst.spr == isa::SPR_LR)
-            g[inst.rt] = state_.lr;
-        else if (inst.spr == isa::SPR_CTR)
-            g[inst.rt] = state_.ctr;
-        else
-            panic("mfspr: unsupported SPR %u", inst.spr);
-        break;
-      case Op::MFCR:
-        g[inst.rt] = state_.cr;
-        break;
-
-      case Op::SC:
-        execSyscall(info);
-        break;
-
-      default:
-        panic("unimplemented opcode %u at pc 0x%llx",
-              static_cast<unsigned>(inst.op),
-              static_cast<unsigned long long>(pc));
-    }
-
-    info.nextPc = nextPc;
-    state_.pc = nextPc;
+    info.inst = mo.inst;
+    info.isBranch = opi.isBranch;
+    info.isCondBranch = opi.isCondBranch && mo.inst.bo != isa::BO_ALWAYS;
+    info.taken = x.taken;
+    info.target = x.taken ? x.target : 0;
+    info.isLoad = opi.isLoad;
+    info.isStore = opi.isStore;
+    info.memAddr = x.memAddr;
+    info.halted = x.halted;
+    info.exitCode = x.exitCode;
     return info;
 }
 

@@ -4,25 +4,27 @@
  * and reports what happened so the timing model can replay the
  * committed stream.
  *
- * Two execution paths share one set of semantics:
+ * The ISA semantics live in one place: one micro-op handler per
+ * operation class.  A handler retires one instruction (architectural
+ * update, architectural counter bumps, optional warming), takes the
+ * instruction's pc and returns the next one, and records the memory
+ * address and branch outcome in its FastCtx.  Two entry points call them:
  *
- *  - step(): one instruction per call, returning a full StepInfo for
- *    the timing model.  Used by detailed (timed) execution.
- *  - runFast(): a compiled-engine loop over a pre-decoded micro-op
- *    image.  setImage() registers the program's text segment; each
- *    4-byte slot is lazily decoded once into a MicroOp whose execute
- *    function pointer is then called directly — no hashing, no
- *    isa::Inst copies.  Handlers take the instruction's pc and return
- *    the next one, so the hot loop is pc = op.fn(op, ctx, pc) with pc
- *    and the image held in locals; state.pc is written back only
- *    around out-of-image steps and at the end of the burst.  Used for
- *    functional runs and SMARTS fast-forward, optionally warming the
- *    branch predictor, BTAC and L1D en route.
+ *  - runFast(): the compiled-engine loop.  setImage() registers the
+ *    program's text segment; each 4-byte slot is lazily decoded once
+ *    into a MicroOp whose handler is then called directly, with the pc
+ *    and the image held in locals.  Used for functional runs and
+ *    SMARTS fast-forward, optionally warming the branch predictor,
+ *    BTAC and L1D en route.
+ *  - step(): one instruction per call through the same handler,
+ *    returning a StepInfo (filled from the FastCtx outcome and
+ *    isa::OpInfo) for the timing model.
  *
- * Decode stays lazy (slot built on first execution) so the legacy
- * decode-at-first-use semantics are preserved exactly: data words
- * inside the image never decode, invalid encodings panic only if
- * reached, and stores to not-yet-executed code take effect.
+ * Code outside the image (copied or generated at run time) runs in
+ * both through a MicroOp decoded fresh from memory each time.
+ * Decode stays lazy (slot built on first execution): data words inside
+ * the image never decode, invalid encodings panic only if reached, and
+ * stores to not-yet-executed code take effect.
  */
 
 #ifndef BIOPERF5_SIM_EXEC_H
@@ -47,18 +49,16 @@ class DirectionPredictor;
 struct StepInfo
 {
     uint64_t pc = 0;
-    uint64_t nextPc = 0;
     isa::Inst inst;
 
     bool isBranch = false;
-    bool isCondBranch = false;
-    bool taken = false;      ///< branch direction (unconditional: true)
-    uint64_t target = 0;     ///< branch target when taken
+    bool isCondBranch = false; ///< BC/BCLR/BCCTR with BO != BO_ALWAYS
+    bool taken = false;        ///< branch direction (unconditional: true)
+    uint64_t target = 0;       ///< branch target when taken, else 0
 
     bool isLoad = false;
     bool isStore = false;
     uint64_t memAddr = 0;
-    unsigned memSize = 0;
 
     bool halted = false;     ///< SYS_EXIT executed
     int64_t exitCode = 0;
@@ -66,7 +66,7 @@ struct StepInfo
 
 struct MicroOp;
 
-/** Mutable state threaded through the fast micro-op handlers. */
+/** Mutable state threaded through the micro-op handlers. */
 struct FastCtx
 {
     CoreState &st;
@@ -75,6 +75,12 @@ struct FastCtx
     std::string &console;
     bool halted = false;
     int64_t exitCode = 0;
+    /// Outcome of the last retired op, read back by Executor::step():
+    /// a load/store's effective address, a branch's direction and its
+    /// target (set whether or not the branch is taken).
+    uint64_t memAddr = 0;
+    uint64_t target = 0;
+    bool taken = false;
     /// Optional functional-warming hooks (SMARTS fast-forward).
     DirectionPredictor *pred = nullptr;
     Btac *btac = nullptr;
@@ -101,12 +107,13 @@ class Executor
 
     /**
      * Fetch, decode and execute the instruction at state.pc, advancing
-     * architectural state.  Inside the registered image the pre-decoded
-     * micro-op provides the decode; outside it (or with predecode
-     * disabled) the word is decoded fresh from memory each step.
+     * architectural state and adding its architectural counts
+     * (instructions, opCount, branch/load/store counts) to @p c.
+     * Inside the registered image the pre-decoded micro-op provides
+     * the decode; outside it the word is decoded fresh from memory.
      * Panics on invalid encodings (the program image is broken).
      */
-    StepInfo step();
+    StepInfo step(Counters &c);
 
     /** Outcome of a runFast() burst. */
     struct FastResult
@@ -125,14 +132,11 @@ class Executor
     };
 
     /**
-     * Execute up to @p max instructions through the micro-op image,
-     * accumulating architectural counters (instructions, opCount,
-     * branch/load/store counts — never cycles) into @p c.  Counter
-     * semantics match Machine::runFunctional()'s accounting exactly.
+     * Execute up to @p max instructions, accumulating the same
+     * architectural counters as step() (never cycles) into @p c.
      * With @p warm, conditional-branch outcomes update the direction
      * predictor, all branches update the BTAC and memory ops touch the
-     * L1D, mirroring the detailed model's update rules.  Falls back to
-     * per-step execution outside the image or with predecode disabled.
+     * L1D, mirroring the detailed model's update rules.
      */
     FastResult runFast(uint64_t max, Counters &c,
                        const Warming *warm = nullptr);
@@ -155,18 +159,11 @@ class Executor
      */
     void invalidateDecodeCache();
 
-    /**
-     * Disable the pre-decoded engine: every step decodes fresh from
-     * memory and runFast degrades to the per-step loop.  Reference
-     * mode for the differential engine tests.
-     */
-    void setPredecode(bool on) { predecode_ = on; }
-    bool predecode() const { return predecode_; }
-
   private:
-    StepInfo stepDecoded(const isa::Inst &inst, uint64_t pc);
-    void buildMicroOp(MicroOp &mo, uint64_t pc) const;
-    void execSyscall(StepInfo &info);
+    const MicroOp &microOpAt(MicroOp *ops, uint64_t base, uint64_t bytes,
+                             uint64_t pc);
+    /** Decode the word at @p pc into @p mo; returns @p mo. */
+    const MicroOp &buildMicroOp(MicroOp &mo, uint64_t pc) const;
 
     CoreState &state_;
     Memory &mem_;
@@ -175,7 +172,7 @@ class Executor
     uint64_t imageBase_ = 0;
     uint64_t imageBytes_ = 0;
     std::vector<MicroOp> ops_;
-    bool predecode_ = true;
+    MicroOp scratch_; ///< out-of-image code, decoded fresh each time
 };
 
 } // namespace bp5::sim

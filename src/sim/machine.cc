@@ -394,17 +394,12 @@ Machine::scheduleInstruction(const StepInfo &info, TimingState &ts,
     bool direction_mispredict = false;
     bool target_mispredict = false;
     if (info.isBranch) {
-        ++c.branches;
-        if (info.taken)
-            ++c.takenBranches;
-
         Btac::Lookup bl;
         if (config_.btacEnabled)
             bl = btac_.lookup(info.pc);
 
         bool pred = false;
         if (info.isCondBranch) {
-            ++c.condBranches;
             pred = predictor_->predict(info.pc);
             predictor_->update(info.pc, info.taken);
             direction_mispredict = pred != info.taken;
@@ -610,13 +605,8 @@ Machine::scheduleInstruction(const StepInfo &info, TimingState &ts,
         memsys_.commit(info.isLoad, commit);
     ++ts.seq;
 
-    // ---------------------------------------------------------- counters
-    ++c.instructions;
-    ++c.opCount[size_t(inst.op)];
-    if (info.isLoad)
-        ++c.loads;
-    if (info.isStore)
-        ++c.stores;
+    // Architectural counters were bumped by Executor::step(); only the
+    // cycle count is the timing model's.
     c.cycles = commit;
 
     if (sink_) {
@@ -666,7 +656,7 @@ Machine::run(uint64_t max_instructions)
         sink_->onRunBegin(config_);
 
     for (uint64_t n = 0; n < max_instructions; ++n) {
-        StepInfo info = exec_.step();
+        StepInfo info = exec_.step(c);
         scheduleInstruction(info, ts, c);
         if (info.halted) {
             res.halted = true;
@@ -737,7 +727,7 @@ Machine::runSampled(uint64_t max_instructions)
             std::min(sampling_.detailInstructions, remaining);
         bool halted = false;
         for (uint64_t n = 0; n < window; ++n) {
-            StepInfo info = exec_.step();
+            StepInfo info = exec_.step(c);
             scheduleInstruction(info, ts, c);
             --remaining;
             if (info.halted) {
@@ -838,111 +828,6 @@ Machine::runSampled(uint64_t max_instructions)
     if (sink_)
         sink_->onRunEnd(c);
     res.console = exec_.console();
-    return res;
-}
-
-namespace {
-
-/**
- * Deprecated-shim sampler: reproduces the pre-obs run(max, interval)
- * timeline bit-for-bit — run-local cycles, sampling phase starting at
- * one interval, no trailing partial sample — on top of the generic
- * event hook, chaining to any sink the caller had attached.
- */
-class LegacyTimelineSink final : public TraceSink
-{
-  public:
-    LegacyTimelineSink(uint64_t interval, TraceSink *chain)
-        : interval_(interval), next_(interval), chain_(chain)
-    {
-    }
-
-    TraceSink *chain() const { return chain_; }
-
-    void
-    onRunBegin(const MachineConfig &mc) override
-    {
-        if (chain_)
-            chain_->onRunBegin(mc);
-    }
-    void
-    onRunEnd(const Counters &final) override
-    {
-        if (chain_)
-            chain_->onRunEnd(final);
-    }
-    void
-    onBranch(const BranchRecord &r) override
-    {
-        if (chain_)
-            chain_->onBranch(r);
-    }
-    void
-    onFlush(const FlushRecord &r) override
-    {
-        if (chain_)
-            chain_->onFlush(r);
-    }
-    void
-    onCacheMiss(const CacheMissRecord &r) override
-    {
-        if (chain_)
-            chain_->onCacheMiss(r);
-    }
-
-    void
-    onInstruction(const InstRecord &r, const Counters &c) override
-    {
-        if (chain_)
-            chain_->onInstruction(r, c);
-        if (c.cycles < next_)
-            return;
-        const Counters &prev = prev_;
-        IntervalSample s;
-        s.cycle = c.cycles;
-        uint64_t dc = c.cycles - prev.cycles;
-        uint64_t di = c.instructions - prev.instructions;
-        uint64_t db = c.condBranches - prev.condBranches;
-        uint64_t dm = (c.mispredDirection + c.mispredTarget) -
-                      (prev.mispredDirection + prev.mispredTarget);
-        uint64_t da = c.l1dAccesses - prev.l1dAccesses;
-        uint64_t dmiss = c.l1dMisses - prev.l1dMisses;
-        s.ipc = dc ? double(di) / double(dc) : 0.0;
-        s.branchMispredictRate = db ? double(dm) / double(db) : 0.0;
-        s.l1dMissRate = da ? double(dmiss) / double(da) : 0.0;
-        samples.push_back(s);
-        prev_ = c;
-        while (next_ <= c.cycles)
-            next_ += interval_;
-    }
-
-    std::vector<IntervalSample> samples;
-
-  private:
-    uint64_t interval_;
-    uint64_t next_;
-    Counters prev_;
-    TraceSink *chain_;
-};
-
-} // namespace
-
-RunResult
-Machine::run(uint64_t max_instructions, uint64_t interval_cycles)
-{
-    if (interval_cycles == 0)
-        return run(max_instructions);
-    // The shim predates sampled timing: its callers expect the
-    // historical full-detail timeline bit-for-bit, so sampling is
-    // suspended for the duration of the shim run.
-    SamplingParams saved = sampling_;
-    sampling_ = SamplingParams();
-    LegacyTimelineSink legacy(interval_cycles, sink_);
-    sink_ = &legacy;
-    RunResult res = run(max_instructions);
-    sink_ = legacy.chain();
-    sampling_ = saved;
-    res.timeline = std::move(legacy.samples);
     return res;
 }
 

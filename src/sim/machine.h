@@ -4,7 +4,9 @@
  * out-of-order timing model.
  *
  * The timing model is trace-driven in a single pass: the functional
- * executor retires instructions in program order, and each retired
+ * executor retires instructions in program order through the same
+ * micro-op handlers as functional runs (so every mode sees the same
+ * branch outcomes and architectural counters), and each retired
  * instruction is scheduled through fetch -> decode pipe -> dispatch
  * (ROB) -> issue (per-class units) -> complete -> in-order commit.
  * Wrong-path instructions are not executed; their cost appears as the
@@ -20,7 +22,7 @@
 
 #include <cstdint>
 #include <memory>
-#include <vector>
+#include <string>
 
 #include "masm/assembler.h"
 #include "sim/btac.h"
@@ -60,9 +62,6 @@ struct SamplingParams
 struct RunResult
 {
     Counters counters;
-    /** Filled only by the deprecated run(max, interval) shim; the
-     *  general mechanism is an obs::PmuSampler trace sink. */
-    std::vector<IntervalSample> timeline;
     bool halted = false;
     int64_t exitCode = 0;
     std::string console;
@@ -103,21 +102,12 @@ class Machine
     void reset();
 
     /**
-     * Run with full timing from the current PC until SYS_EXIT or
-     * @p max_instructions.  Events stream to the attached trace sink
-     * (if any); RunResult::timeline stays empty — attach an
+     * Run with full timing (or sampled timing, see setSampling())
+     * from the current PC until SYS_EXIT or @p max_instructions.
+     * Events stream to the attached trace sink (if any); attach an
      * obs::PmuSampler for interval series.
      */
     RunResult run(uint64_t max_instructions = UINT64_MAX);
-
-    /**
-     * @deprecated Compatibility shim for the pre-obs interval API: a
-     * nonzero @p interval_cycles records a run-local Fig-2 timeline
-     * into RunResult::timeline with the historical semantics (sampling
-     * phase restarts each run, no trailing partial sample).  New code
-     * should attach an obs::PmuSampler via setTraceSink() instead.
-     */
-    RunResult run(uint64_t max_instructions, uint64_t interval_cycles);
 
     /**
      * Run functionally only (no cycle accounting; counters contain
@@ -130,19 +120,10 @@ class Machine
     /**
      * Configure SMARTS-style sampled timing for subsequent run()
      * calls (see SamplingParams; disabled by default and after
-     * reset()).  The deprecated run(max, interval) shim always runs
-     * full detail regardless, preserving its historical timeline.
+     * reset()).
      */
     void setSampling(const SamplingParams &p) { sampling_ = p; }
     const SamplingParams &sampling() const { return sampling_; }
-
-    /**
-     * Toggle the pre-decoded execution engine (on by default).  Off,
-     * every instruction decodes fresh from memory: the reference mode
-     * the differential engine tests compare against.
-     */
-    void setPredecode(bool on) { exec_.setPredecode(on); }
-    bool predecode() const { return exec_.predecode(); }
 
     const Cache &l1d() const { return l1d_; }
     const Cache &l1i() const { return l1i_; }

@@ -1,13 +1,17 @@
 /**
  * @file
  * Differential fuzzing of the functional executor: every computational
- * opcode is single-stepped with random operand values and the result
- * is compared against an independently written C++ semantic model.
+ * opcode and every branch form is single-stepped with random operand
+ * values and the result is compared against independently written C++
+ * semantic models.  Each case runs three ways through the executor:
+ * step() on a pre-decoded image slot, step() on code outside the image
+ * (decoded fresh), and runFast().
  */
 
 #include <gtest/gtest.h>
 
 #include <bit>
+#include <string>
 
 #include "isa/encode.h"
 #include "sim/exec.h"
@@ -80,24 +84,61 @@ modelUnary(Op op, int64_t a)
     }
 }
 
-/** Single-step one instruction with preset registers. */
+/** The ways SingleStepper drives the executor. */
+enum class Path
+{
+    InImage,    ///< step() on a pre-decoded image slot
+    OutOfImage, ///< step() on a micro-op decoded fresh from memory
+    RunFast,    ///< runFast() for one instruction
+};
+
+constexpr Path kPaths[] = {Path::InImage, Path::OutOfImage, Path::RunFast};
+
+const char *
+pathName(Path p)
+{
+    switch (p) {
+      case Path::InImage: return "step() in image";
+      case Path::OutOfImage: return "step() out of image";
+      case Path::RunFast: return "runFast()";
+    }
+    return "?";
+}
+
+/** Single-step one instruction at kPc with preset registers. */
 class SingleStepper
 {
   public:
-    SingleStepper() : exec_(state_, mem_) {}
+    static constexpr uint64_t kPc = 0x10000;
 
+    explicit SingleStepper(Path path) : path_(path), exec_(state_, mem_)
+    {
+        if (path != Path::OutOfImage)
+            exec_.setImage(kPc, 4);
+    }
+
+    /** Execute @p inst; the StepInfo is empty on the runFast() path. */
     StepInfo
     step(const Inst &inst)
     {
-        state_.pc = 0x1000;
-        mem_.writeU32(0x1000, isa::encode(inst));
+        state_.pc = kPc;
+        mem_.writeU32(kPc, isa::encode(inst));
         exec_.invalidateDecodeCache();
-        return exec_.step();
+        if (path_ == Path::RunFast) {
+            EXPECT_EQ(exec_.runFast(1, counters_).executed, 1u);
+            return StepInfo();
+        }
+        return exec_.step(counters_);
     }
 
+    /** Whether step() returns the executor's StepInfo. */
+    bool reportsStepInfo() const { return path_ != Path::RunFast; }
+
+    Path path_;
     CoreState state_;
     Memory mem_;
     Executor exec_;
+    Counters counters_;
 };
 
 int64_t
@@ -115,165 +156,432 @@ interestingValue(Rng &r)
     }
 }
 
+/** A load/store's StepInfo memory fields (step() paths only). */
+void
+expectMemInfo(const SingleStepper &ss, const StepInfo &si, bool store,
+              uint64_t ea)
+{
+    if (!ss.reportsStepInfo())
+        return;
+    EXPECT_EQ(si.isLoad, !store);
+    EXPECT_EQ(si.isStore, store);
+    EXPECT_EQ(si.memAddr, ea);
+    EXPECT_FALSE(si.isBranch);
+}
+
 class ExecAluFuzz : public ::testing::TestWithParam<int> {};
 
 TEST_P(ExecAluFuzz, BinaryOpsMatchModel)
 {
-    Rng r(7000 + static_cast<uint64_t>(GetParam()));
-    SingleStepper ss;
-    const Op binOps[] = {Op::ADD, Op::SUBF, Op::MULLD, Op::DIVD,
-                         Op::DIVDU, Op::AND, Op::ANDC, Op::OR,
-                         Op::ORC, Op::XOR, Op::NOR, Op::NAND,
-                         Op::EQV, Op::SLD, Op::SRD, Op::SRAD,
-                         Op::MAXD, Op::MIND};
-    for (int iter = 0; iter < 50; ++iter) {
-        for (Op op : binOps) {
-            int64_t a = interestingValue(r);
-            int64_t b = interestingValue(r);
-            ss.state_.gpr[4] = static_cast<uint64_t>(a);
-            ss.state_.gpr[5] = static_cast<uint64_t>(b);
-            ss.step(isa::mkX(op, 3, 4, 5));
-            EXPECT_EQ(static_cast<int64_t>(ss.state_.gpr[3]),
-                      model(op, a, b))
-                << isa::mnemonic(op) << " a=" << a << " b=" << b;
+    for (Path path : kPaths) {
+        SCOPED_TRACE(pathName(path));
+        Rng r(7000 + static_cast<uint64_t>(GetParam()));
+        SingleStepper ss(path);
+        const Op binOps[] = {Op::ADD, Op::SUBF, Op::MULLD, Op::DIVD,
+                             Op::DIVDU, Op::AND, Op::ANDC, Op::OR,
+                             Op::ORC, Op::XOR, Op::NOR, Op::NAND,
+                             Op::EQV, Op::SLD, Op::SRD, Op::SRAD,
+                             Op::MAXD, Op::MIND};
+        for (int iter = 0; iter < 50; ++iter) {
+            for (Op op : binOps) {
+                int64_t a = interestingValue(r);
+                int64_t b = interestingValue(r);
+                ss.state_.gpr[4] = static_cast<uint64_t>(a);
+                ss.state_.gpr[5] = static_cast<uint64_t>(b);
+                ss.step(isa::mkX(op, 3, 4, 5));
+                EXPECT_EQ(static_cast<int64_t>(ss.state_.gpr[3]),
+                          model(op, a, b))
+                    << isa::mnemonic(op) << " a=" << a << " b=" << b;
+            }
         }
     }
 }
 
 TEST_P(ExecAluFuzz, UnaryOpsMatchModel)
 {
-    Rng r(8000 + static_cast<uint64_t>(GetParam()));
-    SingleStepper ss;
-    for (int iter = 0; iter < 50; ++iter) {
-        for (Op op : {Op::NEG, Op::EXTSB, Op::EXTSH, Op::EXTSW,
-                      Op::CNTLZD}) {
-            int64_t a = interestingValue(r);
-            ss.state_.gpr[4] = static_cast<uint64_t>(a);
-            ss.step(isa::mkUnary(op, 3, 4));
-            EXPECT_EQ(static_cast<int64_t>(ss.state_.gpr[3]),
-                      modelUnary(op, a))
-                << isa::mnemonic(op) << " a=" << a;
+    for (Path path : kPaths) {
+        SCOPED_TRACE(pathName(path));
+        Rng r(8000 + static_cast<uint64_t>(GetParam()));
+        SingleStepper ss(path);
+        for (int iter = 0; iter < 50; ++iter) {
+            for (Op op : {Op::NEG, Op::EXTSB, Op::EXTSH, Op::EXTSW,
+                          Op::CNTLZD}) {
+                int64_t a = interestingValue(r);
+                ss.state_.gpr[4] = static_cast<uint64_t>(a);
+                ss.step(isa::mkUnary(op, 3, 4));
+                EXPECT_EQ(static_cast<int64_t>(ss.state_.gpr[3]),
+                          modelUnary(op, a))
+                    << isa::mnemonic(op) << " a=" << a;
+            }
         }
     }
 }
 
 TEST_P(ExecAluFuzz, ImmediateShiftsMatchModel)
 {
-    Rng r(9000 + static_cast<uint64_t>(GetParam()));
-    SingleStepper ss;
-    for (int iter = 0; iter < 60; ++iter) {
-        int64_t a = interestingValue(r);
-        unsigned sh = unsigned(r.below(64));
-        ss.state_.gpr[4] = static_cast<uint64_t>(a);
-        ss.step(isa::mkShImm(Op::SLDI, 3, 4, sh));
-        EXPECT_EQ(ss.state_.gpr[3], static_cast<uint64_t>(a) << sh);
-        ss.step(isa::mkShImm(Op::SRDI, 3, 4, sh));
-        EXPECT_EQ(ss.state_.gpr[3], static_cast<uint64_t>(a) >> sh);
-        ss.step(isa::mkShImm(Op::SRADI, 3, 4, sh));
-        EXPECT_EQ(static_cast<int64_t>(ss.state_.gpr[3]), a >> sh);
+    for (Path path : kPaths) {
+        SCOPED_TRACE(pathName(path));
+        Rng r(9000 + static_cast<uint64_t>(GetParam()));
+        SingleStepper ss(path);
+        for (int iter = 0; iter < 60; ++iter) {
+            int64_t a = interestingValue(r);
+            unsigned sh = unsigned(r.below(64));
+            ss.state_.gpr[4] = static_cast<uint64_t>(a);
+            ss.step(isa::mkShImm(Op::SLDI, 3, 4, sh));
+            EXPECT_EQ(ss.state_.gpr[3], static_cast<uint64_t>(a) << sh);
+            ss.step(isa::mkShImm(Op::SRDI, 3, 4, sh));
+            EXPECT_EQ(ss.state_.gpr[3], static_cast<uint64_t>(a) >> sh);
+            ss.step(isa::mkShImm(Op::SRADI, 3, 4, sh));
+            EXPECT_EQ(static_cast<int64_t>(ss.state_.gpr[3]), a >> sh);
+        }
     }
 }
 
 TEST_P(ExecAluFuzz, ComparesSetExactlyOneOrderingBit)
 {
-    Rng r(10000 + static_cast<uint64_t>(GetParam()));
-    SingleStepper ss;
-    for (int iter = 0; iter < 60; ++iter) {
-        int64_t a = interestingValue(r);
-        int64_t b = interestingValue(r);
-        unsigned bf = unsigned(r.below(8));
-        ss.state_.gpr[4] = static_cast<uint64_t>(a);
-        ss.state_.gpr[5] = static_cast<uint64_t>(b);
+    for (Path path : kPaths) {
+        SCOPED_TRACE(pathName(path));
+        Rng r(10000 + static_cast<uint64_t>(GetParam()));
+        SingleStepper ss(path);
+        for (int iter = 0; iter < 60; ++iter) {
+            int64_t a = interestingValue(r);
+            int64_t b = interestingValue(r);
+            unsigned bf = unsigned(r.below(8));
+            ss.state_.gpr[4] = static_cast<uint64_t>(a);
+            ss.state_.gpr[5] = static_cast<uint64_t>(b);
 
-        ss.step(isa::mkCmp(Op::CMP, bf, 4, 5, true));
-        unsigned f = ss.state_.crField(bf);
-        unsigned expect = a < b   ? 1u << isa::CR_LT
-                          : a > b ? 1u << isa::CR_GT
-                                  : 1u << isa::CR_EQ;
-        EXPECT_EQ(f, expect) << "cmp a=" << a << " b=" << b;
+            ss.step(isa::mkCmp(Op::CMP, bf, 4, 5, true));
+            unsigned f = ss.state_.crField(bf);
+            unsigned expect = a < b   ? 1u << isa::CR_LT
+                              : a > b ? 1u << isa::CR_GT
+                                      : 1u << isa::CR_EQ;
+            EXPECT_EQ(f, expect) << "cmp a=" << a << " b=" << b;
 
-        ss.step(isa::mkCmp(Op::CMPL, bf, 4, 5, true));
-        uint64_t ua = static_cast<uint64_t>(a);
-        uint64_t ub = static_cast<uint64_t>(b);
-        unsigned expectU = ua < ub   ? 1u << isa::CR_LT
-                           : ua > ub ? 1u << isa::CR_GT
-                                     : 1u << isa::CR_EQ;
-        EXPECT_EQ(ss.state_.crField(bf), expectU);
+            ss.step(isa::mkCmp(Op::CMPL, bf, 4, 5, true));
+            uint64_t ua = static_cast<uint64_t>(a);
+            uint64_t ub = static_cast<uint64_t>(b);
+            unsigned expectU = ua < ub   ? 1u << isa::CR_LT
+                               : ua > ub ? 1u << isa::CR_GT
+                                         : 1u << isa::CR_EQ;
+            EXPECT_EQ(ss.state_.crField(bf), expectU);
+        }
     }
 }
 
 TEST_P(ExecAluFuzz, IselTracksCrBit)
 {
-    Rng r(11000 + static_cast<uint64_t>(GetParam()));
-    SingleStepper ss;
-    for (int iter = 0; iter < 60; ++iter) {
-        unsigned bit = unsigned(r.below(32));
-        bool set = r.chance(0.5);
-        ss.state_.cr = set ? (1u << bit) : 0;
-        uint64_t x = r.next(), y = r.next();
-        ss.state_.gpr[4] = x;
-        ss.state_.gpr[5] = y;
-        ss.step(isa::mkIsel(3, 4, 5, bit));
-        EXPECT_EQ(ss.state_.gpr[3], set ? x : y);
+    for (Path path : kPaths) {
+        SCOPED_TRACE(pathName(path));
+        Rng r(11000 + static_cast<uint64_t>(GetParam()));
+        SingleStepper ss(path);
+        for (int iter = 0; iter < 60; ++iter) {
+            unsigned bit = unsigned(r.below(32));
+            bool set = r.chance(0.5);
+            ss.state_.cr = set ? (1u << bit) : 0;
+            uint64_t x = r.next(), y = r.next();
+            ss.state_.gpr[4] = x;
+            ss.state_.gpr[5] = y;
+            ss.step(isa::mkIsel(3, 4, 5, bit));
+            EXPECT_EQ(ss.state_.gpr[3], set ? x : y);
+        }
     }
 }
 
 TEST_P(ExecAluFuzz, RecordFormsTrackResultSign)
 {
-    Rng r(12000 + static_cast<uint64_t>(GetParam()));
-    SingleStepper ss;
-    for (int iter = 0; iter < 60; ++iter) {
-        int64_t a = interestingValue(r);
-        int64_t b = interestingValue(r);
-        ss.state_.gpr[4] = static_cast<uint64_t>(a);
-        ss.state_.gpr[5] = static_cast<uint64_t>(b);
-        ss.step(isa::mkX(Op::ADD, 3, 4, 5, true));
-        int64_t res = model(Op::ADD, a, b);
-        unsigned f = ss.state_.crField(0);
-        unsigned expect = res < 0   ? 1u << isa::CR_LT
-                          : res > 0 ? 1u << isa::CR_GT
-                                    : 1u << isa::CR_EQ;
-        EXPECT_EQ(f, expect);
+    for (Path path : kPaths) {
+        SCOPED_TRACE(pathName(path));
+        Rng r(12000 + static_cast<uint64_t>(GetParam()));
+        SingleStepper ss(path);
+        for (int iter = 0; iter < 60; ++iter) {
+            int64_t a = interestingValue(r);
+            int64_t b = interestingValue(r);
+            ss.state_.gpr[4] = static_cast<uint64_t>(a);
+            ss.state_.gpr[5] = static_cast<uint64_t>(b);
+            ss.step(isa::mkX(Op::ADD, 3, 4, 5, true));
+            int64_t res = model(Op::ADD, a, b);
+            unsigned f = ss.state_.crField(0);
+            unsigned expect = res < 0   ? 1u << isa::CR_LT
+                              : res > 0 ? 1u << isa::CR_GT
+                                        : 1u << isa::CR_EQ;
+            EXPECT_EQ(f, expect);
+        }
     }
 }
 
 TEST_P(ExecAluFuzz, MemoryRoundTripAllSizes)
 {
-    Rng r(13000 + static_cast<uint64_t>(GetParam()));
-    SingleStepper ss;
-    const struct
-    {
-        Op st, ldz;
-        Op lds;     // sign-extending load, INVALID if none
-        unsigned bits;
-    } combos[] = {
-        {Op::STB, Op::LBZ, Op::INVALID, 8},
-        {Op::STH, Op::LHZ, Op::LHA, 16},
-        {Op::STW, Op::LWZ, Op::LWA, 32},
-        {Op::STD, Op::LD, Op::INVALID, 64},
-    };
-    for (int iter = 0; iter < 40; ++iter) {
-        for (const auto &c : combos) {
-            uint64_t v = r.next();
-            int32_t disp = int32_t(r.range(-512, 511)) & ~7;
-            ss.state_.gpr[7] = 0x8000;
-            ss.state_.gpr[3] = v;
-            ss.step(isa::mkD(c.st, 3, 7, disp));
-            ss.step(isa::mkD(c.ldz, 4, 7, disp));
-            uint64_t expectZ = c.bits >= 64 ? v : (v & mask(c.bits));
-            EXPECT_EQ(ss.state_.gpr[4], expectZ)
-                << isa::mnemonic(c.ldz);
-            if (c.lds != Op::INVALID) {
-                ss.step(isa::mkD(c.lds, 5, 7, disp));
-                EXPECT_EQ(static_cast<int64_t>(ss.state_.gpr[5]),
-                          sext(v, c.bits))
-                    << isa::mnemonic(c.lds);
+    for (Path path : kPaths) {
+        SCOPED_TRACE(pathName(path));
+        Rng r(13000 + static_cast<uint64_t>(GetParam()));
+        SingleStepper ss(path);
+        const struct
+        {
+            Op st, ldz;
+            Op lds;     // sign-extending load, INVALID if none
+            unsigned bits;
+        } combos[] = {
+            {Op::STB, Op::LBZ, Op::INVALID, 8},
+            {Op::STH, Op::LHZ, Op::LHA, 16},
+            {Op::STW, Op::LWZ, Op::LWA, 32},
+            {Op::STD, Op::LD, Op::INVALID, 64},
+        };
+        for (int iter = 0; iter < 40; ++iter) {
+            for (const auto &c : combos) {
+                uint64_t v = r.next();
+                int32_t disp = int32_t(r.range(-512, 511)) & ~7;
+                const uint64_t ea = 0x8000 + int64_t(disp);
+                ss.state_.gpr[7] = 0x8000;
+                ss.state_.gpr[3] = v;
+                expectMemInfo(ss, ss.step(isa::mkD(c.st, 3, 7, disp)), true,
+                              ea);
+                expectMemInfo(ss, ss.step(isa::mkD(c.ldz, 4, 7, disp)),
+                              false, ea);
+                uint64_t expectZ = c.bits >= 64 ? v : (v & mask(c.bits));
+                EXPECT_EQ(ss.state_.gpr[4], expectZ)
+                    << isa::mnemonic(c.ldz);
+                if (c.lds != Op::INVALID) {
+                    expectMemInfo(ss, ss.step(isa::mkD(c.lds, 5, 7, disp)),
+                                  false, ea);
+                    EXPECT_EQ(static_cast<int64_t>(ss.state_.gpr[5]),
+                              sext(v, c.bits))
+                        << isa::mnemonic(c.lds);
+                }
+            }
+        }
+        // Per round: 4 stores, 4 zero-extending and 2 sign-extending
+        // loads.
+        EXPECT_EQ(ss.counters_.stores, 40u * 4);
+        EXPECT_EQ(ss.counters_.loads, 40u * 6);
+        EXPECT_EQ(ss.counters_.instructions, 40u * 10);
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(Rounds, ExecAluFuzz, ::testing::Range(0, 5));
+
+// ---------------------------------------------------------------------
+// Branches.
+// ---------------------------------------------------------------------
+
+/** Architectural effect of one branch, from the independent model. */
+struct BranchModel
+{
+    uint64_t nextPc = 0;
+    uint64_t lr = 0;
+    uint64_t ctr = 0;
+    bool cond = false;   ///< a conditional branch (BO != BO_ALWAYS)
+    bool taken = false;
+    uint64_t target = 0; ///< 0 when not taken
+};
+
+/**
+ * Independent model of b/bc/bclr/bcctr at @p pc.  MiniPOWER decrements
+ * CTR only in bc (BO_DNZ/BO_DZ), before testing it; bclr and bcctr test
+ * CTR as it is.  The indirect target drops the low two bits and is read
+ * before the link write, so blrl returns to the old LR.
+ */
+BranchModel
+modelBranch(const Inst &i, uint64_t pc, uint64_t lr, uint64_t ctr,
+            uint32_t cr)
+{
+    BranchModel m;
+    m.lr = lr;
+    m.ctr = ctr;
+    uint64_t dest = 0;
+    bool taken = true;
+    const uint64_t direct =
+        i.aa ? static_cast<uint64_t>(static_cast<int64_t>(i.imm))
+             : pc + static_cast<uint64_t>(static_cast<int64_t>(i.imm));
+    if (i.op == Op::B) {
+        dest = direct;
+    } else {
+        if (i.op == Op::BC) {
+            dest = direct;
+            if (i.bo == isa::BO_DNZ || i.bo == isa::BO_DZ)
+                m.ctr = ctr - 1;
+        } else {
+            dest = (i.op == Op::BCLR ? lr : ctr) & ~uint64_t(3);
+        }
+        const bool crSet = (cr >> i.bi) & 1;
+        m.cond = i.bo != isa::BO_ALWAYS;
+        switch (i.bo) {
+          case isa::BO_ALWAYS: taken = true; break;
+          case isa::BO_COND_TRUE: taken = crSet; break;
+          case isa::BO_COND_FALSE: taken = !crSet; break;
+          case isa::BO_DNZ: taken = m.ctr != 0; break;
+          case isa::BO_DZ: taken = m.ctr == 0; break;
+          default: ADD_FAILURE() << "model missing BO " << unsigned(i.bo);
+        }
+    }
+    if (i.lk)
+        m.lr = pc + 4;
+    m.taken = taken;
+    m.target = taken ? dest : 0;
+    m.nextPc = taken ? dest : pc + 4;
+    return m;
+}
+
+constexpr unsigned kBranchBos[] = {isa::BO_ALWAYS, isa::BO_COND_TRUE,
+                                   isa::BO_COND_FALSE, isa::BO_DNZ,
+                                   isa::BO_DZ};
+
+/** CTR values around the BO_DNZ/BO_DZ decision points. */
+uint64_t
+interestingCtr(Rng &r)
+{
+    switch (r.below(5)) {
+      case 0: return 0;
+      case 1: return 1;
+      case 2: return 2;
+      default: return r.next();
+    }
+}
+
+/**
+ * Step @p inst with the given LR/CTR/CR on @p ss and check next pc,
+ * LR, CTR, the branch counters and (step() paths) the StepInfo branch
+ * fields against the model.  Returns the model's outcome.
+ */
+BranchModel
+checkBranch(SingleStepper &ss, const Inst &inst, uint64_t lr, uint64_t ctr,
+            uint32_t cr)
+{
+    const uint64_t pc = SingleStepper::kPc;
+    BranchModel m = modelBranch(inst, pc, lr, ctr, cr);
+    ss.state_.lr = lr;
+    ss.state_.ctr = ctr;
+    ss.state_.cr = cr;
+    const Counters before = ss.counters_;
+    StepInfo si = ss.step(inst);
+
+    EXPECT_EQ(ss.state_.pc, m.nextPc);
+    EXPECT_EQ(ss.state_.lr, m.lr);
+    EXPECT_EQ(ss.state_.ctr, m.ctr);
+    const Counters &c = ss.counters_;
+    EXPECT_EQ(c.branches - before.branches, 1u);
+    EXPECT_EQ(c.condBranches - before.condBranches, m.cond ? 1u : 0u);
+    EXPECT_EQ(c.takenBranches - before.takenBranches, m.taken ? 1u : 0u);
+    if (ss.reportsStepInfo()) {
+        EXPECT_EQ(si.pc, pc);
+        EXPECT_TRUE(si.isBranch);
+        EXPECT_EQ(si.isCondBranch, m.cond);
+        EXPECT_EQ(si.taken, m.taken);
+        EXPECT_EQ(si.target, m.target);
+        EXPECT_FALSE(si.isLoad || si.isStore);
+    }
+    return m;
+}
+
+std::string
+describe(const Inst &i, uint64_t lr, uint64_t ctr, uint32_t cr)
+{
+    return std::string(isa::mnemonic(i.op)) + " bo=" +
+           std::to_string(i.bo) + " bi=" + std::to_string(i.bi) +
+           " lk=" + std::to_string(i.lk) + " aa=" + std::to_string(i.aa) +
+           " imm=" + std::to_string(i.imm) + " lr=" + std::to_string(lr) +
+           " ctr=" + std::to_string(ctr) + " cr=" + std::to_string(cr);
+}
+
+class ExecBranchFuzz : public ::testing::TestWithParam<int> {};
+
+/// b and bc over every BO x lk x aa, relative and absolute targets.
+TEST_P(ExecBranchFuzz, DirectBranchesMatchModel)
+{
+    for (Path path : kPaths) {
+        SCOPED_TRACE(pathName(path));
+        Rng r(14000 + static_cast<uint64_t>(GetParam()));
+        SingleStepper ss(path);
+        for (int iter = 0; iter < 20; ++iter) {
+            for (bool lk : {false, true}) {
+                for (bool aa : {false, true}) {
+                    // Word-aligned displacement: +-32 KiB for bc (the
+                    // 14-bit BD field), wider for b.
+                    Inst b = isa::mkB(
+                        int32_t(r.range(-0x100000, 0xfffff)) & ~3, lk);
+                    b.aa = aa;
+                    uint64_t lr = r.next(), ctr = interestingCtr(r);
+                    uint32_t cr = static_cast<uint32_t>(r.next());
+                    SCOPED_TRACE(describe(b, lr, ctr, cr));
+                    checkBranch(ss, b, lr, ctr, cr);
+
+                    for (unsigned bo : kBranchBos) {
+                        Inst bc = isa::mkBc(
+                            bo, unsigned(r.below(32)),
+                            int32_t(r.range(-0x8000, 0x7fff)) & ~3, lk);
+                        bc.aa = aa;
+                        lr = r.next();
+                        ctr = interestingCtr(r);
+                        cr = static_cast<uint32_t>(r.next());
+                        SCOPED_TRACE(describe(bc, lr, ctr, cr));
+                        checkBranch(ss, bc, lr, ctr, cr);
+                    }
+                }
             }
         }
     }
 }
 
-INSTANTIATE_TEST_SUITE_P(Rounds, ExecAluFuzz, ::testing::Range(0, 5));
+/// bclr/bcctr over every BO x lk: target & ~3, LR read before the link
+/// write, CTR tested but not decremented.
+TEST_P(ExecBranchFuzz, IndirectBranchesMatchModel)
+{
+    for (Path path : kPaths) {
+        SCOPED_TRACE(pathName(path));
+        Rng r(15000 + static_cast<uint64_t>(GetParam()));
+        SingleStepper ss(path);
+        for (int iter = 0; iter < 20; ++iter) {
+            for (bool viaCtr : {false, true}) {
+                for (bool lk : {false, true}) {
+                    for (unsigned bo : kBranchBos) {
+                        unsigned bi = unsigned(r.below(32));
+                        Inst i = viaCtr ? isa::mkBcctr(bo, bi)
+                                        : isa::mkBclr(bo, bi);
+                        i.lk = lk;
+                        uint64_t lr = r.next(), ctr = interestingCtr(r);
+                        if (viaCtr && r.below(2))
+                            ctr = r.next(); // an arbitrary target
+                        uint32_t cr = static_cast<uint32_t>(r.next());
+                        SCOPED_TRACE(describe(i, lr, ctr, cr));
+                        checkBranch(ss, i, lr, ctr, cr);
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// A conditional branch to pc + 4: taken and not taken reach the same
+/// next pc and differ only in the outcome fields and counters, so the
+/// executor must report the handler's outcome, not infer it from the pc.
+TEST_P(ExecBranchFuzz, BranchToNextPcReportsOutcome)
+{
+    for (Path path : kPaths) {
+        SCOPED_TRACE(pathName(path));
+        Rng r(16000 + static_cast<uint64_t>(GetParam()));
+        SingleStepper ss(path);
+        unsigned taken = 0, untaken = 0;
+        for (unsigned bo : kBranchBos) {
+            for (bool lk : {false, true}) {
+                for (uint64_t ctr : {uint64_t(1), uint64_t(2)}) {
+                    for (bool crSet : {false, true}) {
+                        unsigned bi = unsigned(r.below(32));
+                        Inst i = isa::mkBc(bo, bi, 4, lk);
+                        uint32_t cr = crSet ? 1u << bi : 0u;
+                        uint64_t lr = r.next();
+                        SCOPED_TRACE(describe(i, lr, ctr, cr));
+                        BranchModel m = checkBranch(ss, i, lr, ctr, cr);
+                        EXPECT_EQ(m.nextPc, SingleStepper::kPc + 4);
+                        ++(m.taken ? taken : untaken);
+                    }
+                }
+            }
+        }
+        EXPECT_GT(taken, 0u);
+        EXPECT_GT(untaken, 0u);
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(Rounds, ExecBranchFuzz, ::testing::Range(0, 5));
 
 } // namespace
 } // namespace bp5::sim

@@ -2,8 +2,7 @@
  * @file
  * Observability-layer tests: attaching sinks must never perturb the
  * timing model (bit-identical Counters), the PMU sampler's windows
- * must sum exactly to the end-of-run counters, the deprecated
- * run(max, interval) shim must keep its old semantics, and the trace
+ * must sum exactly to the end-of-run counters, and the trace
  * writers must produce well-formed documents (Perfetto JSON schema,
  * Konata round-trip).
  */
@@ -357,69 +356,6 @@ TEST(PmuSampler, CsvRoundTripsThroughParser)
     EXPECT_EQ(cycles, total.cycles);
     EXPECT_EQ(instructions, total.instructions);
     EXPECT_EQ(cpiSum, total.cycles); // windowed CPI stacks sum exactly
-}
-
-// ---------------------------------------------------------------------
-// Deprecated run(max, interval) shim.
-// ---------------------------------------------------------------------
-
-TEST(LegacyShim, CountersIdenticalToPlainRun)
-{
-    masm::Program p = loopProgram();
-    sim::Machine m1, m2;
-    m1.loadProgram(p);
-    m1.state().pc = p.base;
-    m2.loadProgram(p);
-    m2.state().pc = p.base;
-
-    sim::RunResult plain = m1.run(10'000'000);
-    sim::RunResult legacy = m2.run(10'000'000, 1000);
-    EXPECT_TRUE(plain.counters == legacy.counters);
-    EXPECT_GT(legacy.timeline.size(), 5u);
-    EXPECT_TRUE(plain.timeline.empty());
-}
-
-TEST(LegacyShim, SingleRunTimelineMatchesPmuSampler)
-{
-    // For a single run the shim's run-local phase and the sampler's
-    // global phase coincide, so the two series must agree exactly.
-    masm::Program p = loopProgram();
-    obs::PmuSampler sampler(1000);
-    sim::Machine m1;
-    m1.loadProgram(p);
-    m1.state().pc = p.base;
-    m1.setTraceSink(&sampler);
-    m1.run(10'000'000);
-
-    sim::Machine m2;
-    m2.loadProgram(p);
-    m2.state().pc = p.base;
-    sim::RunResult legacy = m2.run(10'000'000, 1000);
-
-    auto series = sampler.timeline(false);
-    ASSERT_EQ(series.size(), legacy.timeline.size());
-    for (size_t i = 0; i < series.size(); ++i) {
-        EXPECT_EQ(series[i].cycle, legacy.timeline[i].cycle);
-        EXPECT_DOUBLE_EQ(series[i].ipc, legacy.timeline[i].ipc);
-        EXPECT_DOUBLE_EQ(series[i].branchMispredictRate,
-                         legacy.timeline[i].branchMispredictRate);
-        EXPECT_DOUBLE_EQ(series[i].l1dMissRate,
-                         legacy.timeline[i].l1dMissRate);
-    }
-}
-
-TEST(LegacyShim, ChainsToAttachedSink)
-{
-    // The shim must not silence an explicitly attached sink.
-    masm::Program p = loopProgram(200, 2);
-    sim::Machine m;
-    m.loadProgram(p);
-    m.state().pc = p.base;
-    CountingSink c;
-    m.setTraceSink(&c);
-    sim::RunResult r = m.run(10'000'000, 1000);
-    EXPECT_EQ(c.insts, r.counters.instructions);
-    EXPECT_EQ(m.traceSink(), &c); // restored after the run
 }
 
 // ---------------------------------------------------------------------

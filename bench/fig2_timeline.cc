@@ -32,8 +32,9 @@ main(int argc, char **argv)
     kernels::KernelMachine km(appKernel(App::Clustalw),
                               mpc::Variant::Baseline,
                               sim::MachineConfig());
-    km.setSampleInterval(20'000);
-    SimResult r = w.simulate(km);
+    obs::PmuSampler sampler(20'000);
+    km.setTraceSink(&sampler);
+    w.simulate(km);
 
     if (!opts.pmuCsv.empty()) {
         FILE *f = std::fopen(opts.pmuCsv.c_str(), "w");
@@ -41,12 +42,13 @@ main(int argc, char **argv)
             std::fprintf(stderr, "cannot open %s\n", opts.pmuCsv.c_str());
             return 1;
         }
-        std::fputs(km.sampler()->toCsv().c_str(), f);
+        std::fputs(sampler.toCsv().c_str(), f);
         std::fclose(f);
     }
 
+    std::vector<sim::IntervalSample> timeline = sampler.timeline();
     std::vector<double> ipc, mis;
-    for (const auto &s : r.timeline) {
+    for (const auto &s : timeline) {
         ipc.push_back(s.ipc);
         mis.push_back(s.branchMispredictRate);
     }
@@ -64,8 +66,8 @@ main(int argc, char **argv)
     TextTable t;
     t.header({"cycle", "IPC", "branch mispredict"});
     size_t step = std::max<size_t>(1, ipc.size() / 24);
-    for (size_t i = 0; i < r.timeline.size(); i += step) {
-        const auto &s = r.timeline[i];
+    for (size_t i = 0; i < timeline.size(); i += step) {
+        const auto &s = timeline[i];
         t.row({std::to_string(s.cycle), num(s.ipc),
                pct(s.branchMispredictRate)});
     }

@@ -17,6 +17,7 @@
 #include "analysis/branch_class.h"
 #include "bench/bench_util.h"
 #include "kernels/kernels.h"
+#include "obs/site_profile.h"
 
 using namespace bp5;
 using namespace bp5::bench;
@@ -37,12 +38,15 @@ main(int argc, char **argv)
         TextTable t(std::string(appName(kApps[a])) + ":");
         t.header({"Variant", "branches/inst", "(paper)",
                   "mispredict", "(paper)", "taken", "(paper)"});
-        SimResult baseline;
+        obs::SiteProfileSink baseline; // per-site counters (Original)
+        mpc::Compiled baselineCode;
         for (int v = 0; v < 5; ++v) { // Table II has no Combination
             mpc::Variant var = static_cast<mpc::Variant>(v);
-            bool profile = opts.analyze && v == 0;
-            SimResult r = w.simulate(var, sim::MachineConfig(), 0,
-                                     profile);
+            kernels::KernelMachine km(appKernel(kApps[a]), var,
+                                      sim::MachineConfig());
+            if (opts.analyze && v == 0)
+                km.setTraceSink(&baseline);
+            SimResult r = w.simulate(km);
             const sim::Counters &c = r.counters;
             t.row({mpc::variantName(var),
                    pct(c.branchFraction()),
@@ -51,8 +55,8 @@ main(int argc, char **argv)
                    num(p.mispredictPct[v], 1) + "%",
                    pct(c.takenBranchFraction()),
                    num(p.takenPct[v], 1) + "%"});
-            if (profile)
-                baseline = std::move(r);
+            if (v == 0)
+                baselineCode = std::move(r.compiled);
         }
         t.print();
         std::printf("\n");
@@ -62,16 +66,16 @@ main(int argc, char **argv)
             // with the per-site PMU counters of the run above.
             analysis::Cfg cfg = analysis::buildCfg(
                 analysis::CodeImage::fromProgram(
-                    baseline.compiled.program(kernels::kCodeBase)));
+                    baselineCode.program(kernels::kCodeBase)));
             auto sites = analysis::classifyBranches(cfg);
             auto classes =
-                analysis::joinProfile(sites, baseline.branchProfile);
+                analysis::joinProfile(sites, baseline.branches());
             std::string app = appName(kApps[a]);
             opts.emit(analysis::classProfileRows(classes),
                       app + ": static class vs PMU (Original)");
             std::printf("\n");
             opts.emit(analysis::siteProfileRows(sites,
-                                                baseline.branchProfile, 8),
+                                                baseline.branches(), 8),
                       app + ": hottest mispredicting sites");
             std::printf("\n");
         }

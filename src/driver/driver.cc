@@ -77,8 +77,6 @@ runPoint(WorkerState &state, const GridPoint &p, PointResult &out)
     workloads::Workload &w = state.workloadFor(p.workload);
     kernels::KernelMachine &km = state.machineFor(
         workloads::appKernel(p.workload.app), p.variant, p.machine);
-    if (p.intervalCycles)
-        km.setSampleInterval(p.intervalCycles);
     out.label = p.label;
     out.sim = w.simulate(km);
     out.wallSeconds = std::chrono::duration<double>(

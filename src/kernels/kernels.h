@@ -32,14 +32,12 @@
 #define BIOPERF5_KERNELS_KERNELS_H
 
 #include <cstdint>
-#include <memory>
+#include <vector>
 
 #include "bio/align.h"
 #include "bio/hmm.h"
 #include "bio/parsimony.h"
 #include "mpc/compiler.h"
-#include "obs/pmu_sampler.h"
-#include "obs/trace_mux.h"
 #include "sim/machine.h"
 
 namespace bp5::kernels {
@@ -171,10 +169,10 @@ class KernelMachine
 
     /**
      * Return the machine to its just-constructed state: cold caches,
-     * predictors and BTAC, zeroed counters and timeline, sampling off.
-     * The compiled kernel stays loaded.  Lets a driver reuse one
-     * KernelMachine across experiment points with results identical to
-     * constructing a fresh one each time.
+     * predictors and BTAC, zeroed counters, sampling off, trace sink
+     * detached.  The compiled kernel stays loaded.  Lets a driver
+     * reuse one KernelMachine across experiment points with results
+     * identical to constructing a fresh one each time.
      */
     void reset();
 
@@ -185,28 +183,12 @@ class KernelMachine
     const sim::Machine &machine() const { return machine_; }
 
     /**
-     * Sample PMU counters every @p cycles cycles (0 = off) through an
-     * internal obs::PmuSampler; the cycle axis is continuous across
-     * run() calls.  @p site_series additionally records per-branch-site
-     * deltas per window.  Replaces any previous sampler.
+     * Attach a caller-owned trace sink (obs::PmuSampler for the Fig-2
+     * timeline, obs::SiteProfileSink for per-PC profiles, several
+     * through an obs::TraceMux, ...).  Non-owning; nullptr detaches,
+     * and reset() detaches.
      */
-    void setSampleInterval(uint64_t cycles, bool site_series = false);
-
-    /** The internal sampler (nullptr when sampling is off). */
-    const obs::PmuSampler *sampler() const { return sampler_.get(); }
-
-    /**
-     * Attach an external trace sink (Perfetto/Konata writer, ...) fed
-     * alongside the internal sampler.  Non-owning; nullptr detaches.
-     */
-    void setTraceSink(sim::TraceSink *sink);
-
-    /** Fig-2 style timeline from the sampler (empty when off). */
-    std::vector<sim::IntervalSample> timeline() const
-    {
-        return sampler_ ? sampler_->timeline()
-                        : std::vector<sim::IntervalSample>();
-    }
+    void setTraceSink(sim::TraceSink *sink) { machine_.setTraceSink(sink); }
 
     /** Run functionally only (fast, no cycle counts). */
     void setFunctionalOnly(bool f) { functionalOnly_ = f; }
@@ -223,40 +205,14 @@ class KernelMachine
         machine_.setSampling(p);
     }
 
-    /**
-     * Collect per-branch-site PMU counters (see sim::BranchProfile).
-     * Accumulates across run() calls; cleared by reset().
-     */
-    void setBranchProfiling(bool on) { machine_.setBranchProfiling(on); }
-    const sim::BranchProfile &branchProfile() const
-    {
-        return machine_.branchProfile();
-    }
-
-    /**
-     * Collect the per-PC flat stall profile (see sim::StallProfile):
-     * non-completing cycles charged to the blamed instruction address
-     * by CpiComponent.  Accumulates across run() calls; cleared by
-     * reset().
-     */
-    void setStallProfiling(bool on) { machine_.setStallProfiling(on); }
-    const sim::StallProfile &stallProfile() const
-    {
-        return machine_.stallProfile();
-    }
-
   private:
     int64_t invoke(const std::vector<uint64_t> &args, int64_t expected);
-    void rewire();
 
     KernelKind kind_;
     mpc::Variant variant_;
     mpc::Compiled compiled_;
     sim::Machine machine_;
     sim::Counters totals_;
-    std::unique_ptr<obs::PmuSampler> sampler_;
-    sim::TraceSink *external_ = nullptr;
-    obs::TraceMux mux_;
     bool functionalOnly_ = false;
 };
 

@@ -97,38 +97,7 @@ KernelMachine::reset()
 {
     machine_.reset(); // also detaches the machine-side trace sink
     totals_ = sim::Counters();
-    sampler_.reset();
-    external_ = nullptr;
-    mux_.clear();
     functionalOnly_ = false;
-}
-
-void
-KernelMachine::setSampleInterval(uint64_t cycles, bool site_series)
-{
-    sampler_ = cycles ? std::make_unique<obs::PmuSampler>(cycles,
-                                                          site_series)
-                      : nullptr;
-    rewire();
-}
-
-void
-KernelMachine::setTraceSink(sim::TraceSink *sink)
-{
-    external_ = sink;
-    rewire();
-}
-
-void
-KernelMachine::rewire()
-{
-    mux_.clear();
-    mux_.add(sampler_.get());
-    mux_.add(external_);
-    // Skip the mux indirection when a single sink is attached.
-    machine_.setTraceSink(mux_.empty()
-                              ? nullptr
-                              : (mux_.size() == 1 ? mux_.front() : &mux_));
 }
 
 int64_t

@@ -46,9 +46,8 @@ sub(const sim::Counters &a, const sim::Counters &b)
 
 } // namespace
 
-PmuSampler::PmuSampler(uint64_t interval_cycles, bool site_series)
-    : interval_(interval_cycles), siteSeries_(site_series),
-      next_(interval_cycles)
+PmuSampler::PmuSampler(uint64_t interval_cycles)
+    : interval_(interval_cycles), next_(interval_cycles)
 {
     BP5_ASSERT(interval_cycles > 0, "PMU sampling interval must be nonzero");
 }
@@ -60,10 +59,8 @@ PmuSampler::closeWindow(const sim::Counters &global, bool partial)
     w.startCycle = prevCycle_;
     w.endCycle = global.cycles;
     w.delta = sub(global, prev_);
-    w.sites = std::move(sites_);
     w.partial = partial;
-    done_.push_back(std::move(w));
-    sites_.clear();
+    done_.push_back(w);
     prev_ = global;
     prevCycle_ = global.cycles;
 }
@@ -87,21 +84,6 @@ PmuSampler::onInstruction(const sim::InstRecord &, const sim::Counters &c)
         next_ += interval_;
 }
 
-void
-PmuSampler::onBranch(const sim::BranchRecord &r)
-{
-    if (!siteSeries_)
-        return;
-    sim::BranchSiteStats &site = sites_[r.pc];
-    ++site.executions;
-    if (r.taken)
-        ++site.taken;
-    if (r.directionMispredict)
-        ++site.mispredDirection;
-    else if (r.targetMispredict)
-        ++site.mispredTarget;
-}
-
 std::vector<PmuInterval>
 PmuSampler::intervals(bool include_trailing) const
 {
@@ -111,9 +93,8 @@ PmuSampler::intervals(bool include_trailing) const
         w.startCycle = prevCycle_;
         w.endCycle = base_.cycles;
         w.delta = sub(base_, prev_);
-        w.sites = sites_;
         w.partial = true;
-        out.push_back(std::move(w));
+        out.push_back(w);
     }
     return out;
 }
@@ -242,7 +223,6 @@ PmuSampler::reset()
     prev_ = sim::Counters();
     prevCycle_ = 0;
     done_.clear();
-    sites_.clear();
 }
 
 } // namespace bp5::obs

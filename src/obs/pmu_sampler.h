@@ -3,23 +3,22 @@
  * Interval PMU sampler: the generalized Fig-2 instrument.  Attached to
  * a Machine as a trace sink, it slices the run into fixed-cycle
  * windows and records the *complete* Counters delta of each window —
- * CPI stack, IPC, branch and cache rates, instruction mix — plus,
- * optionally, per-branch-site deltas keyed by pc, joinable with the
- * static branch classes of src/analysis (analysis::joinProfile).
+ * CPI stack, IPC, branch and cache rates, instruction mix.  Per-PC
+ * profiles are a separate sink (obs::SiteProfileSink).
  *
  * The cycle axis is continuous across run() calls (KernelMachine
  * invokes its kernel many times per experiment), and the trailing
  * partial window is retained, so the raw counter columns of the
  * emitted series sum exactly to the end-of-run Counters — tested.
  *
- * It is the only way to record a timeline: attach it with
- * Machine::setTraceSink() or KernelMachine::setSampleInterval().
+ * It is the only way to record a timeline: the caller owns it and
+ * attaches it with Machine::setTraceSink() or
+ * KernelMachine::setTraceSink() (alone or through an obs::TraceMux).
  */
 
 #ifndef BIOPERF5_OBS_PMU_SAMPLER_H
 #define BIOPERF5_OBS_PMU_SAMPLER_H
 
-#include <map>
 #include <string>
 #include <vector>
 
@@ -35,8 +34,6 @@ struct PmuInterval
     uint64_t startCycle = 0; ///< global cycle the window opened at
     uint64_t endCycle = 0;   ///< global cycle of the closing sample
     sim::Counters delta;     ///< counter increments within the window
-    /** Per-branch-site increments (only when site series enabled). */
-    std::map<uint64_t, sim::BranchSiteStats> sites;
     bool partial = false;    ///< trailing window, shorter than interval
 };
 
@@ -44,20 +41,13 @@ struct PmuInterval
 class PmuSampler final : public sim::TraceSink
 {
   public:
-    /**
-     * @param interval_cycles window length (must be nonzero)
-     * @param site_series also record per-branch-site deltas per window
-     */
-    explicit PmuSampler(uint64_t interval_cycles, bool site_series = false);
-
-    uint64_t intervalCycles() const { return interval_; }
-    bool siteSeries() const { return siteSeries_; }
+    /** @param interval_cycles window length (must be nonzero) */
+    explicit PmuSampler(uint64_t interval_cycles);
 
     // TraceSink
     void onRunEnd(const sim::Counters &final) override;
     void onInstruction(const sim::InstRecord &r,
                        const sim::Counters &c) override;
-    void onBranch(const sim::BranchRecord &r) override;
 
     /**
      * The recorded windows.  @p include_trailing appends the partial
@@ -84,20 +74,18 @@ class PmuSampler final : public sim::TraceSink
     std::vector<support::ResultRow>
     toRows(bool include_trailing = true) const;
 
-    /** Drop all state (windows, cycle base, site accumulators). */
+    /** Drop all state (windows, cycle base). */
     void reset();
 
   private:
     void closeWindow(const sim::Counters &global, bool partial);
 
     uint64_t interval_;
-    bool siteSeries_;
     uint64_t next_;              ///< next window boundary (global cycle)
     sim::Counters base_;         ///< totals through all finished runs
     sim::Counters prev_;         ///< global counters at last close
     uint64_t prevCycle_ = 0;     ///< global cycle at last close
     std::vector<PmuInterval> done_;
-    std::map<uint64_t, sim::BranchSiteStats> sites_; ///< open window
 };
 
 } // namespace bp5::obs

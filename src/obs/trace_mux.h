@@ -9,7 +9,6 @@
 #ifndef BIOPERF5_OBS_TRACE_MUX_H
 #define BIOPERF5_OBS_TRACE_MUX_H
 
-#include <cstddef>
 #include <vector>
 
 #include "sim/trace.h"
@@ -21,16 +20,12 @@ namespace bp5::obs {
 class TraceMux final : public sim::TraceSink
 {
   public:
-    void clear() { sinks_.clear(); }
     void
     add(sim::TraceSink *sink)
     {
         if (sink)
             sinks_.push_back(sink);
     }
-    bool empty() const { return sinks_.empty(); }
-    size_t size() const { return sinks_.size(); }
-    sim::TraceSink *front() const { return sinks_.front(); }
 
     void
     onRunBegin(const sim::MachineConfig &mc) override

@@ -271,9 +271,8 @@ struct Counters
 
 /**
  * Per-branch-site PMU counters (one record per static branch
- * instruction, keyed by pc).  Collected only when branch profiling is
- * enabled on the machine; the analysis layer joins these with its
- * static branch classification.
+ * instruction, keyed by pc), collected by obs::SiteProfileSink; the
+ * analysis layer joins these with its static branch classification.
  */
 struct BranchSiteStats
 {
@@ -299,8 +298,8 @@ using BranchProfile = std::map<uint64_t, BranchSiteStats>;
 
 /**
  * Per-PC cycle attribution: non-completing cycles charged to the
- * instruction address blamed for them (the flat stall profile).
- * Collected only when stall profiling is enabled on the machine.
+ * instruction address blamed for them (the flat stall profile),
+ * collected by obs::SiteProfileSink.
  */
 struct StallSiteStats
 {

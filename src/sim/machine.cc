@@ -146,10 +146,6 @@ Machine::reset()
     // from a fresh one even for programs that store to their own code
     // pages; they rebuild lazily from the still-resident memory.
     exec_.invalidateDecodeCache();
-    branchProfiling_ = false;
-    branchProfile_.clear();
-    stallProfiling_ = false;
-    stallProfile_.clear();
     sink_ = nullptr;
     sampling_ = SamplingParams();
     timing_.reset();
@@ -483,17 +479,6 @@ Machine::scheduleInstruction(const StepInfo &info, TimingState &ts,
                 sink_->onFlush(fr);
             }
         }
-
-        if (branchProfiling_) {
-            BranchSiteStats &site = branchProfile_[info.pc];
-            ++site.executions;
-            if (info.taken)
-                ++site.taken;
-            if (direction_mispredict)
-                ++site.mispredDirection;
-            else if (target_mispredict)
-                ++site.mispredTarget;
-        }
     }
 
     // ------------------------------------------------------------ commit
@@ -569,12 +554,7 @@ Machine::scheduleInstruction(const StepInfo &info, TimingState &ts,
         }
     }
     if (commit > ts.lastAccounted) {
-        uint64_t gap = commit - ts.lastAccounted - 1;
-        if (gap > 0) {
-            c.cpi[size_t(comp)] += gap;
-            if (stallProfiling_)
-                stallProfile_[info.pc].cycles[size_t(comp)] += gap;
-        }
+        c.cpi[size_t(comp)] += commit - ts.lastAccounted - 1;
         ++c.cpi[size_t(CpiComponent::Completing)];
         ts.lastAccounted = commit;
     }

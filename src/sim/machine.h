@@ -132,25 +132,6 @@ class Machine
     const MemorySystem &memsys() const { return memsys_; }
 
     /**
-     * Collect per-branch-site PMU counters during timed runs (off by
-     * default; a map update per branch costs a few percent).  The
-     * profile accumulates across run() calls and clears on reset().
-     */
-    void setBranchProfiling(bool on) { branchProfiling_ = on; }
-    bool branchProfiling() const { return branchProfiling_; }
-    const BranchProfile &branchProfile() const { return branchProfile_; }
-
-    /**
-     * Collect the per-PC flat stall profile during timed runs (off by
-     * default): every non-completing cycle is charged to the
-     * instruction address blamed for it, split by CpiComponent.  The
-     * profile accumulates across run() calls and clears on reset().
-     */
-    void setStallProfiling(bool on) { stallProfiling_ = on; }
-    bool stallProfiling() const { return stallProfiling_; }
-    const StallProfile &stallProfile() const { return stallProfile_; }
-
-    /**
      * Attach an event observer (non-owning; nullptr detaches, and
      * reset() detaches).  With no sink the timing model pays one
      * null-pointer test per retired instruction and its Counters are
@@ -178,10 +159,6 @@ class Machine
     std::unique_ptr<DirectionPredictor> predictor_;
     Btac btac_;
 
-    bool branchProfiling_ = false;
-    BranchProfile branchProfile_;
-    bool stallProfiling_ = false;
-    StallProfile stallProfile_;
     TraceSink *sink_ = nullptr;
     SamplingParams sampling_;
 

@@ -343,14 +343,9 @@ Workload::profileOnce(Profiler &prof, const Data &d) const
 }
 
 SimResult
-Workload::simulate(mpc::Variant variant, const sim::MachineConfig &mc,
-                   uint64_t interval_cycles, bool branch_profile) const
+Workload::simulate(mpc::Variant variant, const sim::MachineConfig &mc) const
 {
     kernels::KernelMachine km(appKernel(config_.app), variant, mc);
-    if (interval_cycles)
-        km.setSampleInterval(interval_cycles);
-    if (branch_profile)
-        km.setBranchProfiling(true);
     return simulate(km);
 }
 
@@ -431,8 +426,6 @@ Workload::simulate(kernels::KernelMachine &km) const
     }
 
     res.counters = km.totals();
-    res.timeline = km.timeline();
-    res.branchProfile = km.branchProfile();
     return res;
 }
 

@@ -66,10 +66,8 @@ struct WorkloadConfig
 struct SimResult
 {
     sim::Counters counters;
-    std::vector<sim::IntervalSample> timeline;
     unsigned invocations = 0;
     mpc::Compiled compiled; ///< code statistics of the kernel build
-    sim::BranchProfile branchProfile; ///< per-site PMU (when enabled)
 };
 
 /** One of the four applications with generated inputs. */
@@ -92,19 +90,17 @@ class Workload
      * Simulate the workload's hot-kernel invocations.
      * @param variant code variant (paper Fig 3)
      * @param mc machine configuration
-     * @param interval_cycles nonzero to collect a Fig-2 timeline
-     * @param branch_profile collect per-branch-site PMU counters
      */
-    SimResult simulate(mpc::Variant variant, const sim::MachineConfig &mc,
-                       uint64_t interval_cycles = 0,
-                       bool branch_profile = false) const;
+    SimResult simulate(mpc::Variant variant,
+                       const sim::MachineConfig &mc) const;
 
     /**
      * Simulate on a caller-supplied machine (must be built for this
      * app's kernel).  The machine's accumulated counters feed the
      * instruction budget, so reset() it first when reusing one across
      * runs — the experiment driver does exactly that to keep one
-     * machine per worker thread.
+     * machine per worker thread.  Observe the run by attaching trace
+     * sinks to @p km (obs::PmuSampler, obs::SiteProfileSink, ...).
      */
     SimResult simulate(kernels::KernelMachine &km) const;
 

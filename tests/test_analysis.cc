@@ -16,6 +16,7 @@
 #include "analysis/branch_class.h"
 #include "analysis/lint.h"
 #include "kernels/kernels.h"
+#include "obs/site_profile.h"
 #include "workloads/workload.h"
 
 namespace bp5::analysis {
@@ -449,14 +450,17 @@ TEST(ProfileJoin, DataDepBranchesDominateMispredicts)
     wc.klass = workloads::InputClass::A;
     wc.simInstructionBudget = 200'000;
     workloads::Workload w(wc);
-    workloads::SimResult r = w.simulate(
-        mpc::Variant::Baseline, sim::MachineConfig(), 0, true);
-    ASSERT_FALSE(r.branchProfile.empty());
+    kernels::KernelMachine km(workloads::appKernel(wc.app),
+                              mpc::Variant::Baseline, sim::MachineConfig());
+    obs::SiteProfileSink profile;
+    km.setTraceSink(&profile);
+    w.simulate(km);
+    ASSERT_FALSE(profile.branches().empty());
 
     Cfg cfg = buildCfg(
-        CodeImage::fromProgram(r.compiled.program(kernels::kCodeBase)));
+        CodeImage::fromProgram(km.compiled().program(kernels::kCodeBase)));
     auto sites = classifyBranches(cfg);
-    auto classes = joinProfile(sites, r.branchProfile);
+    auto classes = joinProfile(sites, profile.branches());
 
     uint64_t total = 0, datadep = 0;
     for (const ClassProfile &c : classes) {
@@ -468,7 +472,7 @@ TEST(ProfileJoin, DataDepBranchesDominateMispredicts)
     EXPECT_GT(datadep * 2, total); // strict majority
 
     // Every profiled site must be a site the classifier knows.
-    for (const auto &[pc, stats] : r.branchProfile) {
+    for (const auto &[pc, stats] : profile.branches()) {
         bool known = false;
         for (const BranchSite &s : sites)
             known |= s.pc == pc;
@@ -478,18 +482,6 @@ TEST(ProfileJoin, DataDepBranchesDominateMispredicts)
     auto rows = classProfileRows(classes);
     ASSERT_GE(rows.size(), 2u); // classes + total
     EXPECT_EQ(rows.back().text("class"), "total");
-}
-
-TEST(ProfileJoin, ProfilingOffByDefault)
-{
-    workloads::WorkloadConfig wc;
-    wc.app = workloads::App::Clustalw;
-    wc.klass = workloads::InputClass::A;
-    wc.simInstructionBudget = 50'000;
-    workloads::Workload w(wc);
-    workloads::SimResult r =
-        w.simulate(mpc::Variant::Baseline, sim::MachineConfig());
-    EXPECT_TRUE(r.branchProfile.empty());
 }
 
 } // namespace

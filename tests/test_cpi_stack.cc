@@ -20,6 +20,7 @@
 #include "masm/assembler.h"
 #include "obs/cpi_stack.h"
 #include "obs/pmu_sampler.h"
+#include "obs/site_profile.h"
 #include "sim/machine.h"
 #include "support/histogram.h"
 #include "support/logging.h"
@@ -244,48 +245,58 @@ TEST(StallProfile, SitesSumToNonCompletingCycles)
     bio::SequenceGenerator g(5);
     bio::Sequence a = g.random(48, "a");
     bio::Sequence b = g.mutate(a, bio::MutationModel{0.3, 0.05, 0.05}, "b");
-    kernels::KernelMachine km(kernels::KernelKind::Dropgsw,
-                              mpc::Variant::Baseline, sim::MachineConfig());
-    km.setStallProfiling(true);
     kernels::AlignProblem p{&a, &b, &bio::SubstitutionMatrix::blosum62(),
                             bio::GapPenalty{10, 1}};
-    for (int i = 0; i < 3; ++i)
-        km.run(p);
 
-    const sim::Counters &c = km.totals();
-    expectExactStack(c, "stall-profiled run");
+    // Second input: Clustalw's kernel under lsq+stride with 4-entry
+    // queues and a 4-cycle forward, so forwarding, ordering squashes
+    // and queue-full stalls are charged to sites too.
+    sim::MachineConfig lsq;
+    lsq.memsys.mode = sim::MemSysParams::Mode::Lsq;
+    lsq.memsys.l1dPrefetch.kind = sim::PrefetchParams::Kind::Stride;
+    lsq.memsys.lsq.loads = 4;
+    lsq.memsys.lsq.stores = 4;
+    lsq.memsys.lsq.forwardLatency = 4;
+    struct Input
+    {
+        kernels::KernelKind kind;
+        sim::MachineConfig mc;
+    };
+    for (const Input &in : {Input{kernels::KernelKind::Dropgsw, {}},
+                            Input{kernels::KernelKind::ForwardPass, lsq}}) {
+        kernels::KernelMachine km(in.kind, mpc::Variant::Baseline, in.mc);
+        obs::SiteProfileSink sites;
+        km.setTraceSink(&sites);
+        for (int i = 0; i < 3; ++i)
+            km.run(p);
 
-    // Every gap cycle is charged to the PC of the instruction that
-    // closed the gap; completing cycles are not attributed to sites.
-    uint64_t attributed = 0;
-    for (const auto &[pc, stats] : km.stallProfile()) {
-        EXPECT_NE(pc, 0u);
-        EXPECT_GT(stats.total(), 0u);
-        EXPECT_EQ(stats.cycles[size_t(sim::CpiComponent::Completing)], 0u);
-        attributed += stats.total();
+        const sim::Counters &c = km.totals();
+        expectExactStack(c, "stall-profiled run");
+
+        // Every gap cycle is charged to the PC of the instruction that
+        // closed the gap; completing cycles are not attributed to
+        // sites.  Per component, the sites sum to the CPI stack.
+        sim::StallSiteStats sum;
+        for (const auto &[pc, stats] : sites.stalls()) {
+            EXPECT_NE(pc, 0u);
+            EXPECT_GT(stats.total(), 0u);
+            sum.add(stats);
+        }
+        for (size_t i = 0; i < sim::kNumCpiComponents; ++i) {
+            auto comp = sim::CpiComponent(i);
+            EXPECT_EQ(sum.cycles[i],
+                      comp == sim::CpiComponent::Completing ? 0 : c.cpi[i])
+                << sim::cpiComponentKey(comp);
+        }
+        EXPECT_GT(sites.stalls().size(), 3u); // several distinct sites
+        if (in.mc.memsys.classic())
+            continue;
+        for (auto comp : {sim::CpiComponent::LsuFwd,
+                          sim::CpiComponent::DisambigFlush,
+                          sim::CpiComponent::LsqFull})
+            EXPECT_GT(sum.cycles[size_t(comp)], 0u)
+                << sim::cpiComponentKey(comp);
     }
-    EXPECT_EQ(attributed,
-              c.cycles - c.cpi[size_t(sim::CpiComponent::Completing)]);
-    EXPECT_GT(km.stallProfile().size(), 3u); // several distinct sites
-}
-
-TEST(StallProfile, OffByDefaultAndClearedByReset)
-{
-    bio::SequenceGenerator g(5);
-    bio::Sequence a = g.random(24, "a");
-    bio::Sequence b = g.mutate(a, bio::MutationModel{0.3, 0.05, 0.05}, "b");
-    kernels::KernelMachine km(kernels::KernelKind::Dropgsw,
-                              mpc::Variant::Baseline, sim::MachineConfig());
-    kernels::AlignProblem p{&a, &b, &bio::SubstitutionMatrix::blosum62(),
-                            bio::GapPenalty{10, 1}};
-    km.run(p);
-    EXPECT_TRUE(km.stallProfile().empty()); // profiling is opt-in
-
-    km.setStallProfiling(true);
-    km.run(p);
-    EXPECT_FALSE(km.stallProfile().empty());
-    km.reset();
-    EXPECT_TRUE(km.stallProfile().empty());
 }
 
 // ---------------------------------------------------------------------

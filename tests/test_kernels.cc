@@ -11,6 +11,7 @@
 
 #include "bio/generator.h"
 #include "kernels/kernels.h"
+#include "obs/pmu_sampler.h"
 
 namespace bp5::kernels {
 namespace {
@@ -297,9 +298,10 @@ TEST(KernelTiming, TimelineSamplesCollected)
     AlignProblem p{&d.a, &d.b, &kM, kGap};
     KernelMachine km(KernelKind::ForwardPass, Variant::Baseline,
                      sim::MachineConfig());
-    km.setSampleInterval(2000);
+    obs::PmuSampler sampler(2000);
+    km.setTraceSink(&sampler);
     km.run(p);
-    EXPECT_GT(km.timeline().size(), 2u);
+    EXPECT_GT(sampler.timeline().size(), 2u);
 }
 
 /** Property: random problems across all kernels match references. */

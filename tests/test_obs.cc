@@ -2,9 +2,10 @@
  * @file
  * Observability-layer tests: attaching sinks must never perturb the
  * timing model (bit-identical Counters), the PMU sampler's windows
- * must sum exactly to the end-of-run counters, and the trace
- * writers must produce well-formed documents (Perfetto JSON schema,
- * Konata round-trip).
+ * must sum exactly to the end-of-run counters, the per-site profiles
+ * must reconcile with the same counters, and the trace writers must
+ * produce well-formed documents (Perfetto JSON schema, Konata
+ * round-trip).
  */
 
 #include <gtest/gtest.h>
@@ -19,11 +20,13 @@
 #include "driver/driver.h"
 #include "kernels/kernels.h"
 #include "masm/assembler.h"
+#include "obs/cpi_stack.h"
 #include "obs/json.h"
 #include "obs/konata_sink.h"
 #include "obs/manifest.h"
 #include "obs/perfetto_sink.h"
 #include "obs/pmu_sampler.h"
+#include "obs/site_profile.h"
 #include "obs/trace_mux.h"
 #include "sim/machine.h"
 
@@ -101,16 +104,73 @@ TEST(ObsInvariance, FullSinkStackIsBitIdentical)
 
     obs::PerfettoSink perfetto;
     obs::KonataSink konata;
-    obs::PmuSampler sampler(500, true);
+    obs::PmuSampler sampler(500);
+    obs::SiteProfileSink sites;
     obs::TraceMux mux;
     mux.add(&perfetto);
     mux.add(&konata);
     mux.add(&sampler);
+    mux.add(&sites);
     sim::RunResult traced = runWithSink(p, &mux);
 
     EXPECT_TRUE(plain.counters == traced.counters);
     EXPECT_GT(perfetto.eventCount(), 0u);
     EXPECT_GT(konata.instCount(), 0u);
+    EXPECT_FALSE(sites.branches().empty());
+}
+
+TEST(ObsInvariance, SampledRunIsBitIdentical)
+{
+    // SMARTS sampling: sinks see only the detail windows, and must not
+    // perturb the extrapolated totals.
+    workloads::WorkloadConfig wc;
+    wc.app = workloads::App::Clustalw;
+    wc.klass = workloads::InputClass::A;
+    wc.simInstructionBudget = 200'000;
+    workloads::Workload w(wc);
+    const sim::SamplingParams smarts{2'000, 18'000, true};
+
+    kernels::KernelMachine plain(workloads::appKernel(wc.app),
+                                 mpc::Variant::Baseline,
+                                 sim::MachineConfig());
+    plain.setSampling(smarts);
+    w.simulate(plain);
+
+    kernels::KernelMachine km(workloads::appKernel(wc.app),
+                              mpc::Variant::Baseline, sim::MachineConfig());
+    km.setSampling(smarts);
+    obs::PmuSampler sampler(1000);
+    obs::CpiStackSink cpi;
+    obs::SiteProfileSink sites;
+    obs::TraceMux mux;
+    mux.add(&sampler);
+    mux.add(&cpi);
+    mux.add(&sites);
+    km.setTraceSink(&mux);
+    w.simulate(km);
+
+    const sim::Counters &c = km.totals();
+    EXPECT_TRUE(c == plain.totals());
+    ASSERT_GT(c.instructions, 0u);
+
+    // Detail windows only: every site sum is positive and bounded by
+    // the (window-extrapolated or exact) machine totals.
+    sim::BranchSiteStats b;
+    for (const auto &[pc, stats] : sites.branches())
+        b.add(stats);
+    uint64_t stalls = 0;
+    for (const auto &[pc, stats] : sites.stalls())
+        stalls += stats.total();
+    EXPECT_GT(b.executions, 0u);
+    EXPECT_LE(b.executions, c.branches);
+    EXPECT_GT(b.taken, 0u);
+    EXPECT_LE(b.taken, c.takenBranches);
+    EXPECT_GT(b.mispredicts(), 0u);
+    EXPECT_LE(b.mispredDirection, c.mispredDirection);
+    EXPECT_LE(b.mispredTarget, c.mispredTarget);
+    EXPECT_GT(stalls, 0u);
+    EXPECT_LE(stalls,
+              c.cycles - c.cpi[size_t(sim::CpiComponent::Completing)]);
 }
 
 TEST(ObsInvariance, EventCountsMatchCounters)
@@ -209,7 +269,8 @@ TEST(PmuSampler, ContinuousAcrossRunsAndSumsToKernelTotals)
     bio::Sequence b = g.mutate(a, bio::MutationModel{0.3, 0.05, 0.05}, "b");
     kernels::KernelMachine km(kernels::KernelKind::Dropgsw,
                               mpc::Variant::Baseline, sim::MachineConfig());
-    km.setSampleInterval(1000);
+    obs::PmuSampler sampler(1000);
+    km.setTraceSink(&sampler);
     kernels::AlignProblem p{&a, &b, &bio::SubstitutionMatrix::blosum62(),
                             bio::GapPenalty{10, 1}};
     for (int i = 0; i < 5; ++i)
@@ -217,7 +278,7 @@ TEST(PmuSampler, ContinuousAcrossRunsAndSumsToKernelTotals)
 
     sim::Counters sum;
     uint64_t prevEnd = 0;
-    for (const obs::PmuInterval &w : km.sampler()->intervals(true)) {
+    for (const obs::PmuInterval &w : sampler.intervals(true)) {
         EXPECT_EQ(w.startCycle, prevEnd); // one continuous cycle axis
         prevEnd = w.endCycle;
         sum.add(w.delta);
@@ -225,43 +286,39 @@ TEST(PmuSampler, ContinuousAcrossRunsAndSumsToKernelTotals)
     EXPECT_TRUE(sum == km.totals());
     EXPECT_EQ(prevEnd, km.totals().cycles);
 
-    // The Fig-2 view exposes the same windows.
-    auto tl = km.timeline();
-    EXPECT_EQ(tl.size(), km.sampler()->timeline(false).size());
-    EXPECT_GT(tl.size(), 2u);
+    // The Fig-2 view exposes the same (complete) windows.
+    EXPECT_EQ(sampler.timeline().size(), sampler.intervals(false).size());
+    EXPECT_GT(sampler.timeline().size(), 2u);
 }
 
-TEST(PmuSampler, SiteSeriesMatchesMachineBranchProfile)
+TEST(SiteProfileSink, BranchSitesSumToCounters)
 {
     bio::SequenceGenerator g(11);
     bio::Sequence a = g.random(30, "a");
     bio::Sequence b = g.mutate(a, bio::MutationModel{0.3, 0.05, 0.05}, "b");
     kernels::KernelMachine km(kernels::KernelKind::ForwardPass,
                               mpc::Variant::Baseline, sim::MachineConfig());
-    km.setSampleInterval(2000, /*site_series=*/true);
-    km.setBranchProfiling(true);
+    obs::SiteProfileSink sites;
+    km.setTraceSink(&sites);
     kernels::AlignProblem p{&a, &b, &bio::SubstitutionMatrix::blosum62(),
                             bio::GapPenalty{10, 1}};
     km.run(p);
     km.run(p);
 
-    // Aggregating the per-window site deltas must reproduce the
-    // machine's own per-site profile exactly.
-    sim::BranchProfile agg;
-    for (const obs::PmuInterval &w : km.sampler()->intervals(true)) {
-        for (const auto &[pc, stats] : w.sites)
-            agg[pc].add(stats);
+    // Full timing: every branch resolution reaches the sink, so the
+    // per-site counts reconcile exactly with the machine's counters.
+    sim::BranchSiteStats sum;
+    for (const auto &[pc, stats] : sites.branches()) {
+        EXPECT_GT(stats.executions, 0u);
+        sum.add(stats);
     }
-    const sim::BranchProfile &ref = km.branchProfile();
-    ASSERT_EQ(agg.size(), ref.size());
-    for (const auto &[pc, stats] : ref) {
-        auto it = agg.find(pc);
-        ASSERT_NE(it, agg.end());
-        EXPECT_EQ(it->second.executions, stats.executions);
-        EXPECT_EQ(it->second.taken, stats.taken);
-        EXPECT_EQ(it->second.mispredDirection, stats.mispredDirection);
-        EXPECT_EQ(it->second.mispredTarget, stats.mispredTarget);
-    }
+    const sim::Counters &c = km.totals();
+    EXPECT_GT(sites.branches().size(), 3u);
+    EXPECT_EQ(sum.executions, c.branches);
+    EXPECT_EQ(sum.taken, c.takenBranches);
+    EXPECT_EQ(sum.mispredDirection, c.mispredDirection);
+    EXPECT_EQ(sum.mispredTarget, c.mispredTarget);
+    EXPECT_GT(sum.mispredicts(), 0u);
 }
 
 TEST(PmuSampler, CsvRowsMatchWindowCount)
@@ -642,7 +699,7 @@ TEST(Json, NumberGrammarRejectsNonRfc8259Forms)
 // KernelMachine wiring.
 // ---------------------------------------------------------------------
 
-TEST(KernelMachineObs, ResetDetachesSinksAndSampler)
+TEST(KernelMachineObs, ResetDetachesSink)
 {
     bio::SequenceGenerator g(3);
     bio::Sequence a = g.random(20, "a");
@@ -650,17 +707,13 @@ TEST(KernelMachineObs, ResetDetachesSinksAndSampler)
     kernels::KernelMachine km(kernels::KernelKind::Dropgsw,
                               mpc::Variant::Baseline, sim::MachineConfig());
     CountingSink c;
-    km.setSampleInterval(1000);
     km.setTraceSink(&c);
     kernels::AlignProblem p{&a, &b, &bio::SubstitutionMatrix::blosum62(),
                             bio::GapPenalty{10, 1}};
     km.run(p);
     EXPECT_GT(c.insts, 0u);
-    EXPECT_NE(km.sampler(), nullptr);
 
     km.reset();
-    EXPECT_EQ(km.sampler(), nullptr);
-    EXPECT_TRUE(km.timeline().empty());
     uint64_t before = c.insts;
     km.run(p);
     EXPECT_EQ(c.insts, before); // detached sink no longer fed

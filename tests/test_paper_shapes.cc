@@ -10,6 +10,7 @@
 
 #include <cmath>
 
+#include "obs/pmu_sampler.h"
 #include "workloads/workload.h"
 
 namespace bp5::workloads {
@@ -177,18 +178,22 @@ TEST(PaperShapes, Fig6AllEnhancementsStackUp)
 TEST(PaperShapes, Fig2IpcAnticorrelatesWithMispredicts)
 {
     Workload w(cfg(App::Clustalw, 1'200'000));
-    SimResult r = w.simulate(mpc::Variant::Baseline,
-                             sim::MachineConfig(), 10'000);
-    ASSERT_GT(r.timeline.size(), 10u);
+    kernels::KernelMachine km(appKernel(App::Clustalw),
+                              mpc::Variant::Baseline, sim::MachineConfig());
+    obs::PmuSampler sampler(10'000);
+    km.setTraceSink(&sampler);
+    w.simulate(km);
+    std::vector<sim::IntervalSample> timeline = sampler.timeline();
+    ASSERT_GT(timeline.size(), 10u);
     double mi = 0, mm = 0;
-    for (const auto &s : r.timeline) {
+    for (const auto &s : timeline) {
         mi += s.ipc;
         mm += s.branchMispredictRate;
     }
-    mi /= double(r.timeline.size());
-    mm /= double(r.timeline.size());
+    mi /= double(timeline.size());
+    mm /= double(timeline.size());
     double num = 0, di = 0, dm = 0;
-    for (const auto &s : r.timeline) {
+    for (const auto &s : timeline) {
         num += (s.ipc - mi) * (s.branchMispredictRate - mm);
         di += (s.ipc - mi) * (s.ipc - mi);
         dm += (s.branchMispredictRate - mm) *

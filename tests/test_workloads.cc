@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include "obs/pmu_sampler.h"
 #include "workloads/workload.h"
 
 namespace bp5::workloads {
@@ -160,12 +161,16 @@ TEST(Workload, BtacReducesCycles)
 TEST(Workload, TimelineCollected)
 {
     Workload w(cfg(App::Clustalw, InputClass::A, 400'000));
-    SimResult r = w.simulate(mpc::Variant::Baseline,
-                             sim::MachineConfig(), 10'000);
-    EXPECT_GT(r.timeline.size(), 5u);
+    kernels::KernelMachine km(appKernel(App::Clustalw),
+                              mpc::Variant::Baseline, sim::MachineConfig());
+    obs::PmuSampler sampler(10'000);
+    km.setTraceSink(&sampler);
+    w.simulate(km);
+    std::vector<sim::IntervalSample> timeline = sampler.timeline();
+    EXPECT_GT(timeline.size(), 5u);
     // Cycle stamps ascend across kernel invocations.
-    for (size_t i = 1; i < r.timeline.size(); ++i)
-        EXPECT_GE(r.timeline[i].cycle, r.timeline[i - 1].cycle);
+    for (size_t i = 1; i < timeline.size(); ++i)
+        EXPECT_GE(timeline[i].cycle, timeline[i - 1].cycle);
 }
 
 TEST(Workload, CompiledStatsExposed)

@@ -23,7 +23,7 @@
  *
  * Sampling and output:
  *   --interval=N     PMU sampling interval in cycles (default 10000)
- *   --sites          per-branch-site series, joined with the static
+ *   --sites          per-branch-site counters, joined with the static
  *                    branch classes of the binary (table output)
  *   --stalls         CPI stack, per-PC stall attribution joined with
  *                    the static loop analysis, latency histograms
@@ -56,6 +56,7 @@
 #include "obs/manifest.h"
 #include "obs/perfetto_sink.h"
 #include "obs/pmu_sampler.h"
+#include "obs/site_profile.h"
 #include "obs/trace_mux.h"
 #include "support/logging.h"
 #include "workloads/workload.h"
@@ -346,18 +347,6 @@ stallProfileRows(const sim::StallProfile &profile,
     return rows;
 }
 
-/** Aggregate the sampler's per-window site series into one profile. */
-sim::BranchProfile
-aggregateSites(const obs::PmuSampler &sampler)
-{
-    sim::BranchProfile profile;
-    for (const obs::PmuInterval &w : sampler.intervals(true)) {
-        for (const auto &[pc, stats] : w.sites)
-            profile[pc].add(stats);
-    }
-    return profile;
-}
-
 } // namespace
 
 int
@@ -435,8 +424,6 @@ main(int argc, char **argv)
                               (unsigned long long)opts.seed);
     }
 
-    kernels::KernelMachine *kmp = nullptr;
-    std::unique_ptr<kernels::KernelMachine> km;
     std::unique_ptr<workloads::Workload> workload;
     if (!opts.app.empty()) {
         workloads::WorkloadConfig wc;
@@ -459,32 +446,30 @@ main(int argc, char **argv)
         inputName = "class " + opts.klass;
     }
 
-    km = std::make_unique<kernels::KernelMachine>(kind, variant, mc);
-    kmp = km.get();
-    kmp->setSampleInterval(opts.interval, opts.sites);
-    if (opts.stalls)
-        kmp->setStallProfiling(true);
-
+    kernels::KernelMachine km(kind, variant, mc);
+    obs::PmuSampler sampler(opts.interval);
+    obs::SiteProfileSink siteSink;
     obs::PerfettoSink perfetto(8, opts.maxEvents);
     obs::KonataSink konata(opts.maxEvents);
     obs::CpiStackSink cpiSink;
     obs::TraceMux mux;
+    mux.add(&sampler);
+    if (opts.sites || opts.stalls)
+        mux.add(&siteSink);
     if (!opts.perfetto.empty())
         mux.add(&perfetto);
     if (!opts.konata.empty())
         mux.add(&konata);
     if (opts.stalls)
         mux.add(&cpiSink);
-    if (!mux.empty())
-        kmp->setTraceSink(&mux);
+    km.setTraceSink(&mux);
 
     auto t0 = std::chrono::steady_clock::now();
     uint64_t invocations;
     if (workload) {
-        workloads::SimResult r = workload->simulate(*kmp);
-        invocations = r.invocations;
+        invocations = workload->simulate(km).invocations;
     } else {
-        invocations = runKernel(*kmp, opts);
+        invocations = runKernel(km, opts);
     }
     double wall = std::chrono::duration<double>(
                       std::chrono::steady_clock::now() - t0)
@@ -501,7 +486,7 @@ main(int argc, char **argv)
                          opts.pmuCsv.c_str());
             return 1;
         }
-        std::fputs(kmp->sampler()->toCsv().c_str(), f);
+        std::fputs(sampler.toCsv().c_str(), f);
         std::fclose(f);
     }
 
@@ -514,7 +499,7 @@ main(int argc, char **argv)
     info.invocations = invocations;
     info.wallSeconds = wall;
     info.machine = mc;
-    info.counters = kmp->totals();
+    info.counters = km.totals();
     std::vector<support::ResultRow> rows{obs::manifestRow(info)};
     obs::appendManifest(opts.manifest, rows, "run-manifest");
 
@@ -524,13 +509,13 @@ main(int argc, char **argv)
     } else {
         std::fputs(support::emitText(rows, "run: " + workloadName).c_str(),
                    stdout);
-        const sim::Counters &c = kmp->totals();
+        const sim::Counters &c = km.totals();
         std::printf("\n%llu instructions, %llu cycles, IPC %.3f; "
                     "%llu invocations; %zu PMU windows\n",
                     (unsigned long long)c.instructions,
                     (unsigned long long)c.cycles, c.ipc(),
                     (unsigned long long)invocations,
-                    kmp->sampler()->intervals(true).size());
+                    sampler.intervals(true).size());
         if (!opts.perfetto.empty())
             std::printf("perfetto: %s (%llu events, %llu dropped)\n",
                         opts.perfetto.c_str(),
@@ -544,12 +529,12 @@ main(int argc, char **argv)
     }
 
     if (opts.sites) {
-        // Join the sampler's aggregated site series with the static
-        // branch classes of the traced binary (paper IV-A taxonomy).
-        sim::BranchProfile profile = aggregateSites(*kmp->sampler());
+        // Join the per-site counters with the static branch classes
+        // of the traced binary (paper IV-A taxonomy).
+        const sim::BranchProfile &profile = siteSink.branches();
         analysis::Cfg cfg = analysis::buildCfg(
             analysis::CodeImage::fromProgram(
-                kmp->compiled().program(kernels::kCodeBase)));
+                km.compiled().program(kernels::kCodeBase)));
         auto sites = analysis::classifyBranches(cfg);
         auto classes = analysis::joinProfile(sites, profile);
         std::string t1 = "branch classes: " + workloadName;
@@ -572,17 +557,17 @@ main(int argc, char **argv)
         // static loop analysis so the hot loop gets named.
         analysis::Cfg cfg = analysis::buildCfg(
             analysis::CodeImage::fromProgram(
-                kmp->compiled().program(kernels::kCodeBase)));
+                km.compiled().program(kernels::kCodeBase)));
         analysis::BinLoopForest loops = analysis::findCfgLoops(cfg);
         std::vector<support::ResultRow> stallRows =
-            stallProfileRows(kmp->stallProfile(), cfg, loops, 20);
+            stallProfileRows(siteSink.stalls(), cfg, loops, 20);
         std::string title = "stall profile: " + workloadName;
         if (opts.json) {
             std::fputs(support::emitJsonLine(stallRows, title).c_str(),
                        stdout);
         } else {
             obs::CpiStack stack =
-                obs::CpiStack::fromCounters(kmp->totals());
+                obs::CpiStack::fromCounters(km.totals());
             std::printf("\nCPI stack: %s\n", workloadName.c_str());
             std::fputs(obs::renderCpiStack(stack).c_str(), stdout);
             std::fputs(support::emitText(stallRows, title).c_str(),

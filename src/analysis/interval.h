@@ -1,15 +1,12 @@
 /**
  * @file
- * The interval abstract domain shared by the IR-level and binary-level
- * abstract interpreters (DESIGN.md §4.9).  An Interval is a pair of
+ * The interval abstract domain of the binary-level abstract
+ * interpreter (analysis/absint.h, DESIGN.md §4.9).  An Interval is a pair of
  * inclusive signed 64-bit bounds where INT64_MIN / INT64_MAX act as
  * -inf / +inf; the empty interval (bottom) is canonically {1, 0}.
  * All transfer arithmetic saturates through __int128 so wrap-around in
  * the analyzed program can only widen the result, never invent a
  * too-tight bound.
- *
- * Header-only so both bp5_analysis and bp5_mpc can use it without a
- * library cycle.
  */
 
 #ifndef BIOPERF5_ANALYSIS_INTERVAL_H

@@ -1,7 +1,6 @@
 #include "analysis/loops.h"
 
-#include <algorithm>
-#include <set>
+#include <utility>
 
 #include "analysis/dataflow.h"
 #include "support/logging.h"
@@ -11,54 +10,7 @@ namespace bp5::analysis {
 using isa::Inst;
 using isa::Op;
 
-bool
-BinLoop::contains(int blk) const
-{
-    return std::binary_search(blocks.begin(), blocks.end(), blk);
-}
-
 namespace {
-
-std::vector<int>
-reversePostorder(const Cfg &cfg)
-{
-    std::vector<int> order;
-    if (cfg.entryBlock < 0)
-        return order;
-    std::vector<uint8_t> state(cfg.blocks.size(), 0); // 0 new 1 open 2 done
-    std::vector<std::pair<int, size_t>> stack{{cfg.entryBlock, 0}};
-    state[static_cast<size_t>(cfg.entryBlock)] = 1;
-    while (!stack.empty()) {
-        auto &[b, next] = stack.back();
-        const auto &succs = cfg.blocks[static_cast<size_t>(b)].succs;
-        if (next < succs.size()) {
-            int s = succs[next++];
-            if (!state[static_cast<size_t>(s)]) {
-                state[static_cast<size_t>(s)] = 1;
-                stack.push_back({s, 0});
-            }
-        } else {
-            state[static_cast<size_t>(b)] = 2;
-            order.push_back(b);
-            stack.pop_back();
-        }
-    }
-    std::reverse(order.begin(), order.end());
-    return order;
-}
-
-bool
-dominates(const std::vector<int> &idom, int a, int b)
-{
-    while (b != -1) {
-        if (b == a)
-            return true;
-        if (idom[static_cast<size_t>(b)] == b)
-            return a == b;
-        b = idom[static_cast<size_t>(b)];
-    }
-    return false;
-}
 
 /** Walk backwards from instruction @p from in @p blk for a `li rk,
  *  imm` defining @p reg with no intervening redefinition.
@@ -311,113 +263,24 @@ analyzeCtrCounted(const Cfg &cfg, const ReachingDefs &rd, BinLoop &loop)
 
 } // namespace
 
-std::vector<int>
-cfgDominators(const Cfg &cfg)
-{
-    std::vector<int> idom(cfg.blocks.size(), -1);
-    std::vector<int> rpo = reversePostorder(cfg);
-    if (rpo.empty())
-        return idom;
-    std::vector<int> rpoIndex(cfg.blocks.size(), -1);
-    for (size_t i = 0; i < rpo.size(); ++i)
-        rpoIndex[static_cast<size_t>(rpo[i])] = static_cast<int>(i);
-
-    idom[static_cast<size_t>(cfg.entryBlock)] = cfg.entryBlock;
-    bool changed = true;
-    while (changed) {
-        changed = false;
-        for (int b : rpo) {
-            if (b == cfg.entryBlock)
-                continue;
-            int newIdom = -1;
-            for (int p : cfg.blocks[static_cast<size_t>(b)].preds) {
-                if (idom[static_cast<size_t>(p)] == -1)
-                    continue;
-                if (newIdom == -1) {
-                    newIdom = p;
-                    continue;
-                }
-                // Intersect along idom chains by RPO index.
-                int f1 = p, f2 = newIdom;
-                while (f1 != f2) {
-                    while (rpoIndex[static_cast<size_t>(f1)] >
-                           rpoIndex[static_cast<size_t>(f2)])
-                        f1 = idom[static_cast<size_t>(f1)];
-                    while (rpoIndex[static_cast<size_t>(f2)] >
-                           rpoIndex[static_cast<size_t>(f1)])
-                        f2 = idom[static_cast<size_t>(f2)];
-                }
-                newIdom = f1;
-            }
-            if (newIdom != -1 && idom[static_cast<size_t>(b)] != newIdom) {
-                idom[static_cast<size_t>(b)] = newIdom;
-                changed = true;
-            }
-        }
-    }
-    return idom;
-}
-
 BinLoopForest
 findCfgLoops(const Cfg &cfg)
 {
+    support::Digraph succs(cfg.blocks.size());
+    for (const BasicBlock &b : cfg.blocks)
+        succs[static_cast<size_t>(b.id)] = b.succs;
     BinLoopForest forest;
-    if (cfg.entryBlock < 0)
-        return forest;
-    std::vector<int> idom = cfgDominators(cfg);
-
-    // Back edges b -> h where h dominates b; group latches per header.
-    std::vector<std::vector<int>> latchesOf(cfg.blocks.size());
-    for (const BasicBlock &b : cfg.blocks) {
-        for (int s : b.succs) {
-            if (idom[static_cast<size_t>(b.id)] != -1 &&
-                dominates(idom, s, b.id))
-                latchesOf[static_cast<size_t>(s)].push_back(b.id);
-        }
-    }
-
-    for (const BasicBlock &h : cfg.blocks) {
-        const auto &latches = latchesOf[static_cast<size_t>(h.id)];
-        if (latches.empty())
-            continue;
+    for (support::NaturalLoop &nl :
+         support::naturalLoops(succs, cfg.entryBlock)) {
         BinLoop loop;
-        loop.header = h.id;
-        loop.latches = latches;
-
-        // Natural-loop body: everything reaching a latch without
-        // passing through the header.
-        std::set<int> body{h.id};
-        std::vector<int> work;
-        for (int l : latches) {
-            if (body.insert(l).second)
-                work.push_back(l);
-        }
-        while (!work.empty()) {
-            int b = work.back();
-            work.pop_back();
-            for (int p : cfg.blocks[static_cast<size_t>(b)].preds) {
-                if (body.insert(p).second)
-                    work.push_back(p);
-            }
-        }
-        loop.blocks.assign(body.begin(), body.end());
-
+        static_cast<support::NaturalLoop &>(loop) = std::move(nl);
         for (int b : loop.blocks) {
-            for (int s : cfg.blocks[static_cast<size_t>(b)].succs) {
-                if (!body.count(s))
-                    loop.exits.push_back({b, s});
-            }
+            const BasicBlock &blk = cfg.blocks[static_cast<size_t>(b)];
+            loop.mayEscape = loop.mayEscape || blk.isReturn ||
+                             blk.indirectSucc || blk.isExit;
         }
-        std::sort(loop.exits.begin(), loop.exits.end());
         forest.loops.push_back(std::move(loop));
     }
-
-    std::sort(forest.loops.begin(), forest.loops.end(),
-              [](const BinLoop &a, const BinLoop &b) {
-                  if (a.blocks.size() != b.blocks.size())
-                      return a.blocks.size() > b.blocks.size();
-                  return a.header < b.header;
-              });
 
     if (!forest.loops.empty()) {
         ReachingDefs rd(cfg, abiEntryDefined());

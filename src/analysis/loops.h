@@ -1,9 +1,10 @@
 /**
  * @file
  * Natural-loop detection over the reconstructed binary CFG (DESIGN.md
- * §4.9): dominators, loop bodies, exit edges, and — for the two
- * counted-loop idioms MiniPOWER code actually uses — induction
- * variable and trip-count recovery:
+ * §4.9).  Loop bodies and exit edges come from the shared
+ * dominator/loop core (support/graph.h); this layer adds, for the two
+ * counted-loop idioms MiniPOWER code actually uses, induction variable
+ * and trip-count recovery:
  *
  *  - CTR loops: `mtctr rk` outside, `bdnz header` as the latch.  When
  *    the mtctr operand is a known constant the trip count is exact.
@@ -12,31 +13,32 @@
  *    definition of iv reaching the header from outside is the same
  *    `li`, the trip count follows from (init, step, bound, cond).
  *
- * A loop with no exit edge at all is statically infinite; the lint
- * layer reports it (pedantically — deliberate spin loops exist).
+ * A loop with no exit edge, and no body block that may leave it
+ * without one (a return, an indirect branch or an `sc` that may exit),
+ * is statically infinite; the lint layer reports it (pedantically —
+ * deliberate spin loops exist).
  */
 
 #ifndef BIOPERF5_ANALYSIS_LOOPS_H
 #define BIOPERF5_ANALYSIS_LOOPS_H
 
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "analysis/cfg.h"
+#include "support/graph.h"
 
 namespace bp5::analysis {
 
-/** One natural loop of the binary CFG. */
-struct BinLoop
+/** One natural loop of the binary CFG (node ids are BasicBlock::id). */
+struct BinLoop : support::NaturalLoop
 {
-    int header = -1;              ///< BasicBlock::id
-    std::vector<int> latches;     ///< blocks with a back edge to header
-    std::vector<int> blocks;      ///< body including header, sorted
-    std::vector<std::pair<int, int>> exits; ///< (from, to) edges
+    /** Some body block may leave the loop without a CFG edge: it ends
+     *  in a return, an indirect branch or an `sc` that may exit. */
+    bool mayEscape = false;
 
     /** No path leaves the loop: statically infinite. */
-    bool infinite() const { return exits.empty(); }
+    bool infinite() const { return exits.empty() && !mayEscape; }
 
     // Counted-loop shape (valid when counted is true).
     bool counted = false;
@@ -46,8 +48,6 @@ struct BinLoop
     int64_t init = 0;      ///< IV value entering the loop, if known
     int64_t bound = 0;     ///< immediate compared against (GPR loops)
     int64_t tripCount = -1; ///< exact iterations, -1 when unknown
-
-    bool contains(int blk) const;
 };
 
 /** All natural loops of one CFG. */
@@ -57,12 +57,6 @@ struct BinLoopForest
 
     std::string dump(const Cfg &cfg) const;
 };
-
-/**
- * Immediate dominators, indexed by BasicBlock::id; idom[entry] ==
- * entry, -1 for unreachable blocks.
- */
-std::vector<int> cfgDominators(const Cfg &cfg);
 
 /** Find every natural loop and analyze the counted shapes. */
 BinLoopForest findCfgLoops(const Cfg &cfg);

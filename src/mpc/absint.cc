@@ -1,216 +1,10 @@
 #include "mpc/absint.h"
 
 #include <algorithm>
-#include <deque>
 
 #include "support/logging.h"
 
 namespace bp5::mpc {
-
-namespace {
-
-// --------------------------------------------------------------------
-// Value ranges.
-// --------------------------------------------------------------------
-
-/** Interval transfer for one non-terminator instruction. */
-void
-transfer(const IrInst &i, std::vector<Interval> &st)
-{
-    auto val = [&](VReg r) {
-        return r == kNoReg ? Interval::top()
-                           : st[static_cast<size_t>(r)];
-    };
-    auto set = [&](VReg r, const Interval &v) {
-        if (r != kNoReg)
-            st[static_cast<size_t>(r)] = v;
-    };
-    switch (i.op) {
-      case IrOp::Const:
-        set(i.dst, Interval::point(i.imm));
-        break;
-      case IrOp::Add:
-        set(i.dst, val(i.a).add(val(i.b)));
-        break;
-      case IrOp::Sub:
-        set(i.dst, val(i.a).sub(val(i.b)));
-        break;
-      case IrOp::Mul:
-        set(i.dst, val(i.a).mul(val(i.b)));
-        break;
-      case IrOp::AddI:
-        set(i.dst, val(i.a).addConst(i.imm));
-        break;
-      case IrOp::MulI:
-        set(i.dst, val(i.a).mul(Interval::point(i.imm)));
-        break;
-      case IrOp::OrI:
-        // OrI a, 0 is the IR's register copy.
-        set(i.dst, i.imm == 0 ? val(i.a) : Interval::top());
-        break;
-      case IrOp::AndI:
-        // Masking with a non-negative constant bounds the result.
-        set(i.dst, i.imm >= 0 ? Interval::range(0, i.imm)
-                              : Interval::top());
-        break;
-      case IrOp::ShlI:
-        set(i.dst, val(i.a).shlConst(i.imm));
-        break;
-      case IrOp::Load:
-        // Sub-8-byte loads have a size-given range.
-        switch (i.size) {
-          case 1:
-            set(i.dst, i.isSigned ? Interval::range(-128, 127)
-                                  : Interval::range(0, 255));
-            break;
-          case 2:
-            set(i.dst, i.isSigned ? Interval::range(-32768, 32767)
-                                  : Interval::range(0, 65535));
-            break;
-          case 4:
-            set(i.dst, i.isSigned
-                           ? Interval::range(INT32_MIN, INT32_MAX)
-                           : Interval::range(0, UINT32_MAX));
-            break;
-          default:
-            set(i.dst, Interval::top());
-            break;
-        }
-        break;
-      case IrOp::Max:
-        set(i.dst, val(i.a).maxWith(val(i.b)));
-        break;
-      case IrOp::Min:
-        set(i.dst, val(i.a).minWith(val(i.b)));
-        break;
-      case IrOp::Select:
-        set(i.dst, val(i.x).join(val(i.y)));
-        break;
-      case IrOp::Store:
-      case IrOp::Br:
-      case IrOp::Jump:
-      case IrOp::Ret:
-        break;
-      default:
-        // Div, logic and variable shifts: no useful bound.
-        set(i.dst, Interval::top());
-        break;
-    }
-}
-
-/** Narrow @p a and @p b under "a cond b is @p taken". */
-void
-refine(Cond cond, bool taken, Interval &a, Interval &b)
-{
-    if (!taken)
-        cond = negate(cond);
-    Interval na = a, nb = b;
-    switch (cond) {
-      case Cond::LT:
-        if (b.hi != Interval::kPosInf)
-            na = a.meet(Interval::range(Interval::kNegInf, b.hi - 1));
-        if (a.lo != Interval::kNegInf)
-            nb = b.meet(Interval::range(a.lo + 1, Interval::kPosInf));
-        break;
-      case Cond::LE:
-        na = a.meet(Interval::range(Interval::kNegInf, b.hi));
-        nb = b.meet(Interval::range(a.lo, Interval::kPosInf));
-        break;
-      case Cond::GT:
-        if (b.lo != Interval::kNegInf)
-            na = a.meet(Interval::range(b.lo + 1, Interval::kPosInf));
-        if (a.hi != Interval::kPosInf)
-            nb = b.meet(Interval::range(Interval::kNegInf, a.hi - 1));
-        break;
-      case Cond::GE:
-        na = a.meet(Interval::range(b.lo, Interval::kPosInf));
-        nb = b.meet(Interval::range(Interval::kNegInf, a.hi));
-        break;
-      case Cond::EQ:
-        na = a.meet(b);
-        nb = b.meet(a);
-        break;
-      case Cond::NE:
-        break;
-    }
-    a = na;
-    b = nb;
-}
-
-} // namespace
-
-ValueRanges
-valueRanges(const Function &fn)
-{
-    const size_t nb = fn.blocks.size();
-    const size_t nr = static_cast<size_t>(fn.nextReg);
-    ValueRanges vr;
-    vr.in.assign(nb, std::vector<Interval>(nr, Interval::bottom()));
-    // Arguments arrive in vregs 0..numArgs-1 with unknown values.
-    for (unsigned a = 0; a < fn.numArgs && a < nr; ++a)
-        vr.in[0][a] = Interval::top();
-
-    std::vector<unsigned> visits(nb, 0);
-    std::vector<bool> reached(nb, false);
-    reached[0] = true;
-    std::deque<int> work{0};
-    std::vector<bool> queued(nb, false);
-    queued[0] = true;
-    constexpr unsigned kWidenAfter = 4;
-
-    while (!work.empty()) {
-        int id = work.front();
-        work.pop_front();
-        queued[static_cast<size_t>(id)] = false;
-        std::vector<Interval> st = vr.in[static_cast<size_t>(id)];
-        const Block &b = fn.block(id);
-        for (const IrInst &i : b.insts) {
-            if (!i.isTerminator())
-                transfer(i, st);
-        }
-        auto propagate = [&](int succ, const std::vector<Interval> &out) {
-            size_t s = static_cast<size_t>(succ);
-            std::vector<Interval> merged(nr);
-            bool changed = false;
-            for (size_t r = 0; r < nr; ++r) {
-                Interval j = reached[s] ? vr.in[s][r].join(out[r])
-                                        : out[r];
-                if (visits[s] >= kWidenAfter)
-                    j = j.widenedFrom(vr.in[s][r]);
-                merged[r] = j;
-                changed = changed || j != vr.in[s][r];
-            }
-            if (!reached[s] || changed) {
-                vr.in[s] = std::move(merged);
-                reached[s] = true;
-                ++visits[s];
-                if (!queued[s]) {
-                    queued[s] = true;
-                    work.push_back(succ);
-                }
-            }
-        };
-        if (b.insts.empty())
-            continue;
-        const IrInst &t = b.terminator();
-        if (t.op == IrOp::Br) {
-            std::vector<Interval> tst = st, fst = st;
-            refine(t.cond, true, tst[static_cast<size_t>(t.a)],
-                   tst[static_cast<size_t>(t.b)]);
-            refine(t.cond, false, fst[static_cast<size_t>(t.a)],
-                   fst[static_cast<size_t>(t.b)]);
-            propagate(t.tblk, tst);
-            propagate(t.fblk, fst);
-        } else if (t.op == IrOp::Jump) {
-            propagate(t.tblk, st);
-        }
-    }
-    return vr;
-}
-
-// --------------------------------------------------------------------
-// Must-accessed addresses.
-// --------------------------------------------------------------------
 
 AddrFact
 addrFactOf(const IrInst &i)

@@ -1,65 +1,28 @@
 /**
  * @file
  * IR-level abstract interpretation for the mpc pipeline (DESIGN.md
- * §4.9).  Two analyses live here:
+ * §4.9): must-accessed addresses.  A forward intersection dataflow
+ * whose facts are canonical address expressions (base vreg + index
+ * vreg + displacement, size) that were loaded or stored on *every*
+ * path to a program point, with facts killed when a named register is
+ * redefined.  If an address was dereferenced on every path already,
+ * dereferencing it again cannot fault — this is the dominating-access
+ * argument compilers use to speculate loads.
  *
- *  - value ranges: a flow-sensitive interval per virtual register at
- *    every block entry, with widening and branch-edge refinement.
- *    Consumers: trip-count analysis (loops.h) and the unroll pass's
- *    overflow legality check.
- *
- *  - must-accessed addresses: a forward intersection dataflow whose
- *    facts are canonical address expressions (base vreg + index vreg +
- *    displacement, size) that were loaded or stored on *every* path to
- *    a program point, with facts killed when a named register is
- *    redefined.  If an address was dereferenced on every path already,
- *    dereferencing it again cannot fault — this is the dominating-
- *    access argument compilers use to speculate loads.
- *
- * proveSafeLoads() applies the second analysis to set the `safe` bit
- * on every load it can prove, replacing the hand-written annotations
- * the if-converter previously had to trust.
+ * proveSafeLoads() applies the analysis to set the `safe` bit on every
+ * load it can prove, replacing the hand-written annotations the
+ * if-converter previously had to trust.
  */
 
 #ifndef BIOPERF5_MPC_ABSINT_H
 #define BIOPERF5_MPC_ABSINT_H
 
+#include <cstdint>
 #include <vector>
 
-#include "analysis/interval.h"
 #include "mpc/ir.h"
 
 namespace bp5::mpc {
-
-using analysis::Interval;
-
-// --------------------------------------------------------------------
-// Value ranges.
-// --------------------------------------------------------------------
-
-/** Per-block-entry register intervals (indexed [block][vreg]). */
-struct ValueRanges
-{
-    std::vector<std::vector<Interval>> in;
-
-    /** Interval of @p r at the entry of @p blk. */
-    const Interval &
-    at(int blk, VReg r) const
-    {
-        return in[static_cast<size_t>(blk)][static_cast<size_t>(r)];
-    }
-};
-
-/**
- * Run the interval analysis to fixpoint.  Argument registers start at
- * top, every other register at bottom; bounds that keep moving widen
- * to infinity after a few visits.
- */
-ValueRanges valueRanges(const Function &fn);
-
-// --------------------------------------------------------------------
-// Must-accessed addresses.
-// --------------------------------------------------------------------
 
 /** A canonical address expression: base + index + disp, @p size bytes
  *  proven dereferenceable.  Register order is normalized so (a, b) and

@@ -1,111 +1,11 @@
 #include "mpc/loops.h"
 
 #include <algorithm>
-#include <sstream>
-
-#include "support/logging.h"
+#include <utility>
 
 namespace bp5::mpc {
 
 namespace {
-
-/** Reverse postorder over reachable blocks from the entry. */
-std::vector<int>
-reversePostorder(const Function &fn)
-{
-    std::vector<int> order;
-    std::vector<uint8_t> state(fn.blocks.size(), 0); // 0 new 1 open 2 done
-    // Iterative DFS with an explicit stack of (block, next-succ).
-    std::vector<std::pair<int, size_t>> stack{{0, 0}};
-    state[0] = 1;
-    while (!stack.empty()) {
-        auto &[b, k] = stack.back();
-        std::vector<int> succs = fn.successors(b);
-        if (k < succs.size()) {
-            int s = succs[k++];
-            if (state[static_cast<size_t>(s)] == 0) {
-                state[static_cast<size_t>(s)] = 1;
-                stack.emplace_back(s, 0);
-            }
-        } else {
-            state[static_cast<size_t>(b)] = 2;
-            order.push_back(b);
-            stack.pop_back();
-        }
-    }
-    std::reverse(order.begin(), order.end());
-    return order;
-}
-
-} // namespace
-
-std::vector<int>
-dominators(const Function &fn)
-{
-    std::vector<int> rpo = reversePostorder(fn);
-    std::vector<int> rpoIndex(fn.blocks.size(), -1);
-    for (size_t i = 0; i < rpo.size(); ++i)
-        rpoIndex[static_cast<size_t>(rpo[i])] = static_cast<int>(i);
-
-    std::vector<int> idom(fn.blocks.size(), -1);
-    idom[0] = 0;
-    auto intersect = [&](int a, int b) {
-        while (a != b) {
-            while (rpoIndex[static_cast<size_t>(a)] >
-                   rpoIndex[static_cast<size_t>(b)])
-                a = idom[static_cast<size_t>(a)];
-            while (rpoIndex[static_cast<size_t>(b)] >
-                   rpoIndex[static_cast<size_t>(a)])
-                b = idom[static_cast<size_t>(b)];
-        }
-        return a;
-    };
-
-    // Predecessor lists once up front (Function computes on demand).
-    std::vector<std::vector<int>> preds(fn.blocks.size());
-    for (const Block &b : fn.blocks) {
-        for (int s : fn.successors(b.id))
-            preds[static_cast<size_t>(s)].push_back(b.id);
-    }
-
-    bool changed = true;
-    while (changed) {
-        changed = false;
-        for (int b : rpo) {
-            if (b == 0)
-                continue;
-            int newIdom = -1;
-            for (int p : preds[static_cast<size_t>(b)]) {
-                if (idom[static_cast<size_t>(p)] == -1)
-                    continue; // unreachable or not yet processed
-                newIdom = newIdom == -1 ? p : intersect(p, newIdom);
-            }
-            if (newIdom != -1 && idom[static_cast<size_t>(b)] != newIdom) {
-                idom[static_cast<size_t>(b)] = newIdom;
-                changed = true;
-            }
-        }
-    }
-    return idom;
-}
-
-namespace {
-
-bool
-dominates(const std::vector<int> &idom, int a, int b)
-{
-    // Walk b's dominator chain up to the entry.
-    while (true) {
-        if (b == a)
-            return true;
-        if (b == 0 || idom[static_cast<size_t>(b)] == -1)
-            return false;
-        int up = idom[static_cast<size_t>(b)];
-        if (up == b)
-            return false;
-        b = up;
-    }
-}
 
 /** Floor division for step > 0 over wide intermediates. */
 int64_t
@@ -251,94 +151,19 @@ IrLoopForest::nestedIn(const IrLoop &inner, const IrLoop &outer)
                          inner.blocks.begin(), inner.blocks.end());
 }
 
-std::string
-IrLoopForest::dump(const Function &fn) const
-{
-    std::ostringstream os;
-    for (const IrLoop &l : loops) {
-        os << "loop header=b" << l.header << " blocks={";
-        for (size_t i = 0; i < l.blocks.size(); ++i)
-            os << (i ? "," : "") << "b" << l.blocks[i];
-        os << "} exits=" << l.exits.size();
-        if (l.hasCountedShape) {
-            os << " iv=v" << l.iv << " step=" << l.step << " limit=v"
-               << l.limit
-               << (l.cond == Cond::LE ? " while<=" : " while<");
-            if (l.tripCount >= 0)
-                os << " trip=" << l.tripCount;
-        }
-        os << " (" << fn.block(l.header).name << ")\n";
-    }
-    return os.str();
-}
-
 IrLoopForest
 findLoops(const Function &fn)
 {
-    std::vector<int> idom = dominators(fn);
-    std::vector<std::vector<int>> preds(fn.blocks.size());
-    for (const Block &b : fn.blocks) {
-        for (int s : fn.successors(b.id))
-            preds[static_cast<size_t>(s)].push_back(b.id);
-    }
-
-    // Collect back edges grouped by header.
-    std::vector<std::vector<int>> latchesOf(fn.blocks.size());
-    for (const Block &b : fn.blocks) {
-        if (b.id != 0 && idom[static_cast<size_t>(b.id)] == -1)
-            continue; // unreachable
-        for (int s : fn.successors(b.id)) {
-            if (dominates(idom, s, b.id))
-                latchesOf[static_cast<size_t>(s)].push_back(b.id);
-        }
-    }
-
+    support::Digraph succs(fn.blocks.size());
+    for (const Block &b : fn.blocks)
+        succs[static_cast<size_t>(b.id)] = fn.successors(b.id);
     IrLoopForest forest;
-    for (size_t h = 0; h < latchesOf.size(); ++h) {
-        if (latchesOf[h].empty())
-            continue;
+    for (support::NaturalLoop &nl : support::naturalLoops(succs, 0)) {
         IrLoop loop;
-        loop.header = static_cast<int>(h);
-        loop.latches = latchesOf[h];
-        // Natural-loop body: reverse reachability from the latches
-        // without passing through the header.
-        std::vector<bool> in(fn.blocks.size(), false);
-        in[h] = true;
-        std::vector<int> work = loop.latches;
-        for (int l : loop.latches)
-            in[static_cast<size_t>(l)] = true;
-        while (!work.empty()) {
-            int b = work.back();
-            work.pop_back();
-            if (b == loop.header)
-                continue;
-            for (int p : preds[static_cast<size_t>(b)]) {
-                if (!in[static_cast<size_t>(p)]) {
-                    in[static_cast<size_t>(p)] = true;
-                    work.push_back(p);
-                }
-            }
-        }
-        for (size_t b = 0; b < in.size(); ++b) {
-            if (in[b])
-                loop.blocks.push_back(static_cast<int>(b));
-        }
-        for (int b : loop.blocks) {
-            for (int s : fn.successors(b)) {
-                if (!in[static_cast<size_t>(s)]) {
-                    loop.exits.push_back(b);
-                    break;
-                }
-            }
-        }
+        static_cast<support::NaturalLoop &>(loop) = std::move(nl);
         analyzeCountedShape(fn, loop);
         forest.loops.push_back(std::move(loop));
     }
-    // Outer loops (more blocks) first so consumers can walk nests.
-    std::stable_sort(forest.loops.begin(), forest.loops.end(),
-                     [](const IrLoop &a, const IrLoop &b) {
-                         return a.blocks.size() > b.blocks.size();
-                     });
     return forest;
 }
 

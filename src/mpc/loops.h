@@ -1,33 +1,29 @@
 /**
  * @file
  * Natural-loop detection over mpc IR with induction-variable and
- * trip-count analysis (DESIGN.md §4.9).  The kernels' loops are all
- * rotated do-while loops (`bdy: ...; iv += step; br cond iv, limit,
- * bdy, exit`), which is the shape the unroll pass (passes.h) consumes;
- * this analysis also recognizes the general dominator-based definition
- * so irreducible or multi-latch regions are reported rather than
- * silently skipped.
+ * trip-count analysis (DESIGN.md §4.9).  The loops themselves come from
+ * the shared dominator/loop core (support/graph.h); this layer adds the
+ * counted shape.  The kernels' loops are all rotated do-while loops
+ * (`bdy: ...; iv += step; br cond iv, limit, bdy, exit`), which is the
+ * shape the unroll pass (passes.h) consumes.  A multi-latch loop is
+ * found but has no counted shape; a cycle with no dominating header
+ * (an irreducible region) is not a natural loop and is not found.
  */
 
 #ifndef BIOPERF5_MPC_LOOPS_H
 #define BIOPERF5_MPC_LOOPS_H
 
 #include <cstdint>
-#include <string>
 #include <vector>
 
 #include "mpc/ir.h"
+#include "support/graph.h"
 
 namespace bp5::mpc {
 
-/** One natural loop. */
-struct IrLoop
+/** One natural loop of a Function. */
+struct IrLoop : support::NaturalLoop
 {
-    int header = -1;
-    std::vector<int> latches; ///< blocks with a back edge to header
-    std::vector<int> blocks;  ///< loop body incl. header, sorted
-    std::vector<int> exits;   ///< in-loop blocks with an edge out
-
     /** Rotated-counted-loop facts (valid when hasCountedShape). */
     bool hasCountedShape = false;
     VReg iv = kNoReg;      ///< the stepped register
@@ -38,15 +34,6 @@ struct IrLoop
     /** Body executions when init and limit are compile-time constants;
      *  -1 when unknown. */
     int64_t tripCount = -1;
-
-    bool
-    contains(int blk) const
-    {
-        for (int b : blocks)
-            if (b == blk)
-                return true;
-        return false;
-    }
 };
 
 /** Loop forest of a function. */
@@ -56,12 +43,7 @@ struct IrLoopForest
 
     /** True if @p inner's blocks are a strict subset of @p outer's. */
     static bool nestedIn(const IrLoop &inner, const IrLoop &outer);
-
-    std::string dump(const Function &fn) const;
 };
-
-/** Immediate-dominator tree (idom[0] == 0; unreachable blocks -1). */
-std::vector<int> dominators(const Function &fn);
 
 /** Find all natural loops of @p fn. */
 IrLoopForest findLoops(const Function &fn);

@@ -1,11 +1,12 @@
 /**
  * @file
- * Binary-level abstract-interpretation tests: provenance/interval
- * tracking over the reconstructed CFG, memory-access classification and
- * the proof-backed lint rules it powers, natural-loop detection with
- * trip-count recovery for both counted idioms, and CFG-reconstruction
- * edge cases (branch-to-self, conditional fallthrough at the image
- * end, overlapping hammocks, data words interleaved with code).
+ * Binary-level abstract-interpretation tests: the interval domain
+ * (analysis/interval.h), provenance/interval tracking over the
+ * reconstructed CFG, memory-access classification and the proof-backed
+ * lint rules it powers, natural-loop detection with trip-count
+ * recovery for both counted idioms, and CFG-reconstruction edge cases
+ * (branch-to-self, conditional fallthrough at the image end,
+ * overlapping hammocks, data words interleaved with code).
  */
 
 #include <algorithm>
@@ -28,6 +29,50 @@ cfgOf(const std::string &asm_text, uint64_t base = 0x10000)
 const char *kExit = "        li r0, 0\n"
                     "        li r3, 0\n"
                     "        sc\n";
+
+// --------------------------------------------------------------------
+// Interval domain.
+// --------------------------------------------------------------------
+
+TEST(Interval, Basics)
+{
+    Interval p = Interval::point(5);
+    EXPECT_TRUE(p.isPoint());
+    EXPECT_TRUE(p.contains(5));
+    EXPECT_FALSE(p.contains(6));
+    EXPECT_TRUE(Interval::bottom().isBottom());
+    EXPECT_TRUE(Interval::top().isTop());
+
+    Interval r = Interval::range(-3, 7);
+    EXPECT_EQ(r.join(p), Interval::range(-3, 7));
+    EXPECT_EQ(r.join(Interval::point(100)), Interval::range(-3, 100));
+    EXPECT_EQ(r.meet(Interval::range(0, 100)), Interval::range(0, 7));
+    EXPECT_TRUE(r.meet(Interval::range(8, 9)).isBottom());
+}
+
+TEST(Interval, ArithmeticSaturates)
+{
+    Interval a = Interval::range(2, 4);
+    Interval b = Interval::range(-1, 3);
+    EXPECT_EQ(a.add(b), Interval::range(1, 7));
+    EXPECT_EQ(a.sub(b), Interval::range(-1, 5));
+    EXPECT_EQ(a.mul(b), Interval::range(-4, 12));
+    EXPECT_EQ(a.neg(), Interval::range(-4, -2));
+
+    Interval big = Interval::point(INT64_MAX - 1);
+    EXPECT_EQ(big.addConst(10).hi, Interval::kPosInf);
+    EXPECT_EQ(big.mul(Interval::point(2)).hi, Interval::kPosInf);
+}
+
+TEST(Interval, WideningJumpsMovedBounds)
+{
+    Interval prev = Interval::range(0, 10);
+    EXPECT_EQ(Interval::range(0, 11).widenedFrom(prev),
+              Interval::range(0, Interval::kPosInf));
+    EXPECT_EQ(Interval::range(-1, 10).widenedFrom(prev),
+              Interval::range(Interval::kNegInf, 10));
+    EXPECT_EQ(Interval::range(0, 10).widenedFrom(prev), prev);
+}
 
 // --------------------------------------------------------------------
 // Provenance and interval tracking.
@@ -303,6 +348,48 @@ TEST(BinLoops, InfiniteLoopDetectedAndWarnedPedantically)
     EXPECT_EQ(r.diags[0].code, LintCode::InfiniteLoop);
     EXPECT_EQ(r.diags[0].severity, Severity::Warning);
     EXPECT_EQ(r.diags[0].pc, 0x10000u);
+}
+
+TEST(BinLoops, LoopThatMayExitIsNotInfinite)
+{
+    LintOptions lo;
+    lo.pedantic = true;
+
+    // A poll loop with no exit edge: its `sc` selector comes from
+    // memory, so the syscall may halt the program.
+    masm::Program poll = masm::assemble(R"(
+        li r3, 0
+loop:
+        ld r0, 0(r1)
+        sc
+        addi r3, r3, 1
+        b loop
+)",
+                                        0x10000);
+    Cfg cfg = buildCfg(CodeImage::fromProgram(poll));
+    BinLoopForest forest = findCfgLoops(cfg);
+    ASSERT_EQ(forest.loops.size(), 1u);
+    EXPECT_TRUE(forest.loops[0].exits.empty());
+    EXPECT_FALSE(forest.loops[0].infinite());
+    LintReport r = lintProgram(poll, lo);
+    EXPECT_TRUE(r.clean()) << r.toText("poll");
+
+    // The selector is proven to be a non-exit syscall: still infinite.
+    masm::Program spin = masm::assemble(R"(
+spin:
+        li r0, 1
+        li r3, 65
+        sc
+        b spin
+)",
+                                        0x10000);
+    cfg = buildCfg(CodeImage::fromProgram(spin));
+    forest = findCfgLoops(cfg);
+    ASSERT_EQ(forest.loops.size(), 1u);
+    EXPECT_TRUE(forest.loops[0].infinite());
+    r = lintProgram(spin, lo);
+    ASSERT_EQ(r.diags.size(), 1u) << r.toText("spin");
+    EXPECT_EQ(r.diags[0].code, LintCode::InfiniteLoop);
 }
 
 TEST(BinLoops, CompiledKernelsHaveLoopsAndNoneAreInfinite)

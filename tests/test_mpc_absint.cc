@@ -1,7 +1,6 @@
 /**
  * @file
- * IR-level abstract-interpretation tests: the interval domain, value
- * ranges with branch refinement, must-accessed-address proofs for
+ * IR-level analysis tests: must-accessed-address proofs for
  * speculative loads, store-merging if-conversion, natural-loop / trip
  * count analysis, and differential tests that unrolled code is
  * bit-identical to the rolled original (registers AND memory).
@@ -18,103 +17,6 @@
 
 namespace bp5::mpc {
 namespace {
-
-// --------------------------------------------------------------------
-// Interval domain.
-// --------------------------------------------------------------------
-
-TEST(Interval, Basics)
-{
-    Interval p = Interval::point(5);
-    EXPECT_TRUE(p.isPoint());
-    EXPECT_TRUE(p.contains(5));
-    EXPECT_FALSE(p.contains(6));
-    EXPECT_TRUE(Interval::bottom().isBottom());
-    EXPECT_TRUE(Interval::top().isTop());
-
-    Interval r = Interval::range(-3, 7);
-    EXPECT_EQ(r.join(p), Interval::range(-3, 7));
-    EXPECT_EQ(r.join(Interval::point(100)), Interval::range(-3, 100));
-    EXPECT_EQ(r.meet(Interval::range(0, 100)), Interval::range(0, 7));
-    EXPECT_TRUE(r.meet(Interval::range(8, 9)).isBottom());
-}
-
-TEST(Interval, ArithmeticSaturates)
-{
-    Interval a = Interval::range(2, 4);
-    Interval b = Interval::range(-1, 3);
-    EXPECT_EQ(a.add(b), Interval::range(1, 7));
-    EXPECT_EQ(a.sub(b), Interval::range(-1, 5));
-    EXPECT_EQ(a.mul(b), Interval::range(-4, 12));
-    EXPECT_EQ(a.neg(), Interval::range(-4, -2));
-
-    Interval big = Interval::point(INT64_MAX - 1);
-    EXPECT_EQ(big.addConst(10).hi, Interval::kPosInf);
-    EXPECT_EQ(big.mul(Interval::point(2)).hi, Interval::kPosInf);
-}
-
-TEST(Interval, WideningJumpsMovedBounds)
-{
-    Interval prev = Interval::range(0, 10);
-    EXPECT_EQ(Interval::range(0, 11).widenedFrom(prev),
-              Interval::range(0, Interval::kPosInf));
-    EXPECT_EQ(Interval::range(-1, 10).widenedFrom(prev),
-              Interval::range(Interval::kNegInf, 10));
-    EXPECT_EQ(Interval::range(0, 10).widenedFrom(prev), prev);
-}
-
-// --------------------------------------------------------------------
-// Value ranges.
-// --------------------------------------------------------------------
-
-TEST(ValueRanges, ConstantsAndBranchRefinement)
-{
-    // fn(a): if (a < 10) return a; else return 10;
-    Function fn;
-    fn.name = "clamp";
-    IrBuilder b(fn);
-    b.declareArgs(1);
-    int entry = b.newBlock("entry");
-    int lt = b.newBlock("lt");
-    int ge = b.newBlock("ge");
-    b.setBlock(entry);
-    VReg ten = b.iconst(10);
-    b.br(Cond::LT, 0, ten, lt, ge);
-    b.setBlock(lt);
-    b.ret(0);
-    b.setBlock(ge);
-    b.ret(ten);
-
-    ValueRanges vr = valueRanges(fn);
-    EXPECT_EQ(vr.at(lt, ten), Interval::point(10));
-    // Branch-edge refinement: a < 10 on the taken edge...
-    EXPECT_LE(vr.at(lt, 0).hi, 9);
-    // ...and a >= 10 on the fallthrough edge.
-    EXPECT_GE(vr.at(ge, 0).lo, 10);
-}
-
-TEST(ValueRanges, LoopCounterWidensButKeepsLowerBound)
-{
-    // i starts at 0 and only grows: the fixpoint must keep lo == 0.
-    Function fn;
-    fn.name = "count";
-    IrBuilder b(fn);
-    b.declareArgs(1);
-    int entry = b.newBlock("entry");
-    int head = b.newBlock("head");
-    int done = b.newBlock("done");
-    b.setBlock(entry);
-    VReg i = b.iconst(0);
-    b.jump(head);
-    b.setBlock(head);
-    b.copyTo(i, b.addi(i, 1));
-    b.br(Cond::LT, i, 0, head, done);
-    b.setBlock(done);
-    b.ret(i);
-
-    ValueRanges vr = valueRanges(fn);
-    EXPECT_GE(vr.at(head, i).lo, 0);
-}
 
 // --------------------------------------------------------------------
 // Must-accessed addresses / proveSafeLoads.

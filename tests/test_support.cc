@@ -1,7 +1,8 @@
 /**
  * @file
  * Unit tests for the support library: bitfields, RNG, statistics,
- * saturating counters and table formatting.
+ * saturating counters, table formatting, the thread pool and the
+ * natural-loop core.
  */
 
 #include <gtest/gtest.h>
@@ -10,9 +11,11 @@
 #include <cmath>
 #include <set>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "support/bitfield.h"
+#include "support/graph.h"
 #include "support/logging.h"
 #include "support/random.h"
 #include "support/saturating_counter.h"
@@ -295,6 +298,100 @@ TEST(ThreadPool, ZeroThreadsPicksHardwareConcurrency)
 {
     support::ThreadPool pool(0);
     EXPECT_GE(pool.threads(), 1u);
+}
+
+// --------------------------------------------------------------------
+// Natural loops.
+// --------------------------------------------------------------------
+
+using support::Digraph;
+using support::naturalLoops;
+using Edges = std::vector<std::pair<int, int>>;
+
+TEST(NaturalLoops, SelfLoop)
+{
+    auto loops = naturalLoops(Digraph{{1}, {1, 2}, {}}, 0);
+    ASSERT_EQ(loops.size(), 1u);
+    EXPECT_EQ(loops[0].header, 1);
+    EXPECT_EQ(loops[0].latches, std::vector<int>{1});
+    EXPECT_EQ(loops[0].blocks, std::vector<int>{1});
+    EXPECT_EQ(loops[0].exits, (Edges{{1, 2}}));
+    EXPECT_TRUE(loops[0].contains(1));
+    EXPECT_FALSE(loops[0].contains(0));
+}
+
+TEST(NaturalLoops, OneHeaderTwoLatches)
+{
+    auto loops = naturalLoops(Digraph{{1}, {2, 3}, {1}, {1, 4}, {}}, 0);
+    ASSERT_EQ(loops.size(), 1u);
+    EXPECT_EQ(loops[0].header, 1);
+    EXPECT_EQ(loops[0].latches, (std::vector<int>{2, 3}));
+    EXPECT_EQ(loops[0].blocks, (std::vector<int>{1, 2, 3}));
+    EXPECT_EQ(loops[0].exits, (Edges{{3, 4}}));
+}
+
+TEST(NaturalLoops, NestIsOuterFirst)
+{
+    // 1 -> 2 <-> 3 -> 4 -> 1, exit 4 -> 5.
+    auto loops =
+        naturalLoops(Digraph{{1}, {2}, {3}, {2, 4}, {1, 5}, {}}, 0);
+    ASSERT_EQ(loops.size(), 2u);
+    EXPECT_EQ(loops[0].header, 1);
+    EXPECT_EQ(loops[0].blocks, (std::vector<int>{1, 2, 3, 4}));
+    EXPECT_EQ(loops[0].exits, (Edges{{4, 5}}));
+    EXPECT_EQ(loops[1].header, 2);
+    EXPECT_EQ(loops[1].latches, std::vector<int>{3});
+    EXPECT_EQ(loops[1].blocks, (std::vector<int>{2, 3}));
+    EXPECT_EQ(loops[1].exits, (Edges{{3, 4}}));
+}
+
+TEST(NaturalLoops, EqualSizesOrderedByHeader)
+{
+    // Node 2's self-loop runs before node 1's but sorts after it.
+    auto loops = naturalLoops(Digraph{{2}, {1, 3}, {2, 1}, {}}, 0);
+    ASSERT_EQ(loops.size(), 2u);
+    EXPECT_EQ(loops[0].header, 1);
+    EXPECT_EQ(loops[1].header, 2);
+}
+
+TEST(NaturalLoops, DuplicateEdgeRepeatsTheLatch)
+{
+    // A `br` whose two targets are both the header.
+    auto loops = naturalLoops(Digraph{{1}, {2}, {1, 1}}, 0);
+    ASSERT_EQ(loops.size(), 1u);
+    EXPECT_EQ(loops[0].latches, (std::vector<int>{2, 2}));
+    EXPECT_EQ(loops[0].blocks, (std::vector<int>{1, 2}));
+    EXPECT_TRUE(loops[0].exits.empty());
+}
+
+TEST(NaturalLoops, BackEdgeFromUnreachableNodeIsIgnored)
+{
+    // Node 3 is unreachable: its self-loop and its edge into 1 form no
+    // loop.
+    auto loops = naturalLoops(Digraph{{1}, {2}, {}, {3, 1}}, 0);
+    EXPECT_TRUE(loops.empty());
+}
+
+TEST(NaturalLoops, IrreducibleCycleIsNoLoop)
+{
+    // 1 <-> 2 is entered at both nodes: neither dominates the other.
+    auto loops = naturalLoops(Digraph{{1, 2}, {2}, {1}}, 0);
+    EXPECT_TRUE(loops.empty());
+}
+
+TEST(NaturalLoops, EntryWithNoSuccessors)
+{
+    EXPECT_TRUE(naturalLoops(Digraph{{}}, 0).empty());
+    EXPECT_TRUE(naturalLoops(Digraph{{}, {1}}, 0).empty());
+    EXPECT_TRUE(naturalLoops(Digraph{}, -1).empty());
+}
+
+TEST(NaturalLoops, ExitEdgesSorted)
+{
+    auto loops = naturalLoops(Digraph{{1}, {4, 3, 2}, {5, 1}, {}, {}, {}}, 0);
+    ASSERT_EQ(loops.size(), 1u);
+    EXPECT_EQ(loops[0].blocks, (std::vector<int>{1, 2}));
+    EXPECT_EQ(loops[0].exits, (Edges{{1, 3}, {1, 4}, {2, 5}}));
 }
 
 } // namespace

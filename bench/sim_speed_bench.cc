@@ -3,8 +3,8 @@
  * google-benchmark microbenchmarks of the simulator itself: functional
  * and timing simulation throughput (simulated instructions per second)
  * on the Smith-Waterman kernel, the per-instruction cost of the
- * functional executor's two entry points (Executor::step and runFast), the
- * per-access cost of guest memory reads, plus compile time of the mpc
+ * functional executor's loop (hooked as the timing model runs it, and
+ * runFast), the per-access cost of guest memory reads, plus compile time of the mpc
  * pipeline.
  *
  * With --json the binary skips google-benchmark and instead emits one
@@ -224,28 +224,28 @@ reportPerInstruction(benchmark::State &state, const sim::Counters &c)
 }
 
 /**
- * Executor::step(), one call per instruction: the functional half of
- * the timing model's per-instruction cost.  Same kernel and instruction
+ * Executor::runHooked() with a hook that only counts instructions: the
+ * functional half of the timing model's per-instruction cost (the
+ * timing hook adds scheduleInstruction).  Same kernel and instruction
  * count as BM_ExecutorRunFast.
  */
 void
-BM_ExecutorStep(benchmark::State &state)
+BM_ExecutorTimed(benchmark::State &state)
 {
     ExecutorRig rig;
     sim::Counters c;
+    auto hook = [&c](const sim::MicroOp &, uint64_t, const sim::FastCtx &) {
+        ++c.instructions;
+    };
     for (auto _ : state) {
         state.PauseTiming();
         rig.reset();
         state.ResumeTiming();
-        sim::StepInfo info;
-        do {
-            info = rig.exec().step(c);
-        } while (!info.halted);
-        rig.check(state, info.halted);
+        rig.check(state, rig.exec().runHooked(UINT64_MAX, c, hook).halted);
     }
     reportPerInstruction(state, c);
 }
-BENCHMARK(BM_ExecutorStep)->Unit(benchmark::kMicrosecond);
+BENCHMARK(BM_ExecutorTimed)->Unit(benchmark::kMicrosecond);
 
 /** Executor::runFast(): the compiled-engine loop of functional runs. */
 void

@@ -53,6 +53,21 @@ floorDiv(int64_t num, int64_t den)
     return q;
 }
 
+/** The latch is the loop's only way out: every exit edge leaves from
+ *  it and no body block may leave without an edge.  Exact trip counts
+ *  need this, or a break path can end the loop early. */
+bool
+latchOnlyExit(const BinLoop &loop)
+{
+    if (loop.exits.empty() || loop.mayEscape)
+        return false;
+    for (auto [from, to] : loop.exits) {
+        if (from != loop.latches[0])
+            return false;
+    }
+    return true;
+}
+
 /** The latch's continue predicate, normalized to `iv REL bound` where
  *  REL in {LT, LE, GT, GE}. */
 enum class Rel { LT, LE, GT, GE, None };
@@ -165,10 +180,7 @@ analyzeGprCounted(const Cfg &cfg, const ReachingDefs &rd, BinLoop &loop)
     bool stepInLatch = false;
     for (size_t i = 0; i < static_cast<size_t>(cmpIdx); ++i)
         stepInLatch = stepInLatch || &latch.insts[i] == step_inst;
-    bool latchOnlyExit = true;
-    for (auto [from, to] : loop.exits)
-        latchOnlyExit = latchOnlyExit && from == loop.latches[0];
-    if (!stepInLatch || !latchOnlyExit || loop.exits.empty())
+    if (!stepInLatch || !latchOnlyExit(loop))
         return;
 
     // Initial value: every def of iv reaching the header from outside
@@ -258,7 +270,8 @@ analyzeCtrCounted(const Cfg &cfg, const ReachingDefs &rd, BinLoop &loop)
     if (!haveInit || init <= 0)
         return; // mtctr 0 wraps to 2^64 iterations; leave unknown
     loop.init = init;
-    loop.tripCount = init;
+    if (latchOnlyExit(loop))
+        loop.tripCount = init;
 }
 
 } // namespace

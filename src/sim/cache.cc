@@ -9,6 +9,8 @@ Cache::Cache(const CacheParams &params, Cache *next, unsigned memLatency)
     : params_(params), next_(next), memLatency_(memLatency)
 {
     BP5_ASSERT(isPow2(params_.lineBytes), "line size must be a power of 2");
+    // Lines of 2+ bytes keep kNoLine out of the line-number range.
+    BP5_ASSERT(params_.lineBytes >= 2, "line size must be at least 2");
     BP5_ASSERT(params_.assoc > 0, "associativity must be positive");
     uint64_t lines = params_.sizeBytes / params_.lineBytes;
     BP5_ASSERT(lines % params_.assoc == 0, "size/assoc mismatch");
@@ -32,14 +34,26 @@ Cache::tagOf(uint64_t addr) const
     return addr >> tagShift_;
 }
 
+void
+Cache::remember(uint64_t addr, uint64_t idx)
+{
+    memoLine_ = addr >> lineShift_;
+    memoIdx_ = idx;
+}
+
 unsigned
-Cache::access(uint64_t addr, bool is_write, bool is_writeback, uint64_t now)
+Cache::accessSlow(uint64_t addr, bool is_write, bool is_writeback,
+                  uint64_t now)
 {
     ++stats_.accesses;
     if (is_write)
         ++stats_.writes;
-    if (is_writeback)
+    if (is_writeback) {
+        // A writeback-in may stamp or allocate a line; keep the fast
+        // path to the demand stream's own last line.
         ++stats_.writebacksIn;
+        memoLine_ = kNoLine;
+    }
     uint64_t base = lineIndex(addr);
     uint64_t tag = tagOf(addr);
 
@@ -59,6 +73,8 @@ Cache::access(uint64_t addr, bool is_write, bool is_writeback, uint64_t now)
                 if (l.readyCycle > now)
                     extra = unsigned(l.readyCycle - now);
             }
+            if (!is_writeback)
+                remember(addr, base + w);
             return params_.hitLatency + extra;
         }
     }
@@ -69,6 +85,8 @@ Cache::access(uint64_t addr, bool is_write, bool is_writeback, uint64_t now)
 
     Line &v = allocate(base, tag);
     v.dirty = is_write;
+    if (!is_writeback)
+        remember(addr, uint64_t(&v - lines_.data()));
     return params_.hitLatency + below;
 }
 
@@ -118,6 +136,7 @@ Cache::allocate(uint64_t base, uint64_t tag)
 bool
 Cache::prefetchFill(uint64_t addr, uint64_t now)
 {
+    memoLine_ = kNoLine; // a fill may evict or re-stamp the memo line
     uint64_t base = lineIndex(addr);
     uint64_t tag = tagOf(addr);
     for (unsigned w = 0; w < params_.assoc; ++w) {
@@ -157,6 +176,7 @@ Cache::flush()
     // identical to a freshly constructed one (Machine::reset relies on
     // this for run-to-run reproducibility).
     stamp_ = 0;
+    memoLine_ = kNoLine;
 }
 
 } // namespace bp5::sim

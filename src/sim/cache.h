@@ -5,6 +5,14 @@
  * bottom of the chain is main memory with a fixed latency.  The model
  * tracks tags only (data lives in sim::Memory), which is exact for the
  * hit/miss behaviour the paper reports (Table I's L1D miss rate).
+ *
+ * access() is inline with a same-line fast path: a demand access to
+ * the line the previous access to this cache ended on (nearly every
+ * L1I fetch) only bumps the counters and the dirty bit.  It skips that
+ * line's LRU stamp, which is exact: the line is already the newest in
+ * its set and every later stamp is larger either way, so no victim
+ * choice changes.  The memo is an index, cleared by flush(),
+ * prefetchFill() and writebacks arriving from above.
  */
 
 #ifndef BIOPERF5_SIM_CACHE_H
@@ -77,8 +85,20 @@ class Cache
      * @param now issue cycle of the access (partial-hit accounting;
      *        irrelevant when no prefetcher targets this level)
      */
-    unsigned access(uint64_t addr, bool is_write, bool is_writeback = false,
-                    uint64_t now = 0);
+    unsigned
+    access(uint64_t addr, bool is_write, bool is_writeback = false,
+           uint64_t now = 0)
+    {
+        if (!is_writeback && (addr >> lineShift_) == memoLine_) {
+            ++stats_.accesses;
+            if (is_write) {
+                ++stats_.writes;
+                lines_[memoIdx_].dirty = true;
+            }
+            return params_.hitLatency;
+        }
+        return accessSlow(addr, is_write, is_writeback, now);
+    }
 
     /**
      * Prefetch the line containing @p addr into this level.  Returns
@@ -115,6 +135,13 @@ class Cache
         uint64_t lruStamp = 0;
     };
 
+    /// memoLine_ when no access is memoised.
+    static constexpr uint64_t kNoLine = ~uint64_t(0);
+
+    unsigned accessSlow(uint64_t addr, bool is_write, bool is_writeback,
+                        uint64_t now);
+    /** Memoise lines_[idx], the line @p addr just ended on. */
+    void remember(uint64_t addr, uint64_t idx);
     uint64_t lineIndex(uint64_t addr) const;
     uint64_t tagOf(uint64_t addr) const;
     Line &allocate(uint64_t base, uint64_t tag);
@@ -128,6 +155,8 @@ class Cache
     std::vector<Line> lines_; // numSets * assoc
     uint64_t stamp_ = 0;
     CacheStats stats_;
+    uint64_t memoLine_ = kNoLine; ///< addr >> lineShift_ of the memo line
+    uint64_t memoIdx_ = 0;        ///< its index in lines_
 };
 
 } // namespace bp5::sim

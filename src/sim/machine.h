@@ -4,11 +4,13 @@
  * out-of-order timing model.
  *
  * The timing model is trace-driven in a single pass: the functional
- * executor retires instructions in program order through the same
- * micro-op handlers as functional runs (so every mode sees the same
- * branch outcomes and architectural counters), and each retired
- * instruction is scheduled through fetch -> decode pipe -> dispatch
- * (ROB) -> issue (per-class units) -> complete -> in-order commit.
+ * executor's one loop retires instructions in program order through
+ * the same micro-op handlers as functional runs (so every mode sees
+ * the same branch outcomes and architectural counters), and its
+ * per-instruction hook schedules each retired instruction through
+ * fetch -> decode pipe -> dispatch (ROB) -> issue (per-class units) ->
+ * complete -> in-order commit, reading the static facts decoded into
+ * the micro-op once per word.
  * Wrong-path instructions are not executed; their cost appears as the
  * fetch-redirect penalty of mispredicted branches (see DESIGN.md for
  * the justification).  The model reproduces the structures the paper
@@ -143,8 +145,16 @@ class Machine
   private:
     struct TimingState;
 
-    void scheduleInstruction(const StepInfo &info, TimingState &ts,
+    /**
+     * Time the op that just retired at @p pc: reads only the
+     * micro-op's static timing facts and the handler's outcome in
+     * @p x (memAddr for loads/stores, taken/target for branches).
+     */
+    void scheduleInstruction(const MicroOp &mo, uint64_t pc,
+                             const FastCtx &x, TimingState &ts,
                              Counters &c);
+    /** Full-detail timing of up to @p max instructions into @p res. */
+    uint64_t runTimed(uint64_t max, TimingState &ts, RunResult &res);
     RunResult runSampled(uint64_t max_instructions);
 
     MachineConfig config_;

@@ -39,6 +39,19 @@ class DirectionPredictor
     /** Train with the actual outcome and update global history. */
     virtual void update(uint64_t pc, bool taken) = 0;
 
+    /**
+     * predict() then update() in one call (the timing model's one call
+     * per conditional branch); returns the prediction.
+     * TournamentPredictor overrides it to look each counter up once.
+     */
+    virtual bool
+    predictUpdate(uint64_t pc, bool taken)
+    {
+        bool p = predict(pc);
+        update(pc, taken);
+        return p;
+    }
+
     virtual std::string name() const = 0;
 };
 
@@ -66,6 +79,7 @@ class BimodalPredictor : public DirectionPredictor
     std::string name() const override { return "bimodal"; }
 
   private:
+    friend class TournamentPredictor;
     unsigned index(uint64_t pc) const;
     std::vector<SatCounter> table_;
     unsigned maskBits_;
@@ -81,6 +95,7 @@ class GsharePredictor : public DirectionPredictor
     std::string name() const override { return "gshare"; }
 
   private:
+    friend class TournamentPredictor;
     unsigned index(uint64_t pc) const;
     std::vector<SatCounter> table_;
     unsigned maskBits_;
@@ -98,6 +113,7 @@ class TournamentPredictor : public DirectionPredictor
     TournamentPredictor(unsigned entries, unsigned historyBits);
     bool predict(uint64_t pc) const override;
     void update(uint64_t pc, bool taken) override;
+    bool predictUpdate(uint64_t pc, bool taken) override;
     std::string name() const override { return "tournament"; }
 
   private:

@@ -315,6 +315,56 @@ loop:
     EXPECT_EQ(l.tripCount, 10);
 }
 
+TEST(BinLoops, CtrLoopWithBreakHasNoTripCount)
+{
+    // A bdnz loop whose header may leave early: CTR bounds the trips
+    // from above only, so the count is not exact.
+    Cfg cfg = cfgOf(std::string(R"(
+start:
+        li r14, 5
+        mtctr r14
+loop:
+        cmpdi cr0, r5, 0
+        beq cr0, out
+        addi r5, r5, -1
+        bdnz loop
+out:
+)") + kExit);
+    BinLoopForest forest = findCfgLoops(cfg);
+    ASSERT_EQ(forest.loops.size(), 1u);
+    const BinLoop &l = forest.loops[0];
+    EXPECT_TRUE(l.counted);
+    EXPECT_TRUE(l.viaCtr);
+    EXPECT_EQ(l.exits.size(), 2u);
+    EXPECT_EQ(l.tripCount, -1);
+    EXPECT_EQ(forest.dump(cfg).find("trips"), std::string::npos);
+}
+
+TEST(BinLoops, GprLoopThatMayEscapeHasNoTripCount)
+{
+    // The body's `sc` has an unknown selector and may exit, so the
+    // latch is not the only way out even with one exit edge.
+    Cfg cfg = cfgOf(std::string(R"(
+start:
+        li r14, 0
+loop:
+        mr r0, r5
+        sc
+        addi r14, r14, 1
+        cmpdi cr0, r14, 10
+        blt cr0, loop
+)") + kExit);
+    BinLoopForest forest = findCfgLoops(cfg);
+    ASSERT_EQ(forest.loops.size(), 1u);
+    const BinLoop &l = forest.loops[0];
+    EXPECT_TRUE(l.mayEscape);
+    EXPECT_EQ(l.exits.size(), 1u);
+    EXPECT_TRUE(l.counted);
+    EXPECT_EQ(l.ivReg, 14u);
+    EXPECT_EQ(l.tripCount, -1);
+    EXPECT_EQ(forest.dump(cfg).find("trips"), std::string::npos);
+}
+
 TEST(BinLoops, UnknownInitLeavesTripCountUnknown)
 {
     // The IV enters the loop in an ABI argument register: the shape is

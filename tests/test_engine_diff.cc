@@ -310,8 +310,8 @@ TEST(EngineDiff, MasmBatteryFunctional)
         expectMatchesReference(src, {Mode::Functional});
 }
 
-/// The timing model retires through Executor::step(): full-detail and
-/// warmed sampled runs must retire the reference's architecture too.
+/// The timing model retires through the hooked executor loop: full-detail
+/// and warmed sampled runs must retire the reference's architecture too.
 TEST(EngineDiff, MasmBatteryTimed)
 {
     for (const char *src :

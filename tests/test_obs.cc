@@ -190,6 +190,101 @@ TEST(ObsInvariance, EventCountsMatchCounters)
                             r.counters.l2Misses);
 }
 
+/**
+ * Checks the outcome fields of every InstRecord and BranchRecord: the
+ * timing model's FastCtx lives for the whole run, so a stale address
+ * or direction left by an earlier op must never reach an op that sets
+ * neither, and an untaken branch reports no target.
+ */
+struct OutcomeSink final : sim::TraceSink
+{
+    uint64_t memOps = 0, taken = 0, staleAddr = 0, staleTaken = 0;
+    uint64_t untaken = 0, staleTarget = 0;
+
+    void
+    onBranch(const sim::BranchRecord &r) override
+    {
+        if (r.taken)
+            return;
+        ++untaken;
+        staleTarget += r.target != 0;
+    }
+
+    void
+    onInstruction(const sim::InstRecord &r, const sim::Counters &) override
+    {
+        if (r.isLoad || r.isStore)
+            ++memOps;
+        else if (r.memAddr != 0)
+            ++staleAddr;
+        if (r.isBranch)
+            taken += r.taken;
+        else if (r.taken)
+            ++staleTaken;
+    }
+};
+
+TEST(ObsInvariance, NonMemoryAndNonBranchRecordsCarryNoOutcome)
+{
+    // Memory ops and taken branches are each followed by ALU ops, a
+    // not-taken branch and a blr/bctr pair, so every outcome field is
+    // left set when the next op that does not write it retires.
+    masm::Program p = masm::assemble(R"(
+        li r3, 300
+        mtctr r3
+        li r7, 0x6000
+        li r8, 0
+loop:
+        std r8, 8(r7)
+        add r9, r8, r8
+        ld r10, 8(r7)
+        cmpdi cr1, r10, 1000
+        bgt cr1, never
+        addi r8, r8, 3
+        bl leaf
+        xor r11, r9, r10
+        bdnz loop
+        li r0, 0
+        sc
+never:
+        li r0, 0
+        sc
+leaf:
+        stdx r8, r7, r8
+        blr
+)",
+                                     0x10000);
+    OutcomeSink sink;
+    sim::RunResult r = runWithSink(p, &sink);
+    EXPECT_GT(sink.memOps, 0u);
+    EXPECT_EQ(sink.memOps, r.counters.loads + r.counters.stores);
+    EXPECT_EQ(sink.taken, r.counters.takenBranches);
+    EXPECT_EQ(sink.staleAddr, 0u);
+    EXPECT_EQ(sink.staleTaken, 0u);
+    EXPECT_GT(sink.untaken, 0u);
+    EXPECT_EQ(sink.staleTarget, 0u);
+
+    // The same on a compiled kernel under the LSQ memory system.
+    bio::SequenceGenerator g(11);
+    bio::Sequence a = g.random(40, "a");
+    bio::Sequence b = g.mutate(a, bio::MutationModel{0.3, 0.05, 0.05}, "b");
+    kernels::KernelMachine km(
+        kernels::KernelKind::Dropgsw, mpc::Variant::Baseline,
+        sim::MachineConfig::power5WithLsq(16, 16,
+                                          sim::PrefetchParams::Kind::Stride));
+    OutcomeSink ks;
+    km.setTraceSink(&ks);
+    km.run(kernels::AlignProblem{&a, &b, &bio::SubstitutionMatrix::blosum62(),
+                                 bio::GapPenalty{10, 1}});
+    EXPECT_GT(ks.memOps, 0u);
+    EXPECT_EQ(ks.memOps, km.totals().loads + km.totals().stores);
+    EXPECT_EQ(ks.taken, km.totals().takenBranches);
+    EXPECT_EQ(ks.staleAddr, 0u);
+    EXPECT_EQ(ks.staleTaken, 0u);
+    EXPECT_GT(ks.untaken, 0u);
+    EXPECT_EQ(ks.staleTarget, 0u);
+}
+
 TEST(ObsInvariance, MuxFansOutToAllSinks)
 {
     masm::Program p = loopProgram(200, 2);

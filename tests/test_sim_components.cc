@@ -514,6 +514,271 @@ TEST_P(CacheSweep, StreamMissesMatchFootprint)
 
 INSTANTIATE_TEST_SUITE_P(Assoc, CacheSweep, ::testing::Values(1, 2, 4, 8));
 
+/**
+ * Test-only reference cache: true LRU kept as a recency-ordered list
+ * per set (most recent first), with Cache's allocation, writeback,
+ * prefetch and statistics rules but no stamps and no fast path.
+ */
+class RefCache
+{
+  public:
+    RefCache(const CacheParams &p, RefCache *next, unsigned memLatency)
+        : p_(p), next_(next), memLatency_(memLatency),
+          sets_(p.sizeBytes / p.lineBytes / p.assoc)
+    {
+    }
+
+    unsigned
+    access(uint64_t addr, bool write, bool writeback = false,
+           uint64_t now = 0)
+    {
+        ++stats.accesses;
+        if (write)
+            ++stats.writes;
+        if (writeback)
+            ++stats.writebacksIn;
+        std::vector<Line> &set = setOf(addr);
+        const uint64_t line = addr / p_.lineBytes;
+        for (size_t i = 0; i < set.size(); ++i) {
+            if (set[i].line != line)
+                continue;
+            Line l = set[i];
+            set.erase(set.begin() + long(i));
+            if (write)
+                l.dirty = true;
+            unsigned extra = 0;
+            if (l.prefetched) {
+                ++stats.prefetchHits;
+                l.prefetched = false;
+                if (l.ready > now)
+                    extra = unsigned(l.ready - now);
+            }
+            set.insert(set.begin(), l);
+            return p_.hitLatency + extra;
+        }
+        ++stats.misses;
+        unsigned below = next_ ? next_->access(addr, false) : memLatency_;
+        fill(set, line).dirty = write;
+        return p_.hitLatency + below;
+    }
+
+    bool
+    prefetchFill(uint64_t addr, uint64_t now)
+    {
+        if (probe(addr))
+            return false;
+        ++stats.prefetchIssued;
+        unsigned below = next_ ? next_->access(addr, false) : memLatency_;
+        Line &l = fill(setOf(addr), addr / p_.lineBytes);
+        l.prefetched = true;
+        l.ready = now + p_.hitLatency + below;
+        return true;
+    }
+
+    bool
+    probe(uint64_t addr) const
+    {
+        const uint64_t line = addr / p_.lineBytes;
+        for (const Line &l : sets_[line % sets_.size()]) {
+            if (l.line == line)
+                return true;
+        }
+        return false;
+    }
+
+    void
+    flush()
+    {
+        for (auto &set : sets_)
+            set.clear();
+    }
+
+    CacheStats stats;
+
+  private:
+    struct Line
+    {
+        uint64_t line = 0;
+        bool dirty = false;
+        bool prefetched = false;
+        uint64_t ready = 0;
+    };
+
+    std::vector<Line> &
+    setOf(uint64_t addr)
+    {
+        return sets_[(addr / p_.lineBytes) % sets_.size()];
+    }
+
+    /** Evict the LRU line if the set is full; insert @p line as MRU. */
+    Line &
+    fill(std::vector<Line> &set, uint64_t line)
+    {
+        if (set.size() == p_.assoc) {
+            Line v = set.back();
+            set.pop_back();
+            if (v.prefetched)
+                ++stats.prefetchUseless;
+            if (v.dirty) {
+                ++stats.writebacks;
+                if (next_)
+                    next_->access(v.line * p_.lineBytes, true, true);
+            }
+        }
+        set.insert(set.begin(), Line{line});
+        return set.front();
+    }
+
+    CacheParams p_;
+    RefCache *next_;
+    unsigned memLatency_;
+    std::vector<std::vector<Line>> sets_;
+};
+
+void
+expectSameStats(const CacheStats &got, const CacheStats &want,
+                const char *level, int op)
+{
+    SCOPED_TRACE(std::string(level) + " after op " + std::to_string(op));
+    EXPECT_EQ(got.accesses, want.accesses);
+    EXPECT_EQ(got.misses, want.misses);
+    EXPECT_EQ(got.writes, want.writes);
+    EXPECT_EQ(got.writebacks, want.writebacks);
+    EXPECT_EQ(got.writebacksIn, want.writebacksIn);
+    EXPECT_EQ(got.prefetchIssued, want.prefetchIssued);
+    EXPECT_EQ(got.prefetchHits, want.prefetchHits);
+    EXPECT_EQ(got.prefetchUseless, want.prefetchUseless);
+}
+
+/**
+ * A two-level Cache hierarchy against the true-LRU reference on seeded
+ * random streams aimed at the same-line fast path: repeats and writes
+ * to the memoised line, set conflicts, writebacks arriving from above,
+ * prefetch fills into the memo line's set and flushes.  Every returned
+ * latency, every CacheStats field and probe() residency must agree.
+ */
+class CacheRefFuzz : public ::testing::TestWithParam<int> {};
+
+TEST_P(CacheRefFuzz, MatchesTrueLruReference)
+{
+    Rng r(0xcac4e000ULL + uint64_t(GetParam()));
+    CacheParams p1 = smallCache(); // 8 sets x 2 ways of 64 B
+    CacheParams p2 = smallCache(); // 8 sets x 4 ways of 64 B
+    p2.sizeBytes = 2048;
+    p2.assoc = 4;
+    p2.hitLatency = 10;
+    const unsigned memLat = 50;
+    Cache l2(p2, nullptr, memLat);
+    Cache l1(p1, &l2, memLat);
+    RefCache r2(p2, nullptr, memLat);
+    RefCache r1(p1, &r2, memLat);
+
+    const uint64_t kLine = 64;
+    const uint64_t kLines = 48; // overflows both levels
+    auto anyAddr = [&]() { return r.below(kLines) * kLine + r.below(kLine); };
+    auto sameLine = [&](uint64_t a) { return a / kLine * kLine + r.below(kLine); };
+    auto sameSet = [&](uint64_t a, uint64_t sets) {
+        uint64_t line = a / kLine % sets + sets * r.below(kLines / sets);
+        return line * kLine + r.below(kLine);
+    };
+
+    uint64_t last1 = anyAddr(), last2 = anyAddr(), now = 0;
+    for (int op = 0; op < 20000; ++op) {
+        now += r.below(40);
+        uint64_t addr = 0;
+        bool write = r.chance(0.4);
+        switch (r.below(16)) {
+          case 0: case 1: case 2: case 3: case 4: // L1 memo line
+            addr = sameLine(last1);
+            ASSERT_EQ(l1.access(addr, write, false, now),
+                      r1.access(addr, write, false, now)) << "op " << op;
+            last1 = addr;
+            break;
+          case 5: case 6: case 7: case 8: // anywhere: set conflicts
+            addr = anyAddr();
+            ASSERT_EQ(l1.access(addr, write, false, now),
+                      r1.access(addr, write, false, now)) << "op " << op;
+            last1 = addr;
+            break;
+          case 9: // prefetch into the L1 memo line's set
+            addr = sameSet(last1, 8);
+            ASSERT_EQ(l1.prefetchFill(addr, now), r1.prefetchFill(addr, now))
+                << "op " << op;
+            break;
+          case 10: // prefetch into the L2 memo line's set
+            addr = sameSet(last2, 8);
+            ASSERT_EQ(l2.prefetchFill(addr, now), r2.prefetchFill(addr, now))
+                << "op " << op;
+            break;
+          case 11: // a writeback arriving at L1 from a level above
+            addr = r.chance(0.5) ? sameLine(last1) : anyAddr();
+            ASSERT_EQ(l1.access(addr, true, true, now),
+                      r1.access(addr, true, true, now)) << "op " << op;
+            break;
+          case 12: // a writeback arriving at L2, often on its memo line
+            addr = r.chance(0.5) ? sameLine(last2) : anyAddr();
+            ASSERT_EQ(l2.access(addr, true, true, now),
+                      r2.access(addr, true, true, now)) << "op " << op;
+            break;
+          case 13: case 14: // L2 demand, often its memo line
+            addr = r.chance(0.6) ? sameLine(last2) : anyAddr();
+            ASSERT_EQ(l2.access(addr, write, false, now),
+                      r2.access(addr, write, false, now)) << "op " << op;
+            last2 = addr;
+            break;
+          default:
+            addr = last1;
+            if (r.chance(0.05)) {
+                l1.flush();
+                r1.flush();
+            }
+            if (r.chance(0.02)) {
+                l2.flush();
+                r2.flush();
+            }
+            break;
+        }
+        expectSameStats(l1.stats(), r1.stats, "L1", op);
+        expectSameStats(l2.stats(), r2.stats, "L2", op);
+        ASSERT_EQ(l1.probe(addr), r1.probe(addr)) << "op " << op;
+        ASSERT_EQ(l2.probe(addr), r2.probe(addr)) << "op " << op;
+        if (op % 64 == 0) {
+            for (uint64_t line = 0; line < kLines; ++line) {
+                ASSERT_EQ(l1.probe(line * kLine), r1.probe(line * kLine))
+                    << "op " << op << " line " << line;
+                ASSERT_EQ(l2.probe(line * kLine), r2.probe(line * kLine))
+                    << "op " << op << " line " << line;
+            }
+        }
+        if (::testing::Test::HasFailure())
+            return;
+    }
+    // The stream did reach the fast path, misses and every side event.
+    EXPECT_GT(l1.stats().accesses, 2 * l1.stats().misses);
+    EXPECT_GT(l1.stats().writebacks, 0u);
+    EXPECT_GT(l1.stats().prefetchHits, 0u);
+    EXPECT_GT(l1.stats().prefetchUseless, 0u);
+    EXPECT_GT(l2.stats().writebacksIn, 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, CacheRefFuzz, ::testing::Range(0, 4));
+
+TEST(Cache, CopyKeepsItsOwnSameLineMemo)
+{
+    // The memo is an index into the cache's own lines, so a copy's
+    // fast path marks its own line dirty, not the original's.
+    Cache a(smallCache(), nullptr, 100);
+    a.access(0x1000, false);
+    Cache b = a;
+    b.access(0x1008, true);  // same line: fast path on the copy
+    a.access(0x1000 + 1024, false); // a: fill the other way of the set
+    a.access(0x1000 + 2048, false); // a: evict the (clean) line
+    EXPECT_EQ(a.stats().writebacks, 0u);
+    b.access(0x1000 + 1024, false);
+    b.access(0x1000 + 2048, false); // b: evicts its dirty line
+    EXPECT_EQ(b.stats().writebacks, 1u);
+}
+
 // -------------------------------------------------------- predictors
 
 TEST(Predictor, BimodalLearnsBias)
@@ -639,6 +904,60 @@ TEST(Predictor, GshareDegenerateSingleEntryTable)
     for (int i = 0; i < 8; ++i)
         g.update(0x40, true);
     EXPECT_TRUE(g.predict(0x1234));
+}
+
+/**
+ * predictUpdate() is predict() then update() in one call: on a seeded
+ * random branch stream with table aliasing, an instance driven through
+ * predictUpdate and a twin driven through predict+update return the
+ * same prediction every time and end in the same state.  Gshare runs
+ * with more history bits than index bits (the fold path) too.
+ */
+TEST(Predictor, PredictUpdateMatchesPredictThenUpdate)
+{
+    struct Config
+    {
+        PredictorKind kind;
+        unsigned entries, historyBits;
+    };
+    const Config configs[] = {
+        {PredictorKind::AlwaysTaken, 64, 8},
+        {PredictorKind::Bimodal, 64, 8},
+        {PredictorKind::Gshare, 64, 4},
+        {PredictorKind::Gshare, 64, 14}, // 14 history bits > 6 index bits
+        {PredictorKind::Gshare, 1, 14},
+        {PredictorKind::Tournament, 64, 5},
+        {PredictorKind::Tournament, 64, 14},
+        {PredictorKind::Tournament, 16384, 11}, // POWER5 baseline
+    };
+    for (const Config &cfg : configs) {
+        auto a = makePredictor(cfg.kind, cfg.entries, cfg.historyBits);
+        auto b = makePredictor(cfg.kind, cfg.entries, cfg.historyBits);
+        SCOPED_TRACE(a->name() + " entries=" + std::to_string(cfg.entries) +
+                     " history=" + std::to_string(cfg.historyBits));
+        Rng r(0xb7a4c400ULL + cfg.entries + cfg.historyBits);
+        // 200 branch sites over 50 KiB of code alias in the small
+        // tables; each has its own bias, some alternate.
+        std::vector<uint64_t> pcs(200);
+        std::vector<double> bias(pcs.size());
+        for (size_t i = 0; i < pcs.size(); ++i) {
+            pcs[i] = 0x10000 + 4 * r.below(12800);
+            bias[i] = r.uniform();
+        }
+        unsigned agreeTaken = 0;
+        for (int n = 0; n < 20000; ++n) {
+            size_t i = r.below(pcs.size());
+            bool taken = i % 7 == 0 ? (n & 1) != 0 : r.chance(bias[i]);
+            bool pa = a->predictUpdate(pcs[i], taken);
+            bool pb = b->predict(pcs[i]);
+            b->update(pcs[i], taken);
+            ASSERT_EQ(pa, pb) << "branch " << n;
+            agreeTaken += pa;
+        }
+        EXPECT_GT(agreeTaken, 0u);
+        for (uint64_t pc : pcs)
+            EXPECT_EQ(a->predict(pc), b->predict(pc));
+    }
 }
 
 TEST(Predictor, FactoryProducesAllKinds)

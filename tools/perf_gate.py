@@ -10,7 +10,11 @@ MIPS.  Run from CI after the test step:
     python3 tools/perf_gate.py --baseline BENCH_simspeed.json --new new.json
 
 Only relative regressions are gated; faster-than-baseline points are
-reported but never fail.  The baseline file also carries the pre-PR
+reported but never fail.  The simulated counts are deterministic, so
+they are gated exactly: when a baseline row carries ``instructions``,
+``reps`` and ``cycles``, the new row's instructions per rep and its
+cycles must equal the baseline's (a mismatch means the model changed,
+whatever the host speed; the rep count itself follows wall time).  The baseline file also carries the pre-PR
 interpreter reference (``reference_pre_predecode``); when present, the
 gate additionally checks the compiled-engine speedup contract: each
 workload's functional-mode MIPS must stay >= --min-speedup times the
@@ -82,6 +86,36 @@ def require_row(rows, workload, mode, path):
         raise ValueError(
             f"missing row (workload={workload}, mode={mode}) in {path}")
     return rows[key]
+
+
+COUNT_KEYS = ("instructions", "reps", "cycles")
+
+
+def count_mismatches(key, brow, nrow):
+    """Failures for a row whose deterministic counts moved.
+
+    Instructions are compared per rep (cross-multiplied, so no
+    rounding), cycles as recorded.  Baseline rows without the count
+    columns are not count-gated.
+    """
+    if not all(k in brow for k in COUNT_KEYS):
+        return []
+    name = f"{key[0]}/{key[1]}"
+    missing = [k for k in COUNT_KEYS if k not in nrow]
+    if missing:
+        return [f"{name}: new row lacks {', '.join(missing)}"]
+    b_inst, b_reps = int(brow["instructions"]), int(brow["reps"])
+    n_inst, n_reps = int(nrow["instructions"]), int(nrow["reps"])
+    if b_reps <= 0 or n_reps <= 0:
+        return [f"{name}: non-positive reps"]
+    out = []
+    if b_inst * n_reps != n_inst * b_reps:
+        out.append(f"{name}: {n_inst / n_reps:.0f} instructions per rep "
+                   f"vs baseline {b_inst / b_reps:.0f} (must be equal)")
+    if int(brow["cycles"]) != int(nrow["cycles"]):
+        out.append(f"{name}: {int(nrow['cycles'])} cycles vs baseline "
+                   f"{int(brow['cycles'])} (must be equal)")
+    return out
 
 
 SERVE_ROW_KEYS = ("mode", "jobs", "completed", "failed", "rejected",
@@ -251,6 +285,10 @@ def main():
                 f"{key[0]}/{key[1]}: {n:.2f} MIPS vs baseline "
                 f"{b:.2f} ({100 * (1 - ratio):.1f}% drop > "
                 f"{100 * args.max_drop:.0f}% allowed)")
+        counts = count_mismatches(key, brow, nrow)
+        if counts:
+            flag += "  << COUNTS CHANGED"
+            failures += counts
         print(f"{key[0]:<10} {key[1]:<11} {b:>8.2f} {n:>8.2f} "
               f"{ratio:>6.2f}{flag}")
 

@@ -140,6 +140,37 @@ class PerfGateTest(unittest.TestCase):
         self.assertIn("missing key(s) sim_mips", r.stderr)
         self.assertNotIn("Traceback", r.stderr)
 
+    def counted(self, reps=1, inst_per_rep=1000, cycles=900):
+        doc = rows_doc(BASE_POINTS)
+        for row in doc["rows"]:
+            row["instructions"] = inst_per_rep * reps
+            row["reps"] = reps
+            row["cycles"] = cycles
+        return doc
+
+    def test_equal_counts_with_other_rep_count_pass(self):
+        # A faster host runs more reps; per-rep counts still match.
+        r = run_gate(self.counted(reps=4), self.counted(reps=2))
+        self.assertEqual(r.returncode, 0, r.stderr)
+        self.assertIn("perf_gate OK", r.stdout)
+
+    def test_changed_instructions_per_rep_fail(self):
+        r = run_gate(self.counted(reps=4),
+                     self.counted(reps=4, inst_per_rep=1001))
+        self.assertEqual(r.returncode, 1)
+        self.assertIn("COUNTS CHANGED", r.stdout)
+        self.assertIn("instructions per rep", r.stderr)
+
+    def test_changed_cycles_fail(self):
+        r = run_gate(self.counted(), self.counted(cycles=901))
+        self.assertEqual(r.returncode, 1)
+        self.assertIn("901 cycles vs baseline 900", r.stderr)
+
+    def test_new_row_without_counts_fails(self):
+        r = run_gate(self.counted(), rows_doc(BASE_POINTS))
+        self.assertEqual(r.returncode, 1)
+        self.assertIn("new row lacks", r.stderr)
+
     def test_speedup_contract_passes_when_fast_enough(self):
         base = rows_doc(BASE_POINTS,
                         reference=[("clustalw", "timing", 5.0),

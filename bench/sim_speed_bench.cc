@@ -4,8 +4,9 @@
  * and timing simulation throughput (simulated instructions per second)
  * on the Smith-Waterman kernel, the per-instruction cost of the
  * functional executor's loop (hooked as the timing model runs it, and
- * runFast), the per-access cost of guest memory reads, plus compile time of the mpc
- * pipeline.
+ * runFast), the per-access cost of guest memory reads, the cost of
+ * KernelMachine::reset() between pooled jobs, plus compile time of the
+ * mpc pipeline.
  *
  * With --json the binary skips google-benchmark and instead emits one
  * JSON Lines record per (workload, mode) measuring simulated MIPS and
@@ -107,6 +108,33 @@ BM_TimingSimulationWithBtac(benchmark::State &state)
     }
 }
 BENCHMARK(BM_TimingSimulationWithBtac)->Unit(benchmark::kMillisecond);
+
+/**
+ * KernelMachine::reset() after one timed run of a serve-sized (16
+ * residue) Dropgsw job on the baseline POWER5: what a pooled machine
+ * pays before each job.  Only the reset is timed.
+ */
+void
+BM_KernelMachineReset(benchmark::State &state)
+{
+    bio::SequenceGenerator g(16);
+    bio::Sequence a = g.random(16, "a");
+    bio::Sequence b = g.mutate(a, bio::MutationModel{0.3, 0.05, 0.05}, "b");
+    AlignProblem p{&a, &b, &fx().m, fx().gap};
+    KernelMachine km(KernelKind::Dropgsw, mpc::Variant::Baseline,
+                     sim::MachineConfig::power5Baseline());
+    for (auto _ : state) {
+        state.PauseTiming();
+        km.run(p);
+        state.ResumeTiming();
+        km.reset();
+    }
+}
+// A fixed count: each iteration also runs the job untimed, so letting
+// the library scale iterations to a reset of ~1 us would run for minutes.
+BENCHMARK(BM_KernelMachineReset)
+    ->Unit(benchmark::kMicrosecond)
+    ->Iterations(2000);
 
 /**
  * Guest-memory reads cycling round-robin over state.range(0) resident

@@ -34,40 +34,12 @@ class WorkerState
         return *it->second;
     }
 
-    /**
-     * One machine per (kernel, variant, config), recycled via reset().
-     * Reset-equivalence (tested) makes reuse indistinguishable from
-     * constructing a fresh machine.
-     */
-    kernels::KernelMachine &
-    machineFor(kernels::KernelKind kind, mpc::Variant variant,
-               const sim::MachineConfig &mc)
-    {
-        for (MachineEntry &e : machines_) {
-            if (e.kind == kind && e.variant == variant && e.config == mc) {
-                e.km->reset();
-                return *e.km;
-            }
-        }
-        machines_.push_back(
-            {kind, variant, mc,
-             std::make_unique<kernels::KernelMachine>(kind, variant, mc)});
-        return *machines_.back().km;
-    }
+    kernels::MachinePool machines;
 
   private:
-    struct MachineEntry
-    {
-        kernels::KernelKind kind;
-        mpc::Variant variant;
-        sim::MachineConfig config;
-        std::unique_ptr<kernels::KernelMachine> km;
-    };
-
     std::map<std::tuple<int, int, uint64_t, uint64_t>,
              std::unique_ptr<workloads::Workload>>
         workloads_;
-    std::vector<MachineEntry> machines_;
 };
 
 void
@@ -75,7 +47,7 @@ runPoint(WorkerState &state, const GridPoint &p, PointResult &out)
 {
     auto t0 = std::chrono::steady_clock::now();
     workloads::Workload &w = state.workloadFor(p.workload);
-    kernels::KernelMachine &km = state.machineFor(
+    kernels::KernelMachine &km = state.machines.acquire(
         workloads::appKernel(p.workload.app), p.variant, p.machine);
     out.label = p.label;
     out.sim = w.simulate(km);

@@ -32,6 +32,7 @@
 #define BIOPERF5_KERNELS_KERNELS_H
 
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "bio/align.h"
@@ -170,9 +171,12 @@ class KernelMachine
     /**
      * Return the machine to its just-constructed state: cold caches,
      * predictors and BTAC, zeroed counters, sampling off, trace sink
-     * detached.  The compiled kernel stays loaded.  Lets a driver
-     * reuse one KernelMachine across experiment points with results
-     * identical to constructing a fresh one each time.
+     * detached.  The compiled kernel stays loaded, and so do its
+     * decoded micro-ops (re-checked against memory when next run).
+     * Lets a driver or a serve shard reuse one KernelMachine across
+     * experiment points and jobs with results identical to
+     * constructing a fresh one each time, at a cost of a few
+     * microseconds, independent of the cache sizes (sim::Machine::reset).
      */
     void reset();
 
@@ -214,6 +218,35 @@ class KernelMachine
     sim::Machine machine_;
     sim::Counters totals_;
     bool functionalOnly_ = false;
+};
+
+/**
+ * Machines keyed by (kernel, variant, machine config), each recycled
+ * through KernelMachine::reset(): reset-equivalence makes a reused
+ * machine indistinguishable from a fresh one, so pooled runs keep
+ * their counters bit-identical to standalone runs.  Not thread-safe;
+ * each worker or shard owns one.
+ */
+class MachinePool
+{
+  public:
+    /**
+     * The pooled machine for the key, reset; constructs (compiles,
+     * lints and loads) it on first use.
+     */
+    KernelMachine &acquire(KernelKind kind, mpc::Variant variant,
+                           const sim::MachineConfig &config);
+
+  private:
+    struct Entry
+    {
+        KernelKind kind;
+        mpc::Variant variant;
+        sim::MachineConfig config;
+        std::unique_ptr<KernelMachine> km;
+    };
+
+    std::vector<Entry> entries_;
 };
 
 /** Simulated-memory layout constants. */

@@ -100,6 +100,22 @@ KernelMachine::reset()
     functionalOnly_ = false;
 }
 
+KernelMachine &
+MachinePool::acquire(KernelKind kind, mpc::Variant variant,
+                     const sim::MachineConfig &config)
+{
+    for (Entry &e : entries_) {
+        if (e.kind == kind && e.variant == variant && e.config == config) {
+            e.km->reset();
+            return *e.km;
+        }
+    }
+    entries_.push_back(
+        {kind, variant, config,
+         std::make_unique<KernelMachine>(kind, variant, config)});
+    return *entries_.back().km;
+}
+
 int64_t
 KernelMachine::invoke(const std::vector<uint64_t> &args, int64_t expected)
 {

@@ -13,37 +13,7 @@ namespace bp5::serve {
  *  any other thread. */
 struct ShardState
 {
-    /**
-     * One machine per (kernel, variant, machine config), recycled via
-     * reset() — reset-equivalence makes reuse indistinguishable from
-     * a fresh machine, which is what keeps per-job counters
-     * bit-identical to standalone runs.
-     */
-    kernels::KernelMachine &
-    machineFor(kernels::KernelKind kind, mpc::Variant variant,
-               const sim::MachineConfig &mc)
-    {
-        for (Entry &e : machines) {
-            if (e.kind == kind && e.variant == variant && e.config == mc) {
-                e.km->reset();
-                return *e.km;
-            }
-        }
-        machines.push_back(
-            {kind, variant, mc,
-             std::make_unique<kernels::KernelMachine>(kind, variant, mc)});
-        return *machines.back().km;
-    }
-
-    struct Entry
-    {
-        kernels::KernelKind kind;
-        mpc::Variant variant;
-        sim::MachineConfig config;
-        std::unique_ptr<kernels::KernelMachine> km;
-    };
-
-    std::vector<Entry> machines;
+    kernels::MachinePool machines; ///< reset before each job
     JobInputs inputs;
 };
 
@@ -153,7 +123,7 @@ Server::serveBatch(unsigned shard, ShardState &state,
         prev = &spec;
 
         kernels::KernelMachine &km =
-            state.machineFor(spec.kind, spec.variant, spec.machine);
+            state.machines.acquire(spec.kind, spec.variant, spec.machine);
         auto t0 = std::chrono::steady_clock::now();
         JobResult &r = results[idx];
         r.id = spec.id;

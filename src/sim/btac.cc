@@ -1,5 +1,7 @@
 #include "sim/btac.h"
 
+#include <algorithm>
+
 #include "support/logging.h"
 
 namespace bp5::sim {
@@ -11,6 +13,13 @@ Btac::Btac(const BtacParams &params)
     BP5_ASSERT(params.entries > 0, "BTAC needs at least one entry");
     BP5_ASSERT(params.predictThreshold <= scoreMax_,
                "prediction threshold exceeds score range");
+}
+
+void
+Btac::reset()
+{
+    std::fill(entries_.begin(), entries_.end(), Entry());
+    stats_ = BtacStats();
 }
 
 int

@@ -84,6 +84,12 @@ class Btac
     const BtacStats &stats() const { return stats_; }
     void resetStats() { stats_ = BtacStats(); }
 
+    /**
+     * Return to the just-constructed state (no entries, zero stats)
+     * in place, keeping the table's storage.
+     */
+    void reset();
+
   private:
     struct Entry
     {

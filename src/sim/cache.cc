@@ -59,7 +59,7 @@ Cache::accessSlow(uint64_t addr, bool is_write, bool is_writeback,
 
     for (unsigned w = 0; w < params_.assoc; ++w) {
         Line &l = lines_[base + w];
-        if (l.valid && l.tag == tag) {
+        if (l.tag == tag && valid(l)) {
             l.lruStamp = ++stamp_;
             if (is_write)
                 l.dirty = true;
@@ -90,9 +90,10 @@ Cache::accessSlow(uint64_t addr, bool is_write, bool is_writeback,
     return params_.hitLatency + below;
 }
 
-/** Pick the LRU victim in the set at @p base, write it back if dirty,
- *  and re-tag it.  Returns the (valid, clean, demand-stamped) line;
- *  the caller sets dirty/prefetched as appropriate. */
+/** Pick the LRU victim in the set at @p base (the first invalid way,
+ *  else the oldest stamp), write it back if dirty, and re-tag it.
+ *  Returns the (valid, clean, demand-stamped) line; the caller sets
+ *  dirty/prefetched as appropriate. */
 Cache::Line &
 Cache::allocate(uint64_t base, uint64_t tag)
 {
@@ -100,7 +101,7 @@ Cache::allocate(uint64_t base, uint64_t tag)
     uint64_t oldest = UINT64_MAX;
     for (unsigned w = 0; w < params_.assoc; ++w) {
         Line &l = lines_[base + w];
-        if (!l.valid) {
+        if (!valid(l)) {
             victim = w;
             break;
         }
@@ -110,9 +111,10 @@ Cache::allocate(uint64_t base, uint64_t tag)
         }
     }
     Line &v = lines_[base + victim];
-    if (v.valid && v.prefetched)
+    const bool live = valid(v);
+    if (live && v.prefetched)
         ++stats_.prefetchUseless; // evicted before any demand touch
-    if (v.valid && v.dirty) {
+    if (live && v.dirty) {
         ++stats_.writebacks;
         // Present the victim to the next level so its write traffic is
         // accounted; write buffers keep this off the critical path, so
@@ -124,7 +126,6 @@ Cache::allocate(uint64_t base, uint64_t tag)
             (void)next_->access(victimAddr, true, /*is_writeback=*/true);
         }
     }
-    v.valid = true;
     v.dirty = false;
     v.prefetched = false;
     v.readyCycle = 0;
@@ -141,7 +142,7 @@ Cache::prefetchFill(uint64_t addr, uint64_t now)
     uint64_t tag = tagOf(addr);
     for (unsigned w = 0; w < params_.assoc; ++w) {
         Line &l = lines_[base + w];
-        if (l.valid && l.tag == tag)
+        if (l.tag == tag && valid(l))
             return false; // already resident (or already in flight)
     }
     ++stats_.prefetchIssued;
@@ -161,22 +162,10 @@ Cache::probe(uint64_t addr) const
     uint64_t tag = tagOf(addr);
     for (unsigned w = 0; w < params_.assoc; ++w) {
         const Line &l = lines_[base + w];
-        if (l.valid && l.tag == tag)
+        if (l.tag == tag && valid(l))
             return true;
     }
     return false;
-}
-
-void
-Cache::flush()
-{
-    for (auto &l : lines_)
-        l = Line();
-    // Reset the LRU clock too: a flushed cache must be bit-for-bit
-    // identical to a freshly constructed one (Machine::reset relies on
-    // this for run-to-run reproducibility).
-    stamp_ = 0;
-    memoLine_ = kNoLine;
 }
 
 } // namespace bp5::sim

@@ -13,6 +13,11 @@
  * its set and every later stamp is larger either way, so no victim
  * choice changes.  The memo is an index, cleared by flush(),
  * prefetchFill() and writebacks arriving from above.
+ *
+ * Validity is a stamp compare, not a flag: a line is valid iff its LRU
+ * stamp is newer than the clock value recorded at the last flush(), so
+ * a flush is one store however large the cache (see DESIGN.md, "Per-job
+ * reset").
  */
 
 #ifndef BIOPERF5_SIM_CACHE_H
@@ -114,11 +119,20 @@ class Cache
     bool probe(uint64_t addr) const;
 
     /**
-     * Invalidate all lines and the LRU clock (keeps statistics).  A
-     * flushed cache makes bit-for-bit the same decisions as a freshly
-     * constructed one.
+     * Invalidate all lines (keeps statistics) in O(1): records the LRU
+     * clock, so every line stamped before now reads as invalid, and
+     * stale dirty or prefetched lines are dropped without a writeback
+     * or a prefetchUseless count.  The clock itself keeps counting;
+     * victim choice depends only on the relative stamp order among
+     * valid lines, so a flushed cache makes bit-for-bit the same
+     * decisions as a freshly constructed one.
      */
-    void flush();
+    void
+    flush()
+    {
+        flushStamp_ = stamp_;
+        memoLine_ = kNoLine;
+    }
 
     const CacheStats &stats() const { return stats_; }
     void resetStats() { stats_ = CacheStats(); }
@@ -128,12 +142,14 @@ class Cache
     struct Line
     {
         uint64_t tag = 0;
-        bool valid = false;
         bool dirty = false;
         bool prefetched = false; ///< brought in by prefetchFill, untouched
         uint64_t readyCycle = 0; ///< prefetch arrival cycle
-        uint64_t lruStamp = 0;
+        uint64_t lruStamp = 0;   ///< 0 = never filled
     };
+
+    /** Filled since the last flush(); see the file comment. */
+    bool valid(const Line &l) const { return l.lruStamp > flushStamp_; }
 
     /// memoLine_ when no access is memoised.
     static constexpr uint64_t kNoLine = ~uint64_t(0);
@@ -153,7 +169,8 @@ class Cache
     unsigned lineShift_; ///< log2(lineBytes)
     unsigned tagShift_;  ///< log2(lineBytes * numSets)
     std::vector<Line> lines_; // numSets * assoc
-    uint64_t stamp_ = 0;
+    uint64_t stamp_ = 0;      ///< LRU clock: stamp of the newest line
+    uint64_t flushStamp_ = 0; ///< stamp_ at the last flush()
     CacheStats stats_;
     uint64_t memoLine_ = kNoLine; ///< addr >> lineShift_ of the memo line
     uint64_t memoIdx_ = 0;        ///< its index in lines_

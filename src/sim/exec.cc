@@ -510,20 +510,57 @@ void
 Executor::invalidateDecodeCache()
 {
     for (MicroOp &mo : ops_)
-        mo = MicroOp();
+        mo.fn = nullptr;
 }
 
 const MicroOp &
 Executor::buildMicroOp(MicroOp &mo, uint64_t pc) const
 {
     uint32_t word = mem_.readU32(pc);
+    if (!mo.inst.valid() || mo.word != word)
+        decodeInto(mo, word, pc);
+    bindHandler(mo, pc);
+    return mo;
+}
+
+void
+Executor::decodeInto(MicroOp &mo, uint32_t word, uint64_t pc)
+{
     isa::Inst d = isa::decode(word);
     if (!d.valid()) {
         panic("invalid instruction 0x%08x at pc 0x%llx", word,
               static_cast<unsigned long long>(pc));
     }
+    mo = MicroOp();
     mo.inst = d;
+    mo.word = word;
 
+    // Static timing facts: the timing model reads these instead of
+    // re-deriving them from the instruction on every retirement.
+    const isa::OpInfo &opi = d.info();
+    mo.unit = opi.unit;
+    mo.latency = opi.latency;
+    // Divides block their unit; multiplies hold it for 2 cycles.
+    mo.occupancy = d.op == Op::DIVD || d.op == Op::DIVDU     ? opi.latency
+                   : d.op == Op::MULLD || d.op == Op::MULLI ? 2
+                                                            : 1;
+    unsigned deps[isa::kMaxDeps];
+    mo.nsrc = static_cast<uint8_t>(isa::srcDeps(d, deps));
+    for (unsigned i = 0; i < mo.nsrc; ++i)
+        mo.src[i] = static_cast<uint8_t>(deps[i]);
+    mo.ndst = static_cast<uint8_t>(isa::dstDeps(d, deps));
+    for (unsigned i = 0; i < mo.ndst; ++i)
+        mo.dst[i] = static_cast<uint8_t>(deps[i]);
+    mo.isBranch = opi.isBranch;
+    mo.isCondBranch = opi.isCondBranch && d.bo != isa::BO_ALWAYS;
+    mo.isLoad = opi.isLoad;
+    mo.isStore = opi.isStore;
+}
+
+void
+Executor::bindHandler(MicroOp &mo, uint64_t pc)
+{
+    const isa::Inst &d = mo.inst;
     uint64_t simm = static_cast<uint64_t>(static_cast<int64_t>(d.imm));
     uint64_t uimm = static_cast<uint32_t>(d.imm);
     MicroOp::Fn fn = nullptr;
@@ -636,28 +673,6 @@ Executor::buildMicroOp(MicroOp &mo, uint64_t pc) const
               static_cast<unsigned long long>(pc));
     }
     mo.fn = fn;
-
-    // Static timing facts: the timing model reads these instead of
-    // re-deriving them from the instruction on every retirement.
-    const isa::OpInfo &opi = d.info();
-    mo.unit = opi.unit;
-    mo.latency = opi.latency;
-    // Divides block their unit; multiplies hold it for 2 cycles.
-    mo.occupancy = d.op == Op::DIVD || d.op == Op::DIVDU     ? opi.latency
-                   : d.op == Op::MULLD || d.op == Op::MULLI ? 2
-                                                            : 1;
-    unsigned deps[isa::kMaxDeps];
-    mo.nsrc = static_cast<uint8_t>(isa::srcDeps(d, deps));
-    for (unsigned i = 0; i < mo.nsrc; ++i)
-        mo.src[i] = static_cast<uint8_t>(deps[i]);
-    mo.ndst = static_cast<uint8_t>(isa::dstDeps(d, deps));
-    for (unsigned i = 0; i < mo.ndst; ++i)
-        mo.dst[i] = static_cast<uint8_t>(deps[i]);
-    mo.isBranch = opi.isBranch;
-    mo.isCondBranch = opi.isCondBranch && d.bo != isa::BO_ALWAYS;
-    mo.isLoad = opi.isLoad;
-    mo.isStore = opi.isStore;
-    return mo;
 }
 
 namespace {

@@ -20,6 +20,13 @@
  * encodings panic only if reached, and stores to not-yet-executed code
  * take effect.
  *
+ * A slot keeps its raw word.  invalidateDecodeCache() clears only the
+ * handlers, so each slot is re-checked at its next execution: when
+ * memory still holds its word, the decoded instruction and timing facts
+ * are kept and only the handler is bound again (it depends on the pc
+ * too).  The image thus survives Machine::reset while each run sees
+ * code exactly as a fresh lazy decode would.
+ *
  * There is one executor loop, runHooked(), with the pc and the image
  * held in locals.  After each retired instruction it calls a
  * per-instruction hook with the micro-op, its pc and the FastCtx:
@@ -78,9 +85,11 @@ struct FastCtx
 
 /**
  * One pre-decoded slot of the micro-op image: the handler plus every
- * static fact the timing model needs, all functions of the word.
+ * static fact the timing model needs, all functions of the word.  A
+ * slot is exactly one cache line, so each retired instruction touches
+ * one line of the image whatever the image's heap alignment.
  */
-struct MicroOp
+struct alignas(64) MicroOp
 {
     /// Execute handler: retires the op at @p pc, returns the next pc.
     using Fn = uint64_t (*)(const MicroOp &, FastCtx &, uint64_t pc);
@@ -102,7 +111,10 @@ struct MicroOp
     bool isCondBranch = false; ///< BC/BCLR/BCCTR with BO != BO_ALWAYS
     bool isLoad = false;
     bool isStore = false;
+
+    uint32_t word = 0; ///< raw word of the decoded form (valid with inst)
 };
+static_assert(sizeof(MicroOp) == 64, "a micro-op slot is one cache line");
 
 /** Functional MiniPOWER core. */
 class Executor
@@ -162,9 +174,13 @@ class Executor
     void setImage(uint64_t base, size_t bytes);
 
     /**
-     * Drop all decoded micro-ops (after loading a new program image or
-     * on reset); the image range is kept and slots rebuild lazily from
-     * current memory contents, so reset ≡ fresh holds bit-for-bit.
+     * Make every image slot re-check its word at its next execution
+     * (on reset, or after writing code behind the executor's back).
+     * Clears one pointer per slot: a slot whose word still matches
+     * memory keeps its decoded form and timing facts and only re-binds
+     * its handler; any other slot is decoded again.  Either way the
+     * slot equals a fresh decode of current memory, so reset ≡ fresh
+     * holds bit-for-bit.
      */
     void invalidateDecodeCache();
 
@@ -185,8 +201,18 @@ class Executor
         return buildMicroOp(scratch_, pc);
     }
 
-    /** Decode the word at @p pc into @p mo; returns @p mo. */
+    /**
+     * Make @p mo the micro-op of the word at @p pc: decode it, unless
+     * @p mo already holds that word's decoded form, then bind the
+     * handler; returns @p mo.
+     */
     const MicroOp &buildMicroOp(MicroOp &mo, uint64_t pc) const;
+    /** Decode @p word (at @p pc) into a blank @p mo with its timing
+     *  facts, leaving the handler unbound. */
+    static void decodeInto(MicroOp &mo, uint32_t word, uint64_t pc);
+    /** Bind @p mo's handler and handler immediate (a direct branch's
+     *  is its absolute target, so it depends on @p pc). */
+    static void bindHandler(MicroOp &mo, uint64_t pc);
 
     CoreState &state_;
     Memory &mem_;

@@ -1,5 +1,7 @@
 #include "sim/lsq.h"
 
+#include <algorithm>
+
 #include "support/bitfield.h"
 #include "support/logging.h"
 
@@ -23,22 +25,20 @@ LoadStoreQueue::LoadStoreQueue(const LsqParams &params, bool classic)
 void
 LoadStoreQueue::beginRun()
 {
-    table_.fill(StoreSlot());
-    if (!classic_) {
-        loadCommit_.assign(params_.loads, 0);
-        storeCommit_.assign(params_.stores, 0);
-        sq_.assign(params_.stores, SqEntry());
-        loadSeq_ = storeSeq_ = sqSeq_ = 0;
-        loadPos_ = storePos_ = sqPos_ = 0;
+    if (++epoch_ == 0) {
+        // 2^32 runs later the epoch wraps: really empty the table once.
+        table_.fill(StoreSlot());
+        epoch_ = 1;
     }
+    loadSeq_ = storeSeq_ = sqSeq_ = 0;
+    loadPos_ = storePos_ = sqPos_ = 0;
 }
 
 void
 LoadStoreQueue::reset()
 {
     beginRun();
-    if (!classic_)
-        mdp_.assign(params_.mdpEntries, 0);
+    std::fill(mdp_.begin(), mdp_.end(), 0);
 }
 
 uint64_t

@@ -8,7 +8,10 @@
  *    direct-mapped 4096-slot store table keyed on the 8-byte granule
  *    makes a later load to the same granule wait until the store's
  *    completion cycle; queues are unbounded (reserve() is a no-op),
- *    nothing forwards, nothing speculates.
+ *    nothing forwards, nothing speculates.  Each slot carries the
+ *    epoch (run number) that wrote it, and a slot from an earlier run
+ *    never matches, so a new run starts with an empty table without
+ *    rewriting it.
  *
  *  - **lsq**: finite load/store queues whose occupancy back-pressures
  *    dispatch (modelled like the ROB: a ring of commit cycles, an
@@ -65,7 +68,13 @@ class LoadStoreQueue
     bool classic() const { return classic_; }
     const LsqParams &params() const { return params_; }
 
-    /** Clear per-run state (queues, store table); keeps the MDP. */
+    /**
+     * Start a run with empty queues and store table; keeps the MDP.
+     * O(1): the classic table moves to a new epoch, so every slot
+     * written by an earlier run reads as empty; the lsq-mode rings
+     * only rewind their counters, because every slot a query reads
+     * (reserve, orderLoad, occupancy) was written in the current run.
+     */
     void beginRun();
 
     /** Full reset including the memory-dependence predictor. */
@@ -98,8 +107,9 @@ class LoadStoreQueue
             Order o;
             o.ready = ready;
             uint64_t g = granuleOf(addr);
-            const StoreSlot &slot = table_[g & 4095];
-            if (slot.addr == g && slot.complete > ready)
+            const StoreSlot &slot = table_[g & (kTableSlots - 1)];
+            if (slot.addr == g && slot.epoch == epoch_ &&
+                slot.complete > ready)
                 o.ready = slot.complete;
             return o;
         }
@@ -112,9 +122,10 @@ class LoadStoreQueue
     {
         uint64_t g = granuleOf(addr);
         if (classic_) {
-            StoreSlot &slot = table_[g & 4095];
+            StoreSlot &slot = table_[g & (kTableSlots - 1)];
             slot.addr = g;
             slot.complete = cc;
+            slot.epoch = epoch_;
             return;
         }
         SqEntry &e = sq_[sqPos_];
@@ -158,17 +169,21 @@ class LoadStoreQueue
     LsqParams params_;
     bool classic_;
 
-    // Classic mode: direct-mapped store table (granule -> completion).
+    // Classic mode: direct-mapped store table (granule -> completion),
+    // valid only in the run whose epoch wrote it.
+    static constexpr size_t kTableSlots = 4096;
     struct StoreSlot
     {
         uint64_t addr = ~0ULL;
         uint64_t complete = 0;
+        uint32_t epoch = 0; ///< epoch_ of the run that wrote the slot
     };
-    std::array<StoreSlot, 4096> table_{};
+    std::array<StoreSlot, kTableSlots> table_{};
+    uint32_t epoch_ = 0; ///< current run; bumped by beginRun()
 
     // Lsq mode: occupancy rings (commit cycle of the entry depth back).
-    // *Seq_ count the ops ever committed; *Pos_ is *Seq_ % depth, the
-    // slot the next op takes, kept wrapped so no op divides.
+    // *Seq_ count the ops committed this run; *Pos_ is *Seq_ % depth,
+    // the slot the next op takes, kept wrapped so no op divides.
     std::vector<uint64_t> loadCommit_;
     std::vector<uint64_t> storeCommit_;
     uint64_t loadSeq_ = 0;

@@ -42,68 +42,6 @@ Counters::add(const Counters &o)
         opCount[i] += o.opCount[i];
 }
 
-/** Mutable scheduling state of the one-pass timing model. */
-struct Machine::TimingState
-{
-    explicit TimingState(const MachineConfig &cfg)
-        : robCommitCycle(cfg.robSize, 0)
-    {
-        unitFree[size_t(isa::Unit::FXU)].assign(cfg.numFXU, 0);
-        unitFree[size_t(isa::Unit::LSU)].assign(cfg.numLSU, 0);
-        unitFree[size_t(isa::Unit::BRU)].assign(cfg.numBRU, 0);
-        unitFree[size_t(isa::Unit::CRU)].assign(cfg.numCRU, 0);
-    }
-
-    // Fetch.
-    uint64_t fetchAvail = 0;       ///< earliest fetch cycle for next inst
-    unsigned fetchedThisCycle = 0;
-    uint64_t fetchCycleCursor = 0; ///< cycle fetchedThisCycle refers to
-    unsigned redirectShadow = 0;   ///< instrs fetched right after a flush
-
-    // Dispatch.
-    uint64_t dispatchCycleCursor = 0;
-    unsigned dispatchedThisCycle = 0;
-
-    // Register readiness.
-    std::array<uint64_t, isa::kNumDepRegs> regReady{};
-    std::array<isa::Unit, isa::kNumDepRegs> regProducer{};
-
-    // Execution units: next free cycle per instance, per class.
-    std::array<std::vector<uint64_t>, 5> unitFree;
-
-    // ROB occupancy: commit cycle of the instruction robSize back.
-    std::vector<uint64_t> robCommitCycle;
-    size_t robSlot = 0; ///< seq % robSize, kept wrapped (no divide)
-    uint64_t seq = 0;   ///< dynamic instruction index
-
-    // Commit.
-    uint64_t lastCommitCycle = 0;
-    unsigned committedThisCycle = 0;
-
-    // Cause of the redirect whose shadow instructions are still being
-    // fetched: false = branch misprediction, true = load-ordering
-    // violation (disambiguation squash).
-    bool redirectDisambig = false;
-
-    // Cycle accounting: cycles 1..lastAccounted are already attributed
-    // to a CpiComponent.  Commit cycles are monotonic and cycles ==
-    // the last commit cycle, so attributing each gap as it closes
-    // keeps sum(cpi) == cycles at every instruction boundary.
-    uint64_t lastAccounted = 0;
-
-    // POWER5-style completion groups (for the CPI-stack counters):
-    // up to five instructions complete together; cycles without a
-    // group completion are attributed to the slowest member.
-    unsigned groupSize = 0;
-    uint64_t groupMaxCc = 0; ///< slowest member's completion time
-    StallReason groupReason = StallReason::Other;
-    uint64_t lastGroupCommit = 0;
-
-    // Store-to-load ordering state lives in the MemorySystem (the
-    // classic store table, or the LSQ); Machine::run calls
-    // memsys_.beginRun() wherever a TimingState is constructed.
-};
-
 Machine::Machine(const MachineConfig &config)
     : config_(config), exec_(state_, mem_),
       l2_(config.l2, nullptr, config.memLatency),
@@ -112,8 +50,19 @@ Machine::Machine(const MachineConfig &config)
       memsys_(config.memsys, &l1d_, &l2_),
       predictor_(makePredictor(config.predictor, config.predictorEntries,
                                config.predictorHistoryBits)),
-      btac_(config.btac)
+      btac_(config.btac), robCommitCycle_(config.robSize, 0)
 {
+    const unsigned counts[] = {config.numFXU, config.numLSU, config.numBRU,
+                               config.numCRU};
+    const isa::Unit units[] = {isa::Unit::FXU, isa::Unit::LSU,
+                               isa::Unit::BRU, isa::Unit::CRU};
+    for (size_t i = 0; i < 4; ++i) {
+        BP5_ASSERT(counts[i] >= 1 && counts[i] <= kMaxUnitsPerClass,
+                   "execution units per class must be in 1..%u",
+                   kMaxUnitsPerClass);
+        unitCount_[size_t(units[i])] = static_cast<uint8_t>(counts[i]);
+    }
+    BP5_ASSERT(config.robSize > 0, "the ROB needs at least one entry");
 }
 
 Machine::~Machine() = default;
@@ -136,19 +85,22 @@ Machine::reset()
     l1d_.resetStats();
     l2_.resetStats();
     memsys_.reset();
-    predictor_ = makePredictor(config_.predictor, config_.predictorEntries,
-                               config_.predictorHistoryBits);
-    btac_ = Btac(config_.btac);
+    predictor_->reset();
+    btac_.reset();
     exec_.clearConsole();
-    // The micro-op image is semantically invisible (decode is a pure
-    // function of memory, and loadProgram() re-registers it), but drop
-    // the decoded slots anyway so a reset machine is indistinguishable
-    // from a fresh one even for programs that store to their own code
-    // pages; they rebuild lazily from the still-resident memory.
+    // Decoded micro-ops survive, but each is re-checked against memory
+    // at its next execution, so a program that stored over its own code
+    // runs the new words exactly as a fresh machine would.
     exec_.invalidateDecodeCache();
     sink_ = nullptr;
     sampling_ = SamplingParams();
-    timing_.reset();
+}
+
+void
+Machine::beginRun()
+{
+    timing_ = TimingState();
+    memsys_.beginRun();
 }
 
 namespace {
@@ -174,8 +126,9 @@ unitToReason(isa::Unit u)
 
 void
 Machine::scheduleInstruction(const MicroOp &mo, uint64_t pc,
-                             const FastCtx &x, TimingState &ts, Counters &c)
+                             const FastCtx &x, Counters &c)
 {
+    TimingState &ts = timing_;
     // The FastCtx outlives the op: its outcome fields are current only
     // for the ops that set them.
     const uint64_t memAddr = mo.isLoad || mo.isStore ? x.memAddr : 0;
@@ -233,7 +186,7 @@ Machine::scheduleInstruction(const MicroOp &mo, uint64_t pc,
         ++dc;
     }
     // ROB space: the entry robSize back must have committed.
-    uint64_t rob_free = ts.robCommitCycle[ts.robSlot];
+    uint64_t rob_free = robCommitCycle_[ts.robSlot];
     bool rob_limited = false;
     if (ts.seq >= config_.robSize && dc <= rob_free) {
         dc = rob_free + 1;
@@ -287,8 +240,9 @@ Machine::scheduleInstruction(const MicroOp &mo, uint64_t pc,
 
     // ------------------------------------------------------------- issue
     auto &frees = ts.unitFree[size_t(mo.unit)];
+    const unsigned nunits = unitCount_[size_t(mo.unit)];
     size_t best = 0;
-    for (size_t i = 1; i < frees.size(); ++i) {
+    for (size_t i = 1; i < nunits; ++i) {
         if (frees[i] < frees[best])
             best = i;
     }
@@ -565,8 +519,8 @@ Machine::scheduleInstruction(const MicroOp &mo, uint64_t pc,
         ts.groupSize = 0;
     }
 
-    ts.robCommitCycle[ts.robSlot] = commit;
-    if (++ts.robSlot == ts.robCommitCycle.size())
+    robCommitCycle_[ts.robSlot] = commit;
+    if (++ts.robSlot == robCommitCycle_.size())
         ts.robSlot = 0;
     if (mo.isLoad || mo.isStore)
         memsys_.commit(mo.isLoad, commit);
@@ -615,14 +569,14 @@ Machine::scheduleInstruction(const MicroOp &mo, uint64_t pc,
  * schedule it.  Returns the number executed; a halt lands in @p res.
  */
 uint64_t
-Machine::runTimed(uint64_t max, TimingState &ts, RunResult &res)
+Machine::runTimed(uint64_t max, RunResult &res)
 {
     Counters &c = res.counters;
     Executor::FastResult fr = exec_.runHooked(
         max, c,
-        [this, &ts, &c](const MicroOp &mo, uint64_t pc, const FastCtx &x) {
+        [this, &c](const MicroOp &mo, uint64_t pc, const FastCtx &x) {
             ++c.instructions;
-            scheduleInstruction(mo, pc, x, ts, c);
+            scheduleInstruction(mo, pc, x, c);
         });
     if (fr.halted) {
         res.halted = true;
@@ -638,13 +592,12 @@ Machine::run(uint64_t max_instructions)
         return runSampled(max_instructions);
 
     RunResult res;
-    timing_ = std::make_unique<TimingState>(config_);
-    memsys_.beginRun();
+    beginRun();
     Counters &c = res.counters;
     if (sink_)
         sink_->onRunBegin(config_);
 
-    runTimed(max_instructions, *timing_, res);
+    runTimed(max_instructions, res);
     if (sink_)
         sink_->onRunEnd(c);
     res.console = exec_.console();
@@ -687,9 +640,7 @@ Machine::runSampled(uint64_t max_instructions)
 {
     RunResult res;
     res.sampled = true;
-    timing_ = std::make_unique<TimingState>(config_);
-    memsys_.beginRun();
-    TimingState &ts = *timing_;
+    beginRun();
     Counters &c = res.counters;
     Counters ff; ///< architectural counts from fast-forward phases
     if (sink_)
@@ -706,7 +657,7 @@ Machine::runSampled(uint64_t max_instructions)
     while (remaining > 0) {
         uint64_t window =
             std::min(sampling_.detailInstructions, remaining);
-        remaining -= runTimed(window, ts, res);
+        remaining -= runTimed(window, res);
         ++res.sampling.windows;
         if (res.halted || remaining == 0)
             break;

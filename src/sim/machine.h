@@ -22,9 +22,11 @@
 #ifndef BIOPERF5_SIM_MACHINE_H
 #define BIOPERF5_SIM_MACHINE_H
 
+#include <array>
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "masm/assembler.h"
 #include "sim/btac.h"
@@ -95,11 +97,17 @@ class Machine
     void loadProgram(const masm::Program &prog);
 
     /**
-     * Reset architectural state, caches, predictors, timing state and
-     * counters.  Memory contents are preserved (the loaded program
-     * stays resident); everything else is bit-for-bit identical to a
-     * freshly constructed Machine, so run(); reset(); run() reproduces
-     * a fresh machine's counters exactly.
+     * Reset architectural state, caches, predictors, BTAC, memory
+     * system and counters.  Memory contents are preserved (the loaded
+     * program stays resident); everything else is bit-for-bit identical
+     * to a freshly constructed Machine, so run(); reset(); run()
+     * reproduces a fresh machine's counters exactly.
+     *
+     * Cost is independent of the cache sizes: cache flushes are one
+     * store each, the BTAC and predictors are reset in place (a 48 KiB
+     * fill on the baseline), and decoded micro-ops are kept and
+     * re-checked against memory when next executed, one store per
+     * image slot (see DESIGN.md, "Per-job reset").
      */
     void reset();
 
@@ -142,8 +150,65 @@ class Machine
     void setTraceSink(TraceSink *sink) { sink_ = sink; }
     TraceSink *traceSink() const { return sink_; }
 
+    /** Execution units per class the timing state holds inline
+     *  (paper Fig 5 sweeps numFXU up to 4). */
+    static constexpr unsigned kMaxUnitsPerClass = 8;
+
   private:
-    struct TimingState;
+    /**
+     * Per-run scheduling state of the one-pass timing model: plain
+     * values, re-initialised in place at the start of each run (the
+     * ROB ring lives beside it, see robCommitCycle_).
+     */
+    struct TimingState
+    {
+        // Fetch.
+        uint64_t fetchAvail = 0;       ///< earliest fetch cycle for next inst
+        unsigned fetchedThisCycle = 0;
+        uint64_t fetchCycleCursor = 0; ///< cycle fetchedThisCycle refers to
+        unsigned redirectShadow = 0;   ///< instrs fetched right after a flush
+
+        // Dispatch.
+        uint64_t dispatchCycleCursor = 0;
+        unsigned dispatchedThisCycle = 0;
+
+        // Register readiness.
+        std::array<uint64_t, isa::kNumDepRegs> regReady{};
+        std::array<isa::Unit, isa::kNumDepRegs> regProducer{};
+
+        // Execution units: next free cycle per instance, per class
+        // (unitCount_ instances of each class are in use).
+        std::array<std::array<uint64_t, kMaxUnitsPerClass>, 5> unitFree{};
+
+        // ROB occupancy: robCommitCycle_[robSlot] is the commit cycle
+        // of the instruction robSize back.
+        size_t robSlot = 0; ///< seq % robSize, kept wrapped (no divide)
+        uint64_t seq = 0;   ///< dynamic instruction index
+
+        // Commit.
+        uint64_t lastCommitCycle = 0;
+        unsigned committedThisCycle = 0;
+
+        // Cause of the redirect whose shadow instructions are still
+        // being fetched: false = branch misprediction, true =
+        // load-ordering violation (disambiguation squash).
+        bool redirectDisambig = false;
+
+        // Cycle accounting: cycles 1..lastAccounted are already
+        // attributed to a CpiComponent.  Commit cycles are monotonic
+        // and cycles == the last commit cycle, so attributing each gap
+        // as it closes keeps sum(cpi) == cycles at every instruction
+        // boundary.
+        uint64_t lastAccounted = 0;
+
+        // POWER5-style completion groups (for the CPI-stack counters):
+        // up to five instructions complete together; cycles without a
+        // group completion are attributed to the slowest member.
+        unsigned groupSize = 0;
+        uint64_t groupMaxCc = 0; ///< slowest member's completion time
+        StallReason groupReason = StallReason::Other;
+        uint64_t lastGroupCommit = 0;
+    };
 
     /**
      * Time the op that just retired at @p pc: reads only the
@@ -151,10 +216,11 @@ class Machine
      * @p x (memAddr for loads/stores, taken/target for branches).
      */
     void scheduleInstruction(const MicroOp &mo, uint64_t pc,
-                             const FastCtx &x, TimingState &ts,
-                             Counters &c);
+                             const FastCtx &x, Counters &c);
+    /** Fresh timing and store-ordering state for a new run. */
+    void beginRun();
     /** Full-detail timing of up to @p max instructions into @p res. */
-    uint64_t runTimed(uint64_t max, TimingState &ts, RunResult &res);
+    uint64_t runTimed(uint64_t max, RunResult &res);
     RunResult runSampled(uint64_t max_instructions);
 
     MachineConfig config_;
@@ -172,7 +238,11 @@ class Machine
     TraceSink *sink_ = nullptr;
     SamplingParams sampling_;
 
-    std::unique_ptr<TimingState> timing_;
+    TimingState timing_;
+    std::array<uint8_t, 5> unitCount_{}; ///< units in use per class
+    /// Commit cycle per ROB slot.  Never cleared: a slot is read only
+    /// once robSize later instructions of the same run have written it.
+    std::vector<uint64_t> robCommitCycle_;
 };
 
 } // namespace bp5::sim

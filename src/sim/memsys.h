@@ -69,7 +69,8 @@ class MemorySystem
     bool classic() const { return params_.classic(); }
     const LoadStoreQueue &lsq() const { return lsq_; }
 
-    /** Clear per-run queue state (call where TimingState is rebuilt). */
+    /** Start a run with empty queues and store table, in O(1) (see
+     *  LoadStoreQueue::beginRun); Machine calls it at each run start. */
     void beginRun();
 
     /** Full reset: queues, dependence predictor, prefetch tables. */

@@ -1,5 +1,7 @@
 #include "sim/predictor.h"
 
+#include <algorithm>
+
 #include "support/bitfield.h"
 #include "support/logging.h"
 
@@ -17,8 +19,15 @@ checkedMaskBits(unsigned entries)
 } // namespace
 
 BimodalPredictor::BimodalPredictor(unsigned entries)
-    : table_(entries, SatCounter(2, 1)), maskBits_(checkedMaskBits(entries))
+    : table_(entries, counter2::kWeaklyNotTaken),
+      maskBits_(checkedMaskBits(entries))
 {
+}
+
+void
+BimodalPredictor::reset()
+{
+    std::fill(table_.begin(), table_.end(), counter2::kWeaklyNotTaken);
 }
 
 unsigned
@@ -30,20 +39,27 @@ BimodalPredictor::index(uint64_t pc) const
 bool
 BimodalPredictor::predict(uint64_t pc) const
 {
-    return table_[index(pc)].high();
+    return counter2::high(table_[index(pc)]);
 }
 
 void
 BimodalPredictor::update(uint64_t pc, bool taken)
 {
-    table_[index(pc)].update(taken);
+    counter2::update(table_[index(pc)], taken);
 }
 
 GsharePredictor::GsharePredictor(unsigned entries, unsigned historyBits)
-    : table_(entries, SatCounter(2, 1)),
+    : table_(entries, counter2::kWeaklyNotTaken),
       maskBits_(checkedMaskBits(entries)), historyBits_(historyBits)
 {
     BP5_ASSERT(historyBits_ <= 64, "history wider than the register");
+}
+
+void
+GsharePredictor::reset()
+{
+    std::fill(table_.begin(), table_.end(), counter2::kWeaklyNotTaken);
+    ghr_ = 0;
 }
 
 unsigned
@@ -65,29 +81,38 @@ GsharePredictor::index(uint64_t pc) const
 bool
 GsharePredictor::predict(uint64_t pc) const
 {
-    return table_[index(pc)].high();
+    return counter2::high(table_[index(pc)]);
 }
 
 void
 GsharePredictor::update(uint64_t pc, bool taken)
 {
-    table_[index(pc)].update(taken);
+    counter2::update(table_[index(pc)], taken);
     ghr_ = (ghr_ << 1) | (taken ? 1 : 0);
 }
 
 TournamentPredictor::TournamentPredictor(unsigned entries,
                                          unsigned historyBits)
     : bimodal_(entries), gshare_(entries, historyBits),
-      selector_(entries, SatCounter(2, 1)),
+      selector_(entries, counter2::kWeaklyNotTaken),
       maskBits_(checkedMaskBits(entries))
 {
+}
+
+void
+TournamentPredictor::reset()
+{
+    bimodal_.reset();
+    gshare_.reset();
+    std::fill(selector_.begin(), selector_.end(),
+              counter2::kWeaklyNotTaken);
 }
 
 bool
 TournamentPredictor::predict(uint64_t pc) const
 {
     unsigned sel = static_cast<unsigned>((pc >> 2) & mask(maskBits_));
-    bool use_gshare = selector_[sel].high();
+    bool use_gshare = counter2::high(selector_[sel]);
     return use_gshare ? gshare_.predict(pc) : bimodal_.predict(pc);
 }
 
@@ -103,16 +128,16 @@ TournamentPredictor::predictUpdate(uint64_t pc, bool taken)
     // The bimodal table and the selector share one index (same size);
     // the gshare index is taken before the history shifts.
     unsigned i = static_cast<unsigned>((pc >> 2) & mask(maskBits_));
-    SatCounter &bc = bimodal_.table_[i];
-    SatCounter &gc = gshare_.table_[gshare_.index(pc)];
-    SatCounter &sc = selector_[i];
-    bool b = bc.high();
-    bool g = gc.high();
-    bool p = sc.high() ? g : b;
+    uint8_t &bc = bimodal_.table_[i];
+    uint8_t &gc = gshare_.table_[gshare_.index(pc)];
+    uint8_t &sc = selector_[i];
+    bool b = counter2::high(bc);
+    bool g = counter2::high(gc);
+    bool p = counter2::high(sc) ? g : b;
     if (b != g)
-        sc.update(g == taken);
-    bc.update(taken);
-    gc.update(taken);
+        counter2::update(sc, g == taken);
+    counter2::update(bc, taken);
+    counter2::update(gc, taken);
     gshare_.ghr_ = (gshare_.ghr_ << 1) | (taken ? 1 : 0);
     return p;
 }

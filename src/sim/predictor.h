@@ -3,7 +3,10 @@
  * Conditional-branch direction predictors.  The default POWER5-style
  * predictor is a tournament of a bimodal (per-address) table and a
  * gshare (global-history) table with a per-address selector, mirroring
- * POWER5's three 16K-entry branch history tables.
+ * POWER5's three 16K-entry branch history tables.  Every table holds
+ * 2-bit counters one per byte (support/saturating_counter.h), so the
+ * baseline tournament's three tables are 48 KiB and reset() refills
+ * them in place.
  */
 
 #ifndef BIOPERF5_SIM_PREDICTOR_H
@@ -53,6 +56,13 @@ class DirectionPredictor
     }
 
     virtual std::string name() const = 0;
+
+    /**
+     * Return to the just-constructed state (every counter weakly
+     * not-taken, empty history) in place, without reallocating: a
+     * reset predictor predicts bit-identically to a fresh one.
+     */
+    virtual void reset() = 0;
 };
 
 /** Factory. @p entries is the table size (power of two). */
@@ -67,6 +77,7 @@ class AlwaysTakenPredictor : public DirectionPredictor
     bool predict(uint64_t) const override { return true; }
     void update(uint64_t, bool) override {}
     std::string name() const override { return "always-taken"; }
+    void reset() override {}
 };
 
 /** Per-address two-bit counters. */
@@ -77,11 +88,12 @@ class BimodalPredictor : public DirectionPredictor
     bool predict(uint64_t pc) const override;
     void update(uint64_t pc, bool taken) override;
     std::string name() const override { return "bimodal"; }
+    void reset() override;
 
   private:
     friend class TournamentPredictor;
     unsigned index(uint64_t pc) const;
-    std::vector<SatCounter> table_;
+    std::vector<uint8_t> table_;
     unsigned maskBits_;
 };
 
@@ -93,11 +105,12 @@ class GsharePredictor : public DirectionPredictor
     bool predict(uint64_t pc) const override;
     void update(uint64_t pc, bool taken) override;
     std::string name() const override { return "gshare"; }
+    void reset() override;
 
   private:
     friend class TournamentPredictor;
     unsigned index(uint64_t pc) const;
-    std::vector<SatCounter> table_;
+    std::vector<uint8_t> table_;
     unsigned maskBits_;
     unsigned historyBits_;
     uint64_t ghr_ = 0;
@@ -115,11 +128,12 @@ class TournamentPredictor : public DirectionPredictor
     void update(uint64_t pc, bool taken) override;
     bool predictUpdate(uint64_t pc, bool taken) override;
     std::string name() const override { return "tournament"; }
+    void reset() override;
 
   private:
     BimodalPredictor bimodal_;
     GsharePredictor gshare_;
-    std::vector<SatCounter> selector_;
+    std::vector<uint8_t> selector_;
     unsigned maskBits_;
 };
 

@@ -1,7 +1,8 @@
 /**
  * @file
- * N-bit saturating counter, the basic building block of the direction
- * predictors and the BTAC score field.
+ * Two-bit saturating counters held one per byte, the cells of the
+ * direction predictors' tables.  A table of them is a plain byte
+ * vector: a lookup loads one byte and a reset is one fill in place.
  */
 
 #ifndef BIOPERF5_SUPPORT_SATURATING_COUNTER_H
@@ -9,45 +10,31 @@
 
 #include <cstdint>
 
-namespace bp5 {
+namespace bp5::counter2 {
 
-/** Saturating up/down counter with a compile-time-free bit width. */
-class SatCounter
+constexpr uint8_t kMax = 3;
+/** The predictors' reset value: predicts not-taken, one outcome flips it. */
+constexpr uint8_t kWeaklyNotTaken = 1;
+
+/** MSB set: predict taken / high confidence. */
+constexpr bool
+high(uint8_t c)
 {
-  public:
-    SatCounter() = default;
+    return c > kMax / 2;
+}
 
-    /**
-     * @param bits counter width in bits (1..16)
-     * @param initial initial count
-     */
-    explicit SatCounter(unsigned bits, unsigned initial = 0)
-        : max_(static_cast<uint16_t>((1u << bits) - 1)),
-          count_(static_cast<uint16_t>(initial > max_ ? max_ : initial))
-    {}
-
-    void increment() { if (count_ < max_) ++count_; }
-    void decrement() { if (count_ > 0) --count_; }
-
-    /** Move toward taken (true) / not-taken (false). */
-    void update(bool taken) { taken ? increment() : decrement(); }
-
-    unsigned value() const { return count_; }
-    unsigned maxValue() const { return max_; }
-
-    /** MSB set: predict taken / high confidence. */
-    bool high() const { return count_ > max_ / 2; }
-
-    void reset(unsigned v = 0)
-    {
-        count_ = static_cast<uint16_t>(v > max_ ? max_ : v);
+/** Move toward taken (true) / not-taken (false), saturating. */
+inline void
+update(uint8_t &c, bool up)
+{
+    if (up) {
+        if (c < kMax)
+            ++c;
+    } else if (c > 0) {
+        --c;
     }
+}
 
-  private:
-    uint16_t max_ = 3;
-    uint16_t count_ = 0;
-};
-
-} // namespace bp5
+} // namespace bp5::counter2
 
 #endif // BIOPERF5_SUPPORT_SATURATING_COUNTER_H

@@ -11,6 +11,8 @@
 
 #include "driver/driver.h"
 #include "driver/result.h"
+#include "masm/assembler.h"
+#include "sim/machine.h"
 #include "workloads/workload.h"
 
 namespace bp5 {
@@ -104,6 +106,51 @@ TEST(ResetEquivalence, CacheStatsResetToo)
     EXPECT_EQ(km.machine().l1d().stats().accesses, 0u);
     EXPECT_EQ(km.machine().l2().stats().accesses, 0u);
     EXPECT_EQ(km.totals().instructions, 0u);
+}
+
+/**
+ * Decoded micro-ops survive reset() but must not outlive their code:
+ * the program executes `li r3, 1`, then stores the word of `li r3, 2`
+ * over it.  The rerun after reset() starts from memory holding the new
+ * word and must run it exactly as a fresh machine with that memory.
+ */
+TEST(ResetEquivalence, RewrittenCodeIsRedecodedAfterReset)
+{
+    const char *src = R"(
+        addis   r4, r0, 1
+        li      r3, 1
+        lwz     r5, 24(r4)
+        stw     r5, 4(r4)
+        li      r0, 0
+        sc
+        li      r3, 2
+)";
+    masm::Program prog = masm::assemble(src);
+    ASSERT_EQ(prog.base, 0x10000u); // addis r4, r0, 1 materialises it
+    sim::MachineConfig mc;
+
+    sim::Machine reused(mc);
+    reused.loadProgram(prog);
+    reused.state().pc = prog.base;
+    sim::RunResult first = reused.run();
+    ASSERT_TRUE(first.halted);
+    EXPECT_EQ(first.exitCode, 1);
+    reused.reset();
+    reused.state().pc = prog.base;
+    sim::RunResult again = reused.run();
+
+    sim::Machine fresh(mc);
+    fresh.loadProgram(prog);
+    fresh.mem().writeU32(prog.base + 4, reused.mem().readU32(prog.base + 4));
+    fresh.state().pc = prog.base;
+    sim::RunResult ref = fresh.run();
+
+    ASSERT_TRUE(ref.halted);
+    EXPECT_EQ(ref.exitCode, 2);
+    EXPECT_EQ(again.exitCode, ref.exitCode);
+    EXPECT_EQ(again.console, ref.console);
+    expectCountersEqual(again.counters, ref.counters, "rewritten code");
+    EXPECT_TRUE(again.counters == ref.counters);
 }
 
 // ---------------------------------------- determinism under threads

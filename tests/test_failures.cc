@@ -28,6 +28,16 @@ TEST(Failures, ExecutorPanicsOnInvalidInstruction)
     EXPECT_DEATH(m.runFunctional(1), "invalid instruction");
 }
 
+TEST(Failures, MachineRejectsUnitCountsBeyondItsInlineTables)
+{
+    sim::MachineConfig wide = sim::MachineConfig::power5WithFxu(
+        sim::Machine::kMaxUnitsPerClass + 1);
+    EXPECT_DEATH(sim::Machine m(wide), "execution units per class");
+    sim::MachineConfig none;
+    none.numBRU = 0;
+    EXPECT_DEATH(sim::Machine m(none), "execution units per class");
+}
+
 TEST(Failures, EncoderRejectsOutOfRangeImmediate)
 {
     isa::Inst i = isa::mkD(isa::Op::ADDI, 3, 0, 40000);

@@ -239,6 +239,42 @@ TEST(LoadStoreQueue, ViolationTrainsThePredictor)
     EXPECT_TRUE(o.violation);
 }
 
+/**
+ * beginRun() empties the store table and the queues without rewriting
+ * them: stores and commits of the previous run are invisible to the
+ * next one, in both modes, exactly as on a fresh queue.
+ */
+TEST(LoadStoreQueue, BeginRunForgetsEarlierStoresAndCommits)
+{
+    sim::LoadStoreQueue classic(sim::LsqParams{}, /*classic=*/true);
+    classic.storeComplete(0x1000, 500);
+    classic.beginRun();
+    EXPECT_EQ(classic.orderLoad(0x100, 0x1000, 10).ready, 10u);
+    classic.storeComplete(0x1000, 50); // this run's store still orders
+    EXPECT_EQ(classic.orderLoad(0x100, 0x1000, 10).ready, 50u);
+
+    sim::LsqParams p;
+    p.loads = 2;
+    p.stores = 2;
+    sim::LoadStoreQueue q(p, /*classic=*/false);
+    for (uint64_t c = 100; c < 104; ++c) {
+        q.storeComplete(0x2000, c);
+        q.commit(true, c);
+        q.commit(false, c);
+    }
+    q.beginRun();
+    bool limited = false;
+    EXPECT_EQ(q.reserve(true, 5, &limited), 5u);
+    EXPECT_EQ(q.reserve(false, 5, &limited), 5u);
+    EXPECT_FALSE(limited);
+    EXPECT_EQ(q.occupancy(true, 0), 0u);
+    EXPECT_EQ(q.occupancy(false, 0), 0u);
+    sim::LoadStoreQueue::Order o = q.orderLoad(0x200, 0x2000, 10);
+    EXPECT_FALSE(o.forwarded);
+    EXPECT_FALSE(o.violation);
+    EXPECT_EQ(o.ready, 10u);
+}
+
 TEST(LoadStoreQueue, SpeculationOffAlwaysWaits)
 {
     sim::LsqParams p;

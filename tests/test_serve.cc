@@ -378,6 +378,53 @@ TEST(Server, BatchedResultsBitIdenticalToStandaloneRuns)
     }
 }
 
+/**
+ * Pooled machines across many jobs: on each grid configuration
+ * (classic; LSQ with the stride prefetcher; enhanced with the BTAC)
+ * one MachinePool serves 24 serve-mix jobs over all four kernels and
+ * both variants, so every pooled machine is reset and reused between
+ * jobs with different inputs.  Each job's score and full Counters must
+ * equal a fresh machine running the job once.
+ */
+TEST(ResetEquivalence, ManyResetsMatchFresh)
+{
+    const kernels::KernelKind kinds[] = {
+        kernels::KernelKind::ForwardPass, kernels::KernelKind::Dropgsw,
+        kernels::KernelKind::P7Viterbi, kernels::KernelKind::SemiGAlign};
+    const std::pair<const char *, sim::MachineConfig> configs[] = {
+        {"classic", sim::MachineConfig::power5Baseline()},
+        {"lsq_stride", sim::MachineConfig::power5WithLsq(
+                           16, 16, sim::PrefetchParams::Kind::Stride)},
+        {"enhanced", sim::MachineConfig::power5Enhanced()},
+    };
+    for (const auto &[name, mc] : configs) {
+        kernels::MachinePool pool;
+        serve::JobInputs pooledInputs, freshInputs;
+        for (uint64_t idx = 0; idx < 24; ++idx) {
+            serve::JobSpec spec;
+            spec.id = idx;
+            spec.kind = kinds[idx % 4];
+            spec.variant = (idx / 4) % 2 == 0 ? mpc::Variant::Baseline
+                                              : mpc::Variant::CompMax;
+            spec.machine = mc;
+            spec.seed = 1 + idx / 8;
+            spec.n = 16;
+
+            kernels::KernelMachine &km =
+                pool.acquire(spec.kind, spec.variant, spec.machine);
+            int64_t score = pooledInputs.run(km, spec);
+
+            kernels::KernelMachine fresh(spec.kind, spec.variant,
+                                         spec.machine);
+            EXPECT_EQ(score, freshInputs.run(fresh, spec))
+                << name << " job " << idx;
+            EXPECT_TRUE(km.totals() == fresh.totals())
+                << name << " job " << idx
+                << ": reset machine's counters diverge from a fresh one";
+        }
+    }
+}
+
 TEST(Server, ConcurrentSubmitters)
 {
     serve::ServerConfig cfg;

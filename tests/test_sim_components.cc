@@ -494,6 +494,63 @@ TEST(CachePrefetch, FlushDropsInFlightFills)
     EXPECT_EQ(c.stats().prefetchHits, 0u);
 }
 
+/**
+ * flush() drops lines without touching them: a stale dirty line must
+ * write nothing back and a stale untouched prefetch must not count as
+ * useless when a later fill reuses its way.  Replaying a sweep after
+ * the flush yields exactly a fresh hierarchy's stats at both levels.
+ */
+TEST(Cache, FlushDropsDirtyAndPrefetchedLines)
+{
+    CacheParams l2p = smallCache();
+    l2p.sizeBytes = 4096;
+    l2p.hitLatency = 10;
+    const uint64_t setStride = 8 * 64;
+    auto sweep = [&](Cache &l1) {
+        for (uint64_t k = 0; k < 4; ++k) {
+            l1.access(k * setStride, k % 2 == 0); // set 0, some dirty
+            l1.access(64 + k * setStride, false); // set 1
+        }
+        l1.prefetchFill(128, 0);                  // set 2
+        l1.access(128 + setStride, false);
+        l1.access(128 + 2 * setStride, false);    // evicts the prefetch
+    };
+    auto expectSameStats = [](const CacheStats &a, const CacheStats &b) {
+        EXPECT_EQ(a.accesses, b.accesses);
+        EXPECT_EQ(a.misses, b.misses);
+        EXPECT_EQ(a.writes, b.writes);
+        EXPECT_EQ(a.writebacks, b.writebacks);
+        EXPECT_EQ(a.writebacksIn, b.writebacksIn);
+        EXPECT_EQ(a.prefetchIssued, b.prefetchIssued);
+        EXPECT_EQ(a.prefetchHits, b.prefetchHits);
+        EXPECT_EQ(a.prefetchUseless, b.prefetchUseless);
+    };
+
+    Cache freshL2(l2p, nullptr, 100);
+    Cache freshL1(smallCache(), &freshL2, 100);
+    sweep(freshL1);
+
+    Cache l2(l2p, nullptr, 100);
+    Cache l1(smallCache(), &l2, 100);
+    // Every way of sets 0 and 1 dirty, every way of set 2 prefetched.
+    for (uint64_t k = 16; k < 18; ++k) {
+        l1.access(k * setStride, true);
+        l1.access(64 + k * setStride, true);
+        l1.prefetchFill(128 + k * setStride, 0);
+    }
+    l1.flush();
+    l2.flush();
+    l1.resetStats();
+    l2.resetStats();
+    for (uint64_t k = 16; k < 18; ++k)
+        EXPECT_FALSE(l1.probe(k * setStride));
+    sweep(l1);
+
+    EXPECT_EQ(l1.stats().prefetchUseless, 1u); // the sweep's own one
+    expectSameStats(l1.stats(), freshL1.stats());
+    expectSameStats(l2.stats(), freshL2.stats());
+}
+
 /** Property: miss count equals distinct lines for a streaming sweep. */
 class CacheSweep : public ::testing::TestWithParam<unsigned> {};
 
@@ -960,6 +1017,52 @@ TEST(Predictor, PredictUpdateMatchesPredictThenUpdate)
     }
 }
 
+/**
+ * reset() refills the tables in place: every kind, trained on an
+ * aliasing random stream and then reset, predicts bit-identically to
+ * a fresh instance on a second stream (gshare and tournament also with
+ * more history bits than index bits).
+ */
+TEST(Predictor, ResetPredictsLikeFresh)
+{
+    struct Config
+    {
+        PredictorKind kind;
+        unsigned entries, historyBits;
+    };
+    const Config configs[] = {
+        {PredictorKind::AlwaysTaken, 64, 8},
+        {PredictorKind::Bimodal, 64, 8},
+        {PredictorKind::Gshare, 64, 4},
+        {PredictorKind::Gshare, 64, 14}, // 14 history bits > 6 index bits
+        {PredictorKind::Tournament, 64, 14},
+        {PredictorKind::Tournament, 16384, 11}, // POWER5 baseline
+    };
+    for (const Config &cfg : configs) {
+        auto reused = makePredictor(cfg.kind, cfg.entries, cfg.historyBits);
+        SCOPED_TRACE(reused->name() + " history=" +
+                     std::to_string(cfg.historyBits));
+        Rng r(0x5e5e7ULL + cfg.entries + cfg.historyBits);
+        std::vector<uint64_t> pcs(100);
+        for (uint64_t &pc : pcs)
+            pc = 0x10000 + 4 * r.below(4096);
+        for (int n = 0; n < 5000; ++n)
+            reused->update(pcs[r.below(pcs.size())], r.chance(0.7));
+        reused->reset();
+
+        auto fresh = makePredictor(cfg.kind, cfg.entries, cfg.historyBits);
+        for (uint64_t pc : pcs)
+            ASSERT_EQ(reused->predict(pc), fresh->predict(pc));
+        for (int n = 0; n < 5000; ++n) {
+            uint64_t pc = pcs[r.below(pcs.size())];
+            bool taken = r.chance(0.4);
+            ASSERT_EQ(reused->predictUpdate(pc, taken),
+                      fresh->predictUpdate(pc, taken))
+                << "branch " << n;
+        }
+    }
+}
+
 TEST(Predictor, FactoryProducesAllKinds)
 {
     for (PredictorKind k :
@@ -1104,6 +1207,36 @@ TEST(BtacModel, StatsMispredictRate)
     EXPECT_GT(b.stats().correct, 0u);
     EXPECT_GT(b.stats().mispredictRate(), 0.0);
     EXPECT_LT(b.stats().mispredictRate(), 0.5);
+}
+
+TEST(BtacModel, ResetMatchesFresh)
+{
+    Btac reused(testBtac());
+    for (uint64_t pc = 0x100; pc < 0x120; pc += 4) {
+        for (int i = 0; i < 3; ++i) {
+            auto l = reused.lookup(pc);
+            reused.update(pc, true, pc + 0x40, l);
+        }
+    }
+    reused.reset();
+    EXPECT_EQ(reused.stats().lookups, 0u);
+    EXPECT_EQ(reused.stats().allocations, 0u);
+
+    Btac fresh(testBtac());
+    for (int i = 0; i < 12; ++i) {
+        uint64_t pc = 0x100 + 4 * uint64_t(i % 5);
+        bool taken = i % 3 != 0;
+        auto a = reused.lookup(pc);
+        auto b = fresh.lookup(pc);
+        EXPECT_EQ(a.hit, b.hit) << i;
+        EXPECT_EQ(a.predict, b.predict) << i;
+        EXPECT_EQ(a.nia, b.nia) << i;
+        reused.update(pc, taken, pc + 0x40, a);
+        fresh.update(pc, taken, pc + 0x40, b);
+    }
+    EXPECT_EQ(reused.stats().hits, fresh.stats().hits);
+    EXPECT_EQ(reused.stats().predictions, fresh.stats().predictions);
+    EXPECT_EQ(reused.stats().allocations, fresh.stats().allocations);
 }
 
 } // namespace

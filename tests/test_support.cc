@@ -174,25 +174,26 @@ TEST(Histogram, OutOfRange)
     EXPECT_EQ(h.overflow(), 1u);
 }
 
-TEST(SatCounter, SaturatesBothEnds)
+TEST(Counter2, SaturatesBothEnds)
 {
-    SatCounter c(2, 0);
-    EXPECT_EQ(c.value(), 0u);
-    c.decrement();
-    EXPECT_EQ(c.value(), 0u);
+    uint8_t c = 0;
+    counter2::update(c, false);
+    EXPECT_EQ(c, 0u);
     for (int i = 0; i < 10; ++i)
-        c.increment();
-    EXPECT_EQ(c.value(), 3u);
-    EXPECT_TRUE(c.high());
-    c.decrement();
-    c.decrement();
-    EXPECT_FALSE(c.high());
+        counter2::update(c, true);
+    EXPECT_EQ(c, 3u);
+    EXPECT_TRUE(counter2::high(c));
+    counter2::update(c, false);
+    counter2::update(c, false);
+    EXPECT_FALSE(counter2::high(c));
 }
 
-TEST(SatCounter, InitialClamped)
+TEST(Counter2, WeakStartFlipsOnOneOutcome)
 {
-    SatCounter c(2, 99);
-    EXPECT_EQ(c.value(), 3u);
+    uint8_t c = counter2::kWeaklyNotTaken;
+    EXPECT_FALSE(counter2::high(c));
+    counter2::update(c, true);
+    EXPECT_TRUE(counter2::high(c));
 }
 
 TEST(IntervalSeries, AccumulatesAndAverages)

@@ -2,11 +2,11 @@
  * @file
  * google-benchmark microbenchmarks of the simulator itself: functional
  * and timing simulation throughput (simulated instructions per second)
- * on the Smith-Waterman kernel, the per-instruction cost of the
- * functional executor's loop (hooked as the timing model runs it, and
- * runFast), the per-access cost of guest memory reads, the cost of
- * KernelMachine::reset() between pooled jobs, plus compile time of the
- * mpc pipeline.
+ * on the Smith-Waterman kernel (timing untraced and with a no-op trace
+ * sink), the per-instruction cost of the functional executor's loop
+ * (hooked as the timing model runs it, and runFast), the per-access
+ * cost of guest memory reads, the cost of KernelMachine::reset()
+ * between pooled jobs, plus compile time of the mpc pipeline.
  *
  * With --json the binary skips google-benchmark and instead emits one
  * JSON Lines record per (workload, mode) measuring simulated MIPS and
@@ -95,6 +95,30 @@ BM_TimingSimulation(benchmark::State &state)
         benchmark::Counter::kIs1000);
 }
 BENCHMARK(BM_TimingSimulation)->Unit(benchmark::kMillisecond);
+
+/**
+ * BM_TimingSimulation with an empty TraceSink attached: the cost of the
+ * traced timing loop (event records built and delivered to no-op hooks)
+ * against the untraced one.
+ */
+void
+BM_TimingSimulationTraced(benchmark::State &state)
+{
+    KernelMachine km(KernelKind::Dropgsw, mpc::Variant::Baseline,
+                     sim::MachineConfig());
+    AlignProblem p{&fx().a, &fx().b, &fx().m, fx().gap};
+    sim::TraceSink sink;
+    km.setTraceSink(&sink);
+    for (auto _ : state) {
+        km.run(p);
+        benchmark::DoNotOptimize(km.totals().cycles);
+    }
+    state.counters["MIPS"] = benchmark::Counter(
+        double(km.totals().instructions),
+        benchmark::Counter::kIsRate,
+        benchmark::Counter::kIs1000);
+}
+BENCHMARK(BM_TimingSimulationTraced)->Unit(benchmark::kMillisecond);
 
 void
 BM_TimingSimulationWithBtac(benchmark::State &state)

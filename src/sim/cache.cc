@@ -21,19 +21,6 @@ Cache::Cache(const CacheParams &params, Cache *next, unsigned memLatency)
     lines_.resize(lines);
 }
 
-uint64_t
-Cache::lineIndex(uint64_t addr) const
-{
-    uint64_t set = (addr >> lineShift_) & (numSets_ - 1);
-    return set * params_.assoc;
-}
-
-uint64_t
-Cache::tagOf(uint64_t addr) const
-{
-    return addr >> tagShift_;
-}
-
 void
 Cache::remember(uint64_t addr, uint64_t idx)
 {
@@ -41,7 +28,7 @@ Cache::remember(uint64_t addr, uint64_t idx)
     memoIdx_ = idx;
 }
 
-unsigned
+Cache::Outcome
 Cache::accessSlow(uint64_t addr, bool is_write, bool is_writeback,
                   uint64_t now)
 {
@@ -63,31 +50,40 @@ Cache::accessSlow(uint64_t addr, bool is_write, bool is_writeback,
             l.lruStamp = ++stamp_;
             if (is_write)
                 l.dirty = true;
-            unsigned extra = 0;
+            Outcome o{params_.hitLatency};
             if (l.prefetched) {
                 // First demand touch of a prefetched line: pay the
                 // remaining in-flight cycles if the fill has not
                 // arrived yet (partial hit).
                 ++stats_.prefetchHits;
+                o.prefetchedHit = true;
                 l.prefetched = false;
                 if (l.readyCycle > now)
-                    extra = unsigned(l.readyCycle - now);
+                    o.latency += unsigned(l.readyCycle - now);
             }
             if (!is_writeback)
                 remember(addr, base + w);
-            return params_.hitLatency + extra;
+            return o;
         }
     }
 
-    // Miss: fetch from below, allocate, evict LRU.
+    // Miss: fetch from below, then allocate, evicting the LRU victim
+    // (its writeback is not part of this access's outcome).
     ++stats_.misses;
-    unsigned below = next_ ? next_->access(addr, false) : memLatency_;
+    Outcome o{params_.hitLatency, true};
+    if (next_) {
+        Outcome below = next_->access(addr, false);
+        o.latency += below.latency;
+        o.missBelow = below.miss;
+    } else {
+        o.latency += memLatency_;
+    }
 
     Line &v = allocate(base, tag);
     v.dirty = is_write;
     if (!is_writeback)
         remember(addr, uint64_t(&v - lines_.data()));
-    return params_.hitLatency + below;
+    return o;
 }
 
 /** Pick the LRU victim in the set at @p base (the first invalid way,
@@ -148,7 +144,8 @@ Cache::prefetchFill(uint64_t addr, uint64_t now)
     ++stats_.prefetchIssued;
     // The fill reads the level below as a demand access there (a real
     // prefetch occupies the lower levels the same way).
-    unsigned below = next_ ? next_->access(addr, false) : memLatency_;
+    unsigned below = next_ ? next_->access(addr, false).latency
+                           : memLatency_;
     Line &v = allocate(base, tag);
     v.prefetched = true;
     v.readyCycle = now + params_.hitLatency + below;

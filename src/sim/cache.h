@@ -6,13 +6,16 @@
  * tracks tags only (data lives in sim::Memory), which is exact for the
  * hit/miss behaviour the paper reports (Table I's L1D miss rate).
  *
- * access() is inline with a same-line fast path: a demand access to
- * the line the previous access to this cache ended on (nearly every
- * L1I fetch) only bumps the counters and the dirty bit.  It skips that
- * line's LRU stamp, which is exact: the line is already the newest in
- * its set and every later stamp is larger either way, so no victim
- * choice changes.  The memo is an index, cleared by flush(),
- * prefetchFill() and writebacks arriving from above.
+ * access() reports its own outcome (latency, a miss here, a miss of
+ * the demand fill below), so callers never diff stats().  Its hit path
+ * is inline: a demand access to the line the previous access to this
+ * cache ended on (nearly every L1I fetch) only bumps the counters and
+ * the dirty bit.  It skips that line's LRU stamp, which is exact: the
+ * line is already the newest in its set and every later stamp is
+ * larger either way, so no victim choice changes.  The memo is an
+ * index, cleared by flush(), prefetchFill() and writebacks arriving
+ * from above.  Any other demand hit on a line that is not an
+ * in-flight prefetch is found by an inline scan of its set.
  *
  * Validity is a stamp compare, not a flag: a line is valid iff its LRU
  * stamp is newer than the clock value recorded at the last flush(), so
@@ -76,31 +79,65 @@ class Cache
      */
     Cache(const CacheParams &params, Cache *next, unsigned memLatency);
 
+    /** What one access did. */
+    struct Outcome
+    {
+        unsigned latency = 0;  ///< this level's hit latency plus any
+                               ///< lower-level cost
+        bool miss = false;     ///< missed at this level
+        bool missBelow = false; ///< the fill of this demand access
+                                ///< missed at the next level too
+        bool prefetchedHit = false; ///< first demand touch of a line
+                                    ///< brought in by prefetchFill()
+
+        /** The latency, for callers that want only the cost. */
+        operator unsigned() const { return latency; }
+    };
+
     /**
-     * Access @p addr (read or write).  Returns the total added latency
-     * in cycles (this level's hit latency plus any lower-level cost).
-     * Dirty evictions are presented to the next level as zero-latency
+     * Access @p addr (read or write) and report the outcome.  Dirty
+     * evictions are presented to the next level as zero-latency
      * writeback accesses (write buffers keep them off the critical
-     * path), so every level's CacheStats see the real write traffic.
-     * A demand hit on a line brought in by prefetchFill() that has not
-     * yet arrived pays the remaining cycles (@p now vs the line's
-     * arrival stamp) on top of the hit latency.
+     * path), so every level's CacheStats see the real write traffic;
+     * they never set Outcome::missBelow, which describes the demand
+     * fill alone.  A demand hit on a line brought in by prefetchFill()
+     * that has not yet arrived pays the remaining cycles (@p now vs the
+     * line's arrival stamp) on top of the hit latency.
      * @param is_writeback true when this access is a writeback arriving
      *        from the level above (accounted separately, latency unused)
      * @param now issue cycle of the access (partial-hit accounting;
      *        irrelevant when no prefetcher targets this level)
      */
-    unsigned
+    Outcome
     access(uint64_t addr, bool is_write, bool is_writeback = false,
            uint64_t now = 0)
     {
-        if (!is_writeback && (addr >> lineShift_) == memoLine_) {
-            ++stats_.accesses;
-            if (is_write) {
-                ++stats_.writes;
-                lines_[memoIdx_].dirty = true;
+        if (!is_writeback) {
+            const uint64_t line = addr >> lineShift_;
+            if (line == memoLine_) {
+                ++stats_.accesses;
+                if (is_write) {
+                    ++stats_.writes;
+                    lines_[memoIdx_].dirty = true;
+                }
+                return Outcome{params_.hitLatency};
             }
-            return params_.hitLatency;
+            const uint64_t base = lineIndex(addr);
+            const uint64_t tag = tagOf(addr);
+            for (unsigned w = 0; w < params_.assoc; ++w) {
+                Line &l = lines_[base + w];
+                if (l.tag == tag && valid(l) && !l.prefetched) {
+                    ++stats_.accesses;
+                    l.lruStamp = ++stamp_;
+                    if (is_write) {
+                        ++stats_.writes;
+                        l.dirty = true;
+                    }
+                    memoLine_ = line;
+                    memoIdx_ = base + w;
+                    return Outcome{params_.hitLatency};
+                }
+            }
         }
         return accessSlow(addr, is_write, is_writeback, now);
     }
@@ -154,12 +191,17 @@ class Cache
     /// memoLine_ when no access is memoised.
     static constexpr uint64_t kNoLine = ~uint64_t(0);
 
-    unsigned accessSlow(uint64_t addr, bool is_write, bool is_writeback,
-                        uint64_t now);
+    Outcome accessSlow(uint64_t addr, bool is_write, bool is_writeback,
+                       uint64_t now);
     /** Memoise lines_[idx], the line @p addr just ended on. */
     void remember(uint64_t addr, uint64_t idx);
-    uint64_t lineIndex(uint64_t addr) const;
-    uint64_t tagOf(uint64_t addr) const;
+    /** Index in lines_ of way 0 of @p addr's set. */
+    uint64_t
+    lineIndex(uint64_t addr) const
+    {
+        return ((addr >> lineShift_) & (numSets_ - 1)) * params_.assoc;
+    }
+    uint64_t tagOf(uint64_t addr) const { return addr >> tagShift_; }
     Line &allocate(uint64_t base, uint64_t tag);
 
     CacheParams params_;

@@ -146,6 +146,24 @@ OP_HANDLER(hCmpli)
 
 // --- loads / stores (templated over width, extension and addressing)
 
+/**
+ * Functional warming (SMARTS fast-forward) of the L1D and the
+ * direction predictor.  Out of line: both calls inline their whole
+ * lookup, which would otherwise grow every load, store and branch
+ * handler that plain functional runs execute.
+ */
+[[gnu::noinline]] void
+warmL1d(Cache &l1d, uint64_t ea, bool isWrite)
+{
+    l1d.access(ea, isWrite);
+}
+
+[[gnu::noinline]] void
+warmPredictor(DirectionPredictor &pred, uint64_t pc, bool taken)
+{
+    pred.update(pc, taken);
+}
+
 template <unsigned Size, bool Sign, bool Indexed>
 OP_HANDLER(hLoad)
 {
@@ -155,7 +173,7 @@ OP_HANDLER(hLoad)
     ++x.c.loads;
     x.memAddr = ea;
     if (x.l1d)
-        x.l1d->access(ea, false);
+        warmL1d(*x.l1d, ea, false);
     uint64_t v;
     if constexpr (Size == 1)
         v = x.mem.readU8(ea);
@@ -180,7 +198,7 @@ OP_HANDLER(hStore)
     ++x.c.stores;
     x.memAddr = ea;
     if (x.l1d)
-        x.l1d->access(ea, true);
+        warmL1d(*x.l1d, ea, true);
     uint64_t v = x.st.gpr[i.rt];
     if constexpr (Size == 1)
         x.mem.writeU8(ea, static_cast<uint8_t>(v));
@@ -342,7 +360,7 @@ finishBc(const MicroOp &mo, FastCtx &x, uint64_t pc, bool taken)
     x.taken = taken;
     x.target = mo.imm;
     if (x.pred)
-        x.pred->update(pc, taken);
+        warmPredictor(*x.pred, pc, taken);
     if (x.btac)
         warmBtac(x, pc, taken, mo.imm);
     if (mo.inst.lk)
@@ -381,7 +399,7 @@ OP_HANDLER(hBcReg)
     if (cond) {
         ++x.c.condBranches;
         if (x.pred)
-            x.pred->update(pc, taken);
+            warmPredictor(*x.pred, pc, taken);
     }
     if (x.btac)
         warmBtac(x, pc, taken, target);

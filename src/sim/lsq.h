@@ -89,11 +89,7 @@ class LoadStoreQueue
     uint64_t
     reserve(bool isLoad, uint64_t dc, bool *limited)
     {
-        // Inline classic fast path: this runs once per memory op on
-        // the timing model's hot loop.
-        if (classic_)
-            return dc;
-        return reserveLsq(isLoad, dc, limited);
+        return classic_ ? dc : reserveLsq(isLoad, dc, limited);
     }
 
     /**
@@ -103,44 +99,70 @@ class LoadStoreQueue
     Order
     orderLoad(uint64_t pc, uint64_t addr, uint64_t ready)
     {
-        if (classic_) {
-            Order o;
-            o.ready = ready;
-            uint64_t g = granuleOf(addr);
-            const StoreSlot &slot = table_[g & (kTableSlots - 1)];
-            if (slot.addr == g && slot.epoch == epoch_ &&
-                slot.complete > ready)
-                o.ready = slot.complete;
-            return o;
-        }
-        return orderLoadLsq(pc, addr, ready);
+        return classic_ ? orderLoadClassic(addr, ready)
+                        : orderLoadLsq(pc, addr, ready);
     }
 
     /** A store's data became available at cycle @p cc. */
     void
     storeComplete(uint64_t addr, uint64_t cc)
     {
-        uint64_t g = granuleOf(addr);
-        if (classic_) {
-            StoreSlot &slot = table_[g & (kTableSlots - 1)];
-            slot.addr = g;
-            slot.complete = cc;
-            slot.epoch = epoch_;
-            return;
-        }
-        SqEntry &e = sq_[sqPos_];
-        e.granule = g;
-        e.complete = cc;
-        ++sqSeq_;
-        sqPos_ = advance(sqPos_, sq_.size());
+        if (classic_)
+            storeCompleteClassic(addr, cc);
+        else
+            storeCompleteLsq(addr, cc);
     }
 
     /** The memory op at the queue head committed at @p commitCycle. */
     void
     commit(bool isLoad, uint64_t commitCycle)
     {
-        if (classic_)
-            return;
+        if (!classic_)
+            commitLsq(isLoad, commitCycle);
+    }
+
+    // The operations above for one mode, for a caller that knows the
+    // mode at compile time (MemorySystem's per-mode steps); calling a
+    // form of the other mode is a bug.
+
+    Order
+    orderLoadClassic(uint64_t addr, uint64_t ready) const
+    {
+        Order o;
+        o.ready = ready;
+        uint64_t g = granuleOf(addr);
+        const StoreSlot &slot = table_[g & (kTableSlots - 1)];
+        if (slot.addr == g && slot.epoch == epoch_ && slot.complete > ready)
+            o.ready = slot.complete;
+        return o;
+    }
+
+    void
+    storeCompleteClassic(uint64_t addr, uint64_t cc)
+    {
+        uint64_t g = granuleOf(addr);
+        StoreSlot &slot = table_[g & (kTableSlots - 1)];
+        slot.addr = g;
+        slot.complete = cc;
+        slot.epoch = epoch_;
+    }
+
+    uint64_t reserveLsq(bool isLoad, uint64_t dc, bool *limited);
+    Order orderLoadLsq(uint64_t pc, uint64_t addr, uint64_t ready);
+
+    void
+    storeCompleteLsq(uint64_t addr, uint64_t cc)
+    {
+        SqEntry &e = sq_[sqPos_];
+        e.granule = granuleOf(addr);
+        e.complete = cc;
+        ++sqSeq_;
+        sqPos_ = advance(sqPos_, sq_.size());
+    }
+
+    void
+    commitLsq(bool isLoad, uint64_t commitCycle)
+    {
         std::vector<uint64_t> &ring = isLoad ? loadCommit_ : storeCommit_;
         uint64_t &seq = isLoad ? loadSeq_ : storeSeq_;
         size_t &pos = isLoad ? loadPos_ : storePos_;
@@ -162,9 +184,6 @@ class LoadStoreQueue
     {
         return ++pos == size ? 0 : pos;
     }
-
-    uint64_t reserveLsq(bool isLoad, uint64_t dc, bool *limited);
-    Order orderLoadLsq(uint64_t pc, uint64_t addr, uint64_t ready);
 
     LsqParams params_;
     bool classic_;

@@ -48,8 +48,8 @@ Machine::Machine(const MachineConfig &config)
       l1i_(config.l1i, &l2_, config.memLatency),
       l1d_(config.l1d, &l2_, config.memLatency),
       memsys_(config.memsys, &l1d_, &l2_),
-      predictor_(makePredictor(config.predictor, config.predictorEntries,
-                               config.predictorHistoryBits)),
+      predictor_(config.predictor, config.predictorEntries,
+                 config.predictorHistoryBits),
       btac_(config.btac), robCommitCycle_(config.robSize, 0)
 {
     const unsigned counts[] = {config.numFXU, config.numLSU, config.numBRU,
@@ -85,7 +85,7 @@ Machine::reset()
     l1d_.resetStats();
     l2_.resetStats();
     memsys_.reset();
-    predictor_->reset();
+    predictor_.reset();
     btac_.reset();
     exec_.clearConsole();
     // Decoded micro-ops survive, but each is re-checked against memory
@@ -105,26 +105,84 @@ Machine::beginRun()
 
 namespace {
 
-/** Classify the producing unit of the critical source operand. */
-StallReason
-unitToReason(isa::Unit u)
+/** What the schedule found about one instruction's delay. */
+struct DelayFacts
 {
-    switch (u) {
-      case isa::Unit::FXU:
-        return StallReason::FXU;
-      case isa::Unit::LSU:
-        return StallReason::LSU;
-      case isa::Unit::BRU:
-      case isa::Unit::CRU:
-        return StallReason::Other;
-      default:
-        return StallReason::Other;
+    isa::Unit unit = isa::Unit::NONE;
+    /// Producer of the source operand that arrived last (NONE when no
+    /// operand held the instruction past dispatch).
+    isa::Unit criticalProducer = isa::Unit::NONE;
+    bool afterRedirect = false; ///< fetched in a flush's shadow
+    bool afterDisambig = false; ///< ... and that flush was a squash
+    /// Held after dispatch by operands, a busy unit, an L1D miss or an
+    /// older store.
+    bool lateInBackend = false;
+    bool dcacheMiss = false;
+    bool l2Miss = false;
+    bool forwarded = false;
+    bool disambig = false; ///< squashed on a load-ordering violation
+    bool lsqLimited = false;
+    bool robLimited = false;
+};
+
+/** One instruction's delay cause in both accountings. */
+struct Delay
+{
+    StallReason reason;   ///< POWER5 PM_CMPLU_STALL_* analogue
+    CpiComponent component; ///< CPI-stack component (DESIGN.md §4.10)
+};
+
+/**
+ * Classify an instruction's delay.  The CPI component wins under the
+ * documented priority order (squash, flush shadow, L1D miss, back-end
+ * wait, queue full, ROB full, front end); the stall reason is the
+ * coarser completion-stall view of the same decision.
+ */
+inline Delay
+classifyDelay(const DelayFacts &f)
+{
+    if (f.disambig) {
+        return {f.afterRedirect ? StallReason::Branch : StallReason::LSU,
+                CpiComponent::DisambigFlush};
     }
+    if (f.afterRedirect) {
+        return {StallReason::Branch, f.afterDisambig
+                                         ? CpiComponent::DisambigFlush
+                                         : CpiComponent::BranchFlush};
+    }
+    if (f.dcacheMiss) {
+        return {StallReason::LSU,
+                f.l2Miss ? CpiComponent::LsuMem : CpiComponent::LsuL2};
+    }
+    if (f.lateInBackend) {
+        // A branch or CR op waits on its critical producer's unit.
+        isa::Unit u = f.unit;
+        if (u != isa::Unit::FXU && u != isa::Unit::LSU &&
+            f.criticalProducer != isa::Unit::NONE) {
+            u = f.criticalProducer;
+        }
+        Delay d{StallReason::Other, CpiComponent::Other};
+        if (u == isa::Unit::FXU)
+            d = {StallReason::FXU, CpiComponent::Fxu};
+        else if (u == isa::Unit::LSU)
+            d = {StallReason::LSU, CpiComponent::LsuL1};
+        if (f.forwarded)
+            d.component = CpiComponent::LsuFwd;
+        return d;
+    }
+    if (f.lsqLimited) {
+        return {f.robLimited ? StallReason::Other : StallReason::Frontend,
+                CpiComponent::LsqFull};
+    }
+    if (f.robLimited)
+        return {StallReason::Other, CpiComponent::RobFull};
+    return {StallReason::Frontend, CpiComponent::Frontend};
 }
 
 } // namespace
 
-void
+template <bool Traced, bool BtacOn, bool Classic>
+[[gnu::always_inline]] inline void
 Machine::scheduleInstruction(const MicroOp &mo, uint64_t pc,
                              const FastCtx &x, Counters &c)
 {
@@ -136,6 +194,8 @@ Machine::scheduleInstruction(const MicroOp &mo, uint64_t pc,
     const uint64_t target = taken ? x.target : 0;
     const unsigned frontDepth = config_.frontendDepth;
     const uint64_t seqno = ts.seq; ///< dynamic index of this instruction
+    DelayFacts f;
+    f.unit = mo.unit;
 
     // ------------------------------------------------------------ fetch
     uint64_t fc = ts.fetchAvail;
@@ -152,16 +212,14 @@ Machine::scheduleInstruction(const MicroOp &mo, uint64_t pc,
 
     // Instruction cache (tag-only; code is touched once per line).
     ++c.l1iAccesses;
-    uint64_t before = l1i_.stats().misses;
-    unsigned ilat = l1i_.access(pc, false);
-    bool icache_miss = l1i_.stats().misses != before;
-    if (icache_miss) {
+    const Cache::Outcome io = l1i_.access(pc, false);
+    if (io.miss) {
         ++c.l1iMisses;
-        fc += ilat;
+        fc += io.latency;
         ts.fetchAvail = fc;
         ts.fetchCycleCursor = fc;
         ts.fetchedThisCycle = 1;
-        if (sink_) {
+        if constexpr (Traced) {
             CacheMissRecord mr;
             mr.level = CacheMissRecord::Level::L1I;
             mr.seq = seqno;
@@ -172,8 +230,8 @@ Machine::scheduleInstruction(const MicroOp &mo, uint64_t pc,
         }
     }
 
-    bool fetch_after_redirect = ts.redirectShadow > 0;
-    bool fetch_after_disambig = fetch_after_redirect && ts.redirectDisambig;
+    f.afterRedirect = ts.redirectShadow > 0;
+    f.afterDisambig = f.afterRedirect && ts.redirectDisambig;
     if (ts.redirectShadow > 0)
         --ts.redirectShadow;
 
@@ -187,16 +245,14 @@ Machine::scheduleInstruction(const MicroOp &mo, uint64_t pc,
     }
     // ROB space: the entry robSize back must have committed.
     uint64_t rob_free = robCommitCycle_[ts.robSlot];
-    bool rob_limited = false;
     if (ts.seq >= config_.robSize && dc <= rob_free) {
         dc = rob_free + 1;
-        rob_limited = true;
+        f.robLimited = true;
     }
     // Load/store queue space (lsq mode; a no-op in classic mode).
-    bool lsq_limited = false;
     if (mo.isLoad || mo.isStore)
-        dc = memsys_.reserve(mo.isLoad, dc, &lsq_limited);
-    if (lsq_limited) {
+        dc = memsys_.reserve<Classic>(mo.isLoad, dc, &f.lsqLimited);
+    if (f.lsqLimited) {
         if (mo.isLoad)
             ++c.lsqFullLoads;
         else
@@ -210,12 +266,11 @@ Machine::scheduleInstruction(const MicroOp &mo, uint64_t pc,
 
     // ---------------------------------------------------------- operands
     uint64_t rc_cycle = dc;
-    isa::Unit critical_producer = isa::Unit::NONE;
     for (unsigned i = 0; i < mo.nsrc; ++i) {
         uint64_t rdy = ts.regReady[mo.src[i]];
         if (rdy > rc_cycle) {
             rc_cycle = rdy;
-            critical_producer = ts.regProducer[mo.src[i]];
+            f.criticalProducer = ts.regProducer[mo.src[i]];
         }
     }
 
@@ -223,18 +278,16 @@ Machine::scheduleInstruction(const MicroOp &mo, uint64_t pc,
     // store table makes the load wait for the store's completion; the
     // LSQ may instead forward the data or speculate (and violate).
     bool load_after_store = false;
-    bool forwarded = false;
-    bool disambig_violation = false;
     uint64_t conflict_complete = 0;
     if (mo.isLoad) {
         LoadStoreQueue::Order ord =
-            memsys_.orderLoad(pc, memAddr, rc_cycle);
+            memsys_.orderLoad<Classic>(pc, memAddr, rc_cycle);
         if (ord.ready > rc_cycle) {
             rc_cycle = ord.ready;
             load_after_store = true;
         }
-        forwarded = ord.forwarded;
-        disambig_violation = ord.violation;
+        f.forwarded = ord.forwarded;
+        f.disambig = ord.violation;
         conflict_complete = ord.conflictComplete;
     }
 
@@ -252,9 +305,7 @@ Machine::scheduleInstruction(const MicroOp &mo, uint64_t pc,
 
     // ---------------------------------------------------------- complete
     uint64_t latency = mo.latency;
-    bool dcache_miss = false;
-    bool l2_miss = false;
-    if (forwarded) {
+    if (f.forwarded) {
         // Load served from the store queue: no cache access at all,
         // just the forward latency once the data is ready.
         latency = memsys_.params().lsq.forwardLatency;
@@ -263,31 +314,27 @@ Machine::scheduleInstruction(const MicroOp &mo, uint64_t pc,
         ++c.l1dAccesses;
         MemorySystem::Access ar =
             memsys_.access(pc, memAddr, mo.isStore, ic);
-        if (ar.l1dMiss) {
-            ++c.l1dMisses;
-            dcache_miss = true;
-        }
-        if (ar.l2Miss) {
-            ++c.l2Misses;
-            l2_miss = true;
-        }
-        if (ar.prefetchedHit)
-            ++c.prefetchHits;
+        f.dcacheMiss = ar.l1dMiss;
+        f.l2Miss = ar.l2Miss;
+        c.l1dMisses += ar.l1dMiss;
+        c.l2Misses += ar.l2Miss;
+        c.prefetchHits += ar.prefetchedHit;
         c.prefetchIssued += ar.prefetchIssued;
-        if (sink_ && (dcache_miss || l2_miss)) {
-            CacheMissRecord mr;
-            mr.seq = seqno;
-            mr.pc = pc;
-            mr.addr = memAddr;
-            mr.cycle = ic;
-            mr.isStore = mo.isStore;
-            if (dcache_miss) {
+        if constexpr (Traced) {
+            // An L2 miss is the L1D miss's fill missing below it.
+            if (f.dcacheMiss) {
+                CacheMissRecord mr;
+                mr.seq = seqno;
+                mr.pc = pc;
+                mr.addr = memAddr;
+                mr.cycle = ic;
+                mr.isStore = mo.isStore;
                 mr.level = CacheMissRecord::Level::L1D;
                 sink_->onCacheMiss(mr);
-            }
-            if (l2_miss) {
-                mr.level = CacheMissRecord::Level::L2;
-                sink_->onCacheMiss(mr);
+                if (f.l2Miss) {
+                    mr.level = CacheMissRecord::Level::L2;
+                    sink_->onCacheMiss(mr);
+                }
             }
         }
         if (mo.isLoad) {
@@ -297,8 +344,10 @@ Machine::scheduleInstruction(const MicroOp &mo, uint64_t pc,
         }
     }
     uint64_t cc = ic + latency;
+    f.lateInBackend = rc_cycle > dc || unit_contended || f.dcacheMiss ||
+                      load_after_store;
 
-    if (disambig_violation) {
+    if (f.disambig) {
         // The load speculated past an older store to the same granule
         // and is squashed when the store's data arrives: it re-executes
         // as a forward off the store queue, and everything younger is
@@ -311,7 +360,7 @@ Machine::scheduleInstruction(const MicroOp &mo, uint64_t pc,
         ts.fetchAvail = cc + 1 + memsys_.params().lsq.disambigPenalty;
         ts.redirectShadow = config_.commitWidth;
         ts.redirectDisambig = true;
-        if (sink_) {
+        if constexpr (Traced) {
             FlushRecord fr;
             fr.seq = seqno;
             fr.pc = pc;
@@ -323,7 +372,7 @@ Machine::scheduleInstruction(const MicroOp &mo, uint64_t pc,
     }
 
     if (mo.isStore)
-        memsys_.storeComplete(memAddr, cc);
+        memsys_.storeComplete<Classic>(memAddr, cc);
 
     // Register results become available at completion.
     for (unsigned i = 0; i < mo.ndst; ++i) {
@@ -332,40 +381,37 @@ Machine::scheduleInstruction(const MicroOp &mo, uint64_t pc,
     }
 
     // ---------------------------------------------------------- branches
-    bool redirect = false;
     bool direction_mispredict = false;
     bool target_mispredict = false;
     if (mo.isBranch) {
         Btac::Lookup bl;
-        if (config_.btacEnabled)
+        if constexpr (BtacOn)
             bl = btac_.lookup(pc);
 
         bool pred = false;
         if (mo.isCondBranch) {
-            pred = predictor_->predictUpdate(pc, taken);
+            pred = predictor_.predictUpdate(pc, taken);
             direction_mispredict = pred != taken;
         }
 
         // Indirect branches: bclr is covered by a (modelled-perfect)
         // link stack; bcctr needs the BTAC for its target.
-        if (mo.inst.op == isa::Op::BCCTR && taken && !(bl.predict && bl.nia == target)) {
+        const bool btac_right = bl.predict && taken && bl.nia == target;
+        if (mo.inst.op == isa::Op::BCCTR && taken && !btac_right)
             target_mispredict = true;
-        }
 
-        if (config_.btacEnabled) {
+        if constexpr (BtacOn) {
             btac_.update(pc, taken, target, bl);
             if (bl.predict) {
                 ++c.btacPredictions;
-                bool ok = taken && bl.nia == target;
-                if (ok)
+                if (btac_right)
                     ++c.btacCorrect;
                 else
                     ++c.btacMispredicts;
             }
         }
 
-        bool btac_wrong = bl.predict && !(taken && bl.nia == target);
-
+        bool redirect = false;
         if (direction_mispredict || target_mispredict) {
             if (direction_mispredict)
                 ++c.mispredDirection;
@@ -374,13 +420,12 @@ Machine::scheduleInstruction(const MicroOp &mo, uint64_t pc,
             // Flush: refetch after the branch resolves.
             ts.fetchAvail = cc + 1 + config_.mispredictPenalty;
             redirect = true;
-        } else if (btac_wrong) {
+        } else if (bl.predict && !btac_right) {
             // BTAC steered fetch to the wrong place; same redirect cost.
             ts.fetchAvail = cc + 1 + config_.mispredictPenalty;
             redirect = true;
         } else if (taken) {
-            bool btac_covers = bl.predict && bl.nia == target;
-            if (btac_covers) {
+            if (btac_right) {
                 // Target known at fetch: only the fetch-group break.
                 ts.fetchAvail = fc + 1;
             } else {
@@ -393,7 +438,7 @@ Machine::scheduleInstruction(const MicroOp &mo, uint64_t pc,
             ts.redirectDisambig = false;
         }
 
-        if (sink_) {
+        if constexpr (Traced) {
             BranchRecord br;
             br.seq = seqno;
             br.pc = pc;
@@ -405,7 +450,7 @@ Machine::scheduleInstruction(const MicroOp &mo, uint64_t pc,
             br.directionMispredict = direction_mispredict;
             br.targetMispredict = target_mispredict;
             br.btacPredicted = bl.predict;
-            br.btacCorrect = bl.predict && taken && bl.nia == target;
+            br.btacCorrect = btac_right;
             sink_->onBranch(br);
             if (redirect) {
                 FlushRecord fr;
@@ -435,68 +480,13 @@ Machine::scheduleInstruction(const MicroOp &mo, uint64_t pc,
     }
     ++ts.committedThisCycle;
 
-    // POWER5-style completion-stall attribution: classify this
-    // instruction's delay cause (PM_CMPLU_STALL_* analogue).
-    StallReason reason;
-    {
-        bool late_in_backend = rc_cycle > dc || unit_contended ||
-                               dcache_miss || load_after_store;
-        if (fetch_after_redirect) {
-            reason = StallReason::Branch;
-        } else if (dcache_miss || disambig_violation) {
-            reason = StallReason::LSU;
-        } else if (late_in_backend) {
-            reason = unitToReason(mo.unit);
-            if (reason == StallReason::Other &&
-                critical_producer != isa::Unit::NONE) {
-                reason = unitToReason(critical_producer);
-            }
-        } else if (rob_limited) {
-            reason = StallReason::Other;
-        } else {
-            reason = StallReason::Frontend;
-        }
-    }
-    // CPI-stack attribution (DESIGN.md section 4.10): classify this
-    // instruction's delay into the component that wins under the
-    // documented priority order, then attribute every cycle up to its
-    // commit.  Commit cycles are monotonic, so charging each newly
+    // Attribute every cycle up to this commit to the instruction's CPI
+    // component.  Commit cycles are monotonic, so charging each newly
     // closed gap keeps sum(cpi) == cycles bit-exactly at every
     // instruction boundary (and hence per PmuSampler window).
-    CpiComponent comp;
-    {
-        bool late_in_backend = rc_cycle > dc || unit_contended ||
-                               dcache_miss || load_after_store;
-        if (disambig_violation) {
-            comp = CpiComponent::DisambigFlush;
-        } else if (fetch_after_redirect) {
-            comp = fetch_after_disambig ? CpiComponent::DisambigFlush
-                                        : CpiComponent::BranchFlush;
-        } else if (dcache_miss) {
-            comp = l2_miss ? CpiComponent::LsuMem : CpiComponent::LsuL2;
-        } else if (late_in_backend) {
-            if (forwarded) {
-                comp = CpiComponent::LsuFwd;
-            } else {
-                isa::Unit u = mo.unit;
-                if (u != isa::Unit::FXU && u != isa::Unit::LSU &&
-                    critical_producer != isa::Unit::NONE) {
-                    u = critical_producer;
-                }
-                comp = u == isa::Unit::FXU   ? CpiComponent::Fxu
-                       : u == isa::Unit::LSU ? CpiComponent::LsuL1
-                                             : CpiComponent::Other;
-            }
-        } else if (lsq_limited) {
-            comp = CpiComponent::LsqFull;
-        } else if (rob_limited) {
-            comp = CpiComponent::RobFull;
-        } else {
-            comp = CpiComponent::Frontend;
-        }
-    }
+    const Delay delay = classifyDelay(f);
     if (commit > ts.lastAccounted) {
-        c.cpi[size_t(comp)] += commit - ts.lastAccounted - 1;
+        c.cpi[size_t(delay.component)] += commit - ts.lastAccounted - 1;
         ++c.cpi[size_t(CpiComponent::Completing)];
         ts.lastAccounted = commit;
     }
@@ -506,7 +496,7 @@ Machine::scheduleInstruction(const MicroOp &mo, uint64_t pc,
     // charged to the slowest member's reason.
     if (ts.groupSize == 0 || cc >= ts.groupMaxCc) {
         ts.groupMaxCc = cc;
-        ts.groupReason = reason;
+        ts.groupReason = delay.reason;
     }
     ++ts.groupSize;
     bool group_ends = ts.groupSize >= config_.commitWidth || taken;
@@ -523,7 +513,7 @@ Machine::scheduleInstruction(const MicroOp &mo, uint64_t pc,
     if (++ts.robSlot == robCommitCycle_.size())
         ts.robSlot = 0;
     if (mo.isLoad || mo.isStore)
-        memsys_.commit(mo.isLoad, commit);
+        memsys_.commit<Classic>(mo.isLoad, commit);
     ++ts.seq;
 
     // Architectural counters were bumped by the executor loop, the
@@ -531,7 +521,7 @@ Machine::scheduleInstruction(const MicroOp &mo, uint64_t pc,
     // model's.
     c.cycles = commit;
 
-    if (sink_) {
+    if constexpr (Traced) {
         InstRecord rec;
         rec.seq = seqno;
         rec.pc = pc;
@@ -541,8 +531,8 @@ Machine::scheduleInstruction(const MicroOp &mo, uint64_t pc,
         rec.issueCycle = ic;
         rec.writebackCycle = cc;
         rec.commitCycle = commit;
-        rec.stall = reason;
-        rec.component = comp;
+        rec.stall = delay.reason;
+        rec.component = delay.component;
         rec.isBranch = mo.isBranch;
         rec.isCondBranch = mo.isCondBranch;
         rec.taken = taken;
@@ -550,12 +540,12 @@ Machine::scheduleInstruction(const MicroOp &mo, uint64_t pc,
         rec.isLoad = mo.isLoad;
         rec.isStore = mo.isStore;
         rec.memAddr = memAddr;
-        rec.l1iMiss = icache_miss;
-        rec.l1dMiss = dcache_miss;
-        rec.l2Miss = l2_miss;
-        rec.forwarded = forwarded;
-        rec.disambigFlush = disambig_violation;
-        if ((mo.isLoad || mo.isStore) && !memsys_.classic()) {
+        rec.l1iMiss = io.miss;
+        rec.l1dMiss = f.dcacheMiss;
+        rec.l2Miss = f.l2Miss;
+        rec.forwarded = f.forwarded;
+        rec.disambigFlush = f.disambig;
+        if (!Classic && (mo.isLoad || mo.isStore)) {
             rec.lsqLoadOcc = memsys_.occupancy(true, dc);
             rec.lsqStoreOcc = memsys_.occupancy(false, dc);
         }
@@ -566,18 +556,43 @@ Machine::scheduleInstruction(const MicroOp &mo, uint64_t pc,
 /**
  * The executor loop with the timing model as its hook: count each
  * retired instruction (sinks read Counters in onInstruction) and
- * schedule it.  Returns the number executed; a halt lands in @p res.
+ * schedule it.
+ */
+template <bool Traced, bool BtacOn, bool Classic>
+Executor::FastResult
+Machine::runShape(uint64_t max, Counters &c)
+{
+    return exec_.runHooked(
+        max, c,
+        [this, &c](const MicroOp &mo, uint64_t pc, const FastCtx &x) {
+            ++c.instructions;
+            scheduleInstruction<Traced, BtacOn, Classic>(mo, pc, x, c);
+        });
+}
+
+/**
+ * Full-detail timing through the loop built for this machine's shape,
+ * chosen once per call (per run, or per sampled window).  Returns the
+ * number executed; a halt lands in @p res.
  */
 uint64_t
 Machine::runTimed(uint64_t max, RunResult &res)
 {
-    Counters &c = res.counters;
-    Executor::FastResult fr = exec_.runHooked(
-        max, c,
-        [this, &c](const MicroOp &mo, uint64_t pc, const FastCtx &x) {
-            ++c.instructions;
-            scheduleInstruction(mo, pc, x, c);
-        });
+    using Loop = Executor::FastResult (Machine::*)(uint64_t, Counters &);
+    // Indexed by traced * 4 + btac * 2 + classic.
+    static constexpr Loop kLoops[8] = {
+        &Machine::runShape<false, false, false>,
+        &Machine::runShape<false, false, true>,
+        &Machine::runShape<false, true, false>,
+        &Machine::runShape<false, true, true>,
+        &Machine::runShape<true, false, false>,
+        &Machine::runShape<true, false, true>,
+        &Machine::runShape<true, true, false>,
+        &Machine::runShape<true, true, true>,
+    };
+    const size_t shape = (sink_ ? 4 : 0) + (config_.btacEnabled ? 2 : 0) +
+                         (memsys_.classic() ? 1 : 0);
+    Executor::FastResult fr = (this->*kLoops[shape])(max, res.counters);
     if (fr.halted) {
         res.halted = true;
         res.exitCode = fr.exitCode;
@@ -647,7 +662,7 @@ Machine::runSampled(uint64_t max_instructions)
         sink_->onRunBegin(config_);
 
     Executor::Warming warm;
-    warm.pred = predictor_.get();
+    warm.pred = &predictor_;
     warm.btac = config_.btacEnabled ? &btac_ : nullptr;
     warm.l1d = &l1d_;
     const Executor::Warming *warmp =

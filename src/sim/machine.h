@@ -24,7 +24,6 @@
 
 #include <array>
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -143,9 +142,10 @@ class Machine
 
     /**
      * Attach an event observer (non-owning; nullptr detaches, and
-     * reset() detaches).  With no sink the timing model pays one
-     * null-pointer test per retired instruction and its Counters are
-     * bit-identical to a build without tracing at all.
+     * reset() detaches).  Each run picks its executor loop once from
+     * whether a sink is attached: the untraced loop contains no sink
+     * code at all, and its Counters are bit-identical to the traced
+     * loop's.  Attach or detach between runs, not from a sink's hook.
      */
     void setTraceSink(TraceSink *sink) { sink_ = sink; }
     TraceSink *traceSink() const { return sink_; }
@@ -214,9 +214,18 @@ class Machine
      * Time the op that just retired at @p pc: reads only the
      * micro-op's static timing facts and the handler's outcome in
      * @p x (memAddr for loads/stores, taken/target for branches).
+     * The machine's static shape is compile-time, so the loop built
+     * for each shape tests none of it per instruction:
+     * @tparam Traced a trace sink is attached (sink_ is not null)
+     * @tparam BtacOn config_.btacEnabled
+     * @tparam Classic memsys_.classic()
      */
+    template <bool Traced, bool BtacOn, bool Classic>
     void scheduleInstruction(const MicroOp &mo, uint64_t pc,
                              const FastCtx &x, Counters &c);
+    /** The executor loop of one shape, scheduleInstruction inlined. */
+    template <bool Traced, bool BtacOn, bool Classic>
+    Executor::FastResult runShape(uint64_t max, Counters &c);
     /** Fresh timing and store-ordering state for a new run. */
     void beginRun();
     /** Full-detail timing of up to @p max instructions into @p res. */
@@ -232,7 +241,7 @@ class Machine
     Cache l1i_;
     Cache l1d_;
     MemorySystem memsys_;
-    std::unique_ptr<DirectionPredictor> predictor_;
+    DirectionPredictor predictor_;
     Btac btac_;
 
     TraceSink *sink_ = nullptr;

@@ -17,13 +17,13 @@ memSysModeKey(MemSysParams::Mode m)
 }
 
 MemorySystem::MemorySystem(const MemSysParams &params, Cache *l1d, Cache *l2)
-    : params_(params), l1d_(l1d), l2_(l2),
+    : params_(params), l1d_(l1d),
       lsq_(params.lsq, params.classic())
 {
     if (params_.l1dPrefetch.enabled())
         l1dPf_ = std::make_unique<Prefetcher>(params_.l1dPrefetch, l1d_);
     if (params_.l2Prefetch.enabled())
-        l2Pf_ = std::make_unique<Prefetcher>(params_.l2Prefetch, l2_);
+        l2Pf_ = std::make_unique<Prefetcher>(params_.l2Prefetch, l2);
 }
 
 void

@@ -63,6 +63,8 @@ class MemorySystem
         unsigned prefetchIssued = 0; ///< fills triggered by this access
     };
 
+    /** @p l2 must be the level below @p l1d: an L2 miss is the L1D
+     *  demand fill missing there. */
     MemorySystem(const MemSysParams &params, Cache *l1d, Cache *l2);
 
     const MemSysParams &params() const { return params_; }
@@ -76,35 +78,45 @@ class MemorySystem
     /** Full reset: queues, dependence predictor, prefetch tables. */
     void reset();
 
+    // Per-operation steps of the timing model.  The mode is a template
+    // argument, Classic == classic(): the machine runs one loop per
+    // memory-system mode, so none of these tests the mode.
+
     /** Dispatch-time queue reservation (see LoadStoreQueue::reserve). */
+    template <bool Classic>
     uint64_t
     reserve(bool isLoad, uint64_t dc, bool *limited)
     {
-        return lsq_.reserve(isLoad, dc, limited);
+        if constexpr (Classic)
+            return dc;
+        else
+            return lsq_.reserveLsq(isLoad, dc, limited);
     }
 
     /** Order a load against older stores (see LoadStoreQueue). */
+    template <bool Classic>
     LoadStoreQueue::Order
     orderLoad(uint64_t pc, uint64_t addr, uint64_t ready)
     {
-        return lsq_.orderLoad(pc, addr, ready);
+        if constexpr (Classic)
+            return lsq_.orderLoadClassic(addr, ready);
+        else
+            return lsq_.orderLoadLsq(pc, addr, ready);
     }
 
     /** Demand access from the core: walks the hierarchy, classifies
      *  the miss level, and runs the attached prefetch engines.
      *  Inline: one call per memory op on the timing hot loop. */
-    Access
+    [[gnu::always_inline]] Access
     access(uint64_t pc, uint64_t addr, bool isStore, uint64_t now)
     {
+        Cache::Outcome o =
+            l1d_->access(addr, isStore, /*is_writeback=*/false, now);
         Access r;
-        uint64_t l1dBefore = l1d_->stats().misses;
-        uint64_t l2Before = l2_->stats().misses;
-        uint64_t phBefore = l1d_->stats().prefetchHits;
-        r.latency = l1d_->access(addr, isStore, /*is_writeback=*/false,
-                                 now);
-        r.l1dMiss = l1d_->stats().misses != l1dBefore;
-        r.l2Miss = l2_->stats().misses != l2Before;
-        r.prefetchedHit = l1d_->stats().prefetchHits != phBefore;
+        r.latency = o.latency;
+        r.l1dMiss = o.miss;
+        r.l2Miss = o.missBelow;
+        r.prefetchedHit = o.prefetchedHit;
         if (l1dPf_)
             r.prefetchIssued += l1dPf_->observe(pc, addr, r.l1dMiss, now);
         if (l2Pf_)
@@ -113,17 +125,23 @@ class MemorySystem
     }
 
     /** A store's data became available at @p cc. */
+    template <bool Classic>
     void
     storeComplete(uint64_t addr, uint64_t cc)
     {
-        lsq_.storeComplete(addr, cc);
+        if constexpr (Classic)
+            lsq_.storeCompleteClassic(addr, cc);
+        else
+            lsq_.storeCompleteLsq(addr, cc);
     }
 
     /** The memory op committed (frees its queue slot). */
+    template <bool Classic>
     void
     commit(bool isLoad, uint64_t commitCycle)
     {
-        lsq_.commit(isLoad, commitCycle);
+        if constexpr (!Classic)
+            lsq_.commitLsq(isLoad, commitCycle);
     }
 
     /** Queue occupancy at @p cycle (lsq mode; 0 in classic). */
@@ -136,7 +154,6 @@ class MemorySystem
   private:
     MemSysParams params_;
     Cache *l1d_;
-    Cache *l2_;
     LoadStoreQueue lsq_;
     std::unique_ptr<Prefetcher> l1dPf_;
     std::unique_ptr<Prefetcher> l2Pf_;

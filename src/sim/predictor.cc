@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "support/bitfield.h"
 #include "support/logging.h"
 
 namespace bp5::sim {
@@ -18,9 +17,28 @@ checkedMaskBits(unsigned entries)
 
 } // namespace
 
+DirectionPredictor::Impl
+DirectionPredictor::makeImpl(PredictorKind kind, unsigned entries,
+                             unsigned historyBits)
+{
+    switch (kind) {
+      case PredictorKind::AlwaysTaken:
+        return Impl(std::in_place_type<AlwaysTakenPredictor>);
+      case PredictorKind::Bimodal:
+        return Impl(std::in_place_type<BimodalPredictor>, entries);
+      case PredictorKind::Gshare:
+        return Impl(std::in_place_type<GsharePredictor>, entries,
+                    historyBits);
+      case PredictorKind::Tournament:
+        return Impl(std::in_place_type<TournamentPredictor>, entries,
+                    historyBits);
+    }
+    panic("unknown predictor kind");
+}
+
 BimodalPredictor::BimodalPredictor(unsigned entries)
     : table_(entries, counter2::kWeaklyNotTaken),
-      maskBits_(checkedMaskBits(entries))
+      indexMask_(mask(checkedMaskBits(entries)))
 {
 }
 
@@ -30,29 +48,16 @@ BimodalPredictor::reset()
     std::fill(table_.begin(), table_.end(), counter2::kWeaklyNotTaken);
 }
 
-unsigned
-BimodalPredictor::index(uint64_t pc) const
-{
-    return static_cast<unsigned>((pc >> 2) & mask(maskBits_));
-}
-
-bool
-BimodalPredictor::predict(uint64_t pc) const
-{
-    return counter2::high(table_[index(pc)]);
-}
-
-void
-BimodalPredictor::update(uint64_t pc, bool taken)
-{
-    counter2::update(table_[index(pc)], taken);
-}
-
 GsharePredictor::GsharePredictor(unsigned entries, unsigned historyBits)
-    : table_(entries, counter2::kWeaklyNotTaken),
-      maskBits_(checkedMaskBits(entries)), historyBits_(historyBits)
+    : table_(entries, counter2::kWeaklyNotTaken)
 {
-    BP5_ASSERT(historyBits_ <= 64, "history wider than the register");
+    BP5_ASSERT(historyBits <= 64, "history wider than the register");
+    const unsigned indexBits = checkedMaskBits(entries);
+    indexMask_ = mask(indexBits);
+    foldMask_ = historyBits == 0 ? 0 : indexMask_;
+    rotBack_ = indexBits == 0 ? 0 : indexBits - 1;
+    outShift_ = historyBits == 0 ? 0 : historyBits - 1;
+    outPos_ = indexBits == 0 ? 0 : historyBits % indexBits;
 }
 
 void
@@ -60,42 +65,13 @@ GsharePredictor::reset()
 {
     std::fill(table_.begin(), table_.end(), counter2::kWeaklyNotTaken);
     ghr_ = 0;
-}
-
-unsigned
-GsharePredictor::index(uint64_t pc) const
-{
-    // Histories longer than the index are folded down by XORing
-    // maskBits_-wide chunks, the standard gshare construction, so
-    // every history bit still participates in the index.
-    if (maskBits_ == 0)
-        return 0;
-    uint64_t h = ghr_ & mask(historyBits_);
-    for (unsigned used = maskBits_; used < historyBits_;
-         used += maskBits_) {
-        h = (h & mask(maskBits_)) ^ (h >> maskBits_);
-    }
-    return static_cast<unsigned>(((pc >> 2) ^ h) & mask(maskBits_));
-}
-
-bool
-GsharePredictor::predict(uint64_t pc) const
-{
-    return counter2::high(table_[index(pc)]);
-}
-
-void
-GsharePredictor::update(uint64_t pc, bool taken)
-{
-    counter2::update(table_[index(pc)], taken);
-    ghr_ = (ghr_ << 1) | (taken ? 1 : 0);
+    folded_ = 0;
 }
 
 TournamentPredictor::TournamentPredictor(unsigned entries,
                                          unsigned historyBits)
     : bimodal_(entries), gshare_(entries, historyBits),
-      selector_(entries, counter2::kWeaklyNotTaken),
-      maskBits_(checkedMaskBits(entries))
+      selector_(entries, counter2::kWeaklyNotTaken)
 {
 }
 
@@ -108,54 +84,28 @@ TournamentPredictor::reset()
               counter2::kWeaklyNotTaken);
 }
 
-bool
-TournamentPredictor::predict(uint64_t pc) const
+DirectionPredictor::DirectionPredictor(PredictorKind kind, unsigned entries,
+                                       unsigned historyBits)
+    : impl_(makeImpl(kind, entries, historyBits))
 {
-    unsigned sel = static_cast<unsigned>((pc >> 2) & mask(maskBits_));
-    bool use_gshare = counter2::high(selector_[sel]);
-    return use_gshare ? gshare_.predict(pc) : bimodal_.predict(pc);
+}
+
+std::string
+DirectionPredictor::name() const
+{
+    return std::visit([](const auto &p) { return p.name(); }, impl_);
 }
 
 void
-TournamentPredictor::update(uint64_t pc, bool taken)
+DirectionPredictor::reset()
 {
-    (void)predictUpdate(pc, taken);
-}
-
-bool
-TournamentPredictor::predictUpdate(uint64_t pc, bool taken)
-{
-    // The bimodal table and the selector share one index (same size);
-    // the gshare index is taken before the history shifts.
-    unsigned i = static_cast<unsigned>((pc >> 2) & mask(maskBits_));
-    uint8_t &bc = bimodal_.table_[i];
-    uint8_t &gc = gshare_.table_[gshare_.index(pc)];
-    uint8_t &sc = selector_[i];
-    bool b = counter2::high(bc);
-    bool g = counter2::high(gc);
-    bool p = counter2::high(sc) ? g : b;
-    if (b != g)
-        counter2::update(sc, g == taken);
-    counter2::update(bc, taken);
-    counter2::update(gc, taken);
-    gshare_.ghr_ = (gshare_.ghr_ << 1) | (taken ? 1 : 0);
-    return p;
+    std::visit([](auto &p) { p.reset(); }, impl_);
 }
 
 std::unique_ptr<DirectionPredictor>
 makePredictor(PredictorKind kind, unsigned entries, unsigned historyBits)
 {
-    switch (kind) {
-      case PredictorKind::AlwaysTaken:
-        return std::make_unique<AlwaysTakenPredictor>();
-      case PredictorKind::Bimodal:
-        return std::make_unique<BimodalPredictor>(entries);
-      case PredictorKind::Gshare:
-        return std::make_unique<GsharePredictor>(entries, historyBits);
-      case PredictorKind::Tournament:
-        return std::make_unique<TournamentPredictor>(entries, historyBits);
-    }
-    panic("unknown predictor kind");
+    return std::make_unique<DirectionPredictor>(kind, entries, historyBits);
 }
 
 } // namespace bp5::sim

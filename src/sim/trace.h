@@ -9,11 +9,12 @@
  * The interface lives in sim/ so the Machine can emit events without
  * depending on any concrete sink; the sinks themselves (Perfetto and
  * Konata trace writers, the interval PMU sampler, the multiplexer)
- * live in src/obs.  With no sink attached the cost is a single
- * predictable null-pointer test per retired instruction — the timing
- * model never computes anything on behalf of an absent observer, and a
- * no-op sink is guaranteed not to perturb Counters (tested: null-sink
- * runs are bit-identical to no-sink runs).
+ * live in src/obs.  Each timed run picks its loop once from whether a
+ * sink is attached, so with no sink the loop holds no sink code at all
+ * — the timing model never computes anything on behalf of an absent
+ * observer — and a no-op sink is guaranteed not to perturb Counters
+ * (tested: null-sink runs are bit-identical to no-sink runs in every
+ * machine shape).
  *
  * Because the timing model is one-pass (DESIGN.md §4.2), the per-stage
  * events of one instruction are delivered together, as one InstRecord

@@ -311,6 +311,39 @@ TEST(LoadStoreQueue, ReservationBackPressuresAndCommitFrees)
 }
 
 // ---------------------------------------------------------------------
+// Demand access outcome.
+// ---------------------------------------------------------------------
+
+/**
+ * An L2 miss is the demand fill's, not a writeback's: under a 2-way
+ * 256 B L1D and a 1-way 512 B L2 (64 B lines), ld C, st A, ld B, ld C
+ * ends with an L1D miss whose dirty victim A misses in the L2 (B
+ * evicted it there) while C itself hits in the L2.  The access pays
+ * L2 latency and reports no L2 miss; the writeback's miss still shows
+ * in the L2's own statistics.
+ */
+TEST(MemSysAccess, DirtyWritebackMissIsNotTheDemandL2Miss)
+{
+    sim::CacheParams l1p{"L1D", 256, 2, 64, 1};
+    sim::CacheParams l2p{"L2", 512, 1, 64, 12};
+    sim::Cache l2(l2p, nullptr, 230);
+    sim::Cache l1d(l1p, &l2, 230);
+    sim::MemorySystem ms(sim::MemSysParams{}, &l1d, &l2);
+    const uint64_t a = 0x000, b = 0x200, c = 0x080; // one L1D set;
+                                                    // A, B share an L2 set
+    ms.access(0x100, c, false, 0);
+    ms.access(0x104, a, true, 0);
+    ms.access(0x108, b, false, 0);
+    EXPECT_EQ(l2.stats().misses, 3u);
+    sim::MemorySystem::Access r = ms.access(0x10c, c, false, 0);
+    EXPECT_TRUE(r.l1dMiss);
+    EXPECT_FALSE(r.l2Miss);
+    EXPECT_EQ(r.latency, 1u + 12u);
+    EXPECT_EQ(l2.stats().misses, 4u); // A's writeback missed
+    EXPECT_EQ(l2.stats().writebacksIn, 1u);
+}
+
+// ---------------------------------------------------------------------
 // Machine-level lsq mode.
 // ---------------------------------------------------------------------
 

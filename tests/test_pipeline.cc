@@ -334,5 +334,139 @@ TEST(Pipeline, RunIsDeterministic)
     EXPECT_EQ(a.counters.mispredDirection, b.counters.mispredDirection);
 }
 
+// ------------------------------------------------------ timed shapes
+
+/// Everything the per-shape timing loops specialise on, in one loop: a
+/// data-dependent conditional branch, a store reloaded at once
+/// (forwarding and disambiguation in lsq mode), a load and a store over
+/// a 1 MiB window (L1D and L2 misses, dirty writebacks), a strided load
+/// stream (stride prefetches in lsq mode), and an
+/// indirect branch to one of two pads whose addresses arrive in r20 and
+/// r21 (BTAC target hits and misses).
+const char *kShapeSrc = R"(
+        addis   r13, r0, 0x40
+        li      r3, 12345
+        li      r9, 3000
+        li      r14, 0
+loop:
+        sldi    r7, r3, 13
+        xor     r3, r3, r7
+        srdi    r7, r3, 7
+        xor     r3, r3, r7
+        sldi    r7, r3, 17
+        xor     r3, r3, r7
+        andi.   r7, r3, 1
+        beq     even
+        addi    r14, r14, 1
+even:
+        std     r14, 0(r13)
+        ld      r15, 0(r13)
+        add     r14, r14, r15
+        andi.   r10, r3, 0xfff8
+        sldi    r10, r10, 4
+        ldx     r16, r13, r10
+        add     r14, r14, r16
+        stdx    r14, r13, r10
+        ldx     r17, r13, r22
+        add     r14, r14, r17
+        addi    r22, r22, 128
+        andi.   r11, r3, 6
+        mr      r12, r20
+        beq     jump
+        mr      r12, r21
+jump:
+        mtctr   r12
+        bctr
+padA:
+        addi    r14, r14, 3
+        b       join
+padB:
+        addi    r14, r14, 5
+join:
+        addi    r9, r9, -1
+        cmpdi   r9, 0
+        bne     loop
+        li      r0, 0
+        sc
+)";
+
+/** Run kShapeSrc on @p m from the top with @p sink and @p sp. */
+Counters
+runShapeProgram(Machine &m, const masm::Program &p, TraceSink *sink,
+                const SamplingParams &sp)
+{
+    m.loadProgram(p);
+    m.state().pc = p.base;
+    m.state().gpr[20] = p.symbol("padA");
+    m.state().gpr[21] = p.symbol("padB");
+    m.setTraceSink(sink);
+    m.setSampling(sp);
+    RunResult r = m.run();
+    EXPECT_TRUE(r.halted);
+    return r.counters;
+}
+
+/**
+ * Every timed loop the machine builds (trace sink x BTAC x memory
+ * system), under every predictor kind, in full and sampled timing:
+ * an untraced fresh machine, the same machine reset and run with a
+ * no-op sink, and a fresh machine with a no-op sink agree on every
+ * Counters field.
+ */
+TEST(TimedShapes, TracedUntracedAndFreshAgreeInEveryShape)
+{
+    const masm::Program p = masm::assemble(kShapeSrc, 0x10000);
+    SamplingParams sampled;
+    sampled.detailInstructions = 3000;
+    sampled.skipInstructions = 7000;
+    for (PredictorKind kind :
+         {PredictorKind::Tournament, PredictorKind::Gshare,
+          PredictorKind::Bimodal, PredictorKind::AlwaysTaken}) {
+        for (bool btac : {false, true}) {
+            for (bool lsq : {false, true}) {
+                for (bool sampling : {false, true}) {
+                    MachineConfig mc =
+                        lsq ? MachineConfig::power5WithLsq(
+                                  16, 16, PrefetchParams::Kind::Stride)
+                            : MachineConfig();
+                    mc.predictor = kind;
+                    mc.btacEnabled = btac;
+                    const SamplingParams sp =
+                        sampling ? sampled : SamplingParams();
+                    SCOPED_TRACE("predictor=" + std::to_string(int(kind)) +
+                                 " btac=" + std::to_string(btac) +
+                                 " lsq=" + std::to_string(lsq) +
+                                 " sampled=" + std::to_string(sampling));
+                    TraceSink noop;
+                    Machine m(mc);
+                    const Counters plain = runShapeProgram(m, p, nullptr, sp);
+                    m.reset();
+                    const Counters traced = runShapeProgram(m, p, &noop, sp);
+                    Machine fresh(mc);
+                    const Counters freshTraced =
+                        runShapeProgram(fresh, p, &noop, sp);
+                    EXPECT_EQ(plain.cycles, traced.cycles);
+                    EXPECT_TRUE(plain == traced);
+                    EXPECT_TRUE(traced == freshTraced);
+
+                    // The program reaches what each shape specialises.
+                    if (sampling)
+                        continue;
+                    EXPECT_GT(plain.l2Misses, 0u);
+                    EXPECT_GT(plain.mispredTarget, 0u);
+                    EXPECT_GT(plain.mispredDirection, 0u);
+                    if (btac) {
+                        EXPECT_GT(plain.btacPredictions, 0u);
+                    }
+                    if (lsq) {
+                        EXPECT_GT(plain.storeForwards, 0u);
+                        EXPECT_GT(plain.prefetchIssued, 0u);
+                    }
+                }
+            }
+        }
+    }
+}
+
 } // namespace
 } // namespace bp5::sim

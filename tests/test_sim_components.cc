@@ -15,6 +15,7 @@
 #include "sim/config.h"
 #include "sim/memory.h"
 #include "sim/predictor.h"
+#include "support/bitfield.h"
 #include "support/random.h"
 
 namespace bp5::sim {
@@ -1035,7 +1036,11 @@ TEST(Predictor, ResetPredictsLikeFresh)
         {PredictorKind::Bimodal, 64, 8},
         {PredictorKind::Gshare, 64, 4},
         {PredictorKind::Gshare, 64, 14}, // 14 history bits > 6 index bits
+        {PredictorKind::Gshare, 1024, 0},
+        {PredictorKind::Gshare, 1024, 29},
+        {PredictorKind::Gshare, 16384, 64},
         {PredictorKind::Tournament, 64, 14},
+        {PredictorKind::Tournament, 1024, 20},
         {PredictorKind::Tournament, 16384, 11}, // POWER5 baseline
     };
     for (const Config &cfg : configs) {
@@ -1063,6 +1068,41 @@ TEST(Predictor, ResetPredictsLikeFresh)
     }
 }
 
+/**
+ * The gshare index keeps its folded history incrementally; it must
+ * equal the chunk fold of the whole history (XOR of index-width
+ * chunks of the low historyBits outcomes) after every outcome of a
+ * random stream, for histories shorter, equal to (14 vs 2^14) and
+ * longer than the index, none, and the full 64-bit register.
+ */
+TEST(Predictor, GshareIncrementalFoldMatchesChunkFold)
+{
+    for (unsigned entries : {1u << 10, 1u << 14}) {
+        const unsigned indexBits = floorLog2(entries);
+        for (unsigned historyBits : {0u, 11u, 14u, 20u, 29u, 64u}) {
+            SCOPED_TRACE("entries=" + std::to_string(entries) +
+                         " history=" + std::to_string(historyBits));
+            GsharePredictor g(entries, historyBits);
+            Rng r(0xf01dULL + entries + historyBits);
+            uint64_t ghr = 0;
+            for (int n = 0; n < 3000; ++n) {
+                uint64_t h = ghr & mask(historyBits);
+                for (unsigned used = indexBits; used < historyBits;
+                     used += indexBits) {
+                    h = (h & mask(indexBits)) ^ (h >> indexBits);
+                }
+                uint64_t pc = 0x10000 + 4 * r.below(1u << 16);
+                ASSERT_EQ(g.index(pc),
+                          ((pc >> 2) ^ h) & mask(indexBits))
+                    << "outcome " << n;
+                bool taken = r.chance(0.6);
+                g.update(pc, taken);
+                ghr = (ghr << 1) | (taken ? 1 : 0);
+            }
+        }
+    }
+}
+
 TEST(Predictor, FactoryProducesAllKinds)
 {
     for (PredictorKind k :
@@ -1070,6 +1110,7 @@ TEST(Predictor, FactoryProducesAllKinds)
           PredictorKind::Gshare, PredictorKind::Tournament}) {
         auto p = makePredictor(k, 1024, 8);
         ASSERT_NE(p, nullptr);
+        EXPECT_EQ(p->kind(), k);
         p->update(0x10, true);
         (void)p->predict(0x10);
         EXPECT_FALSE(p->name().empty());

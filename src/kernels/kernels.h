@@ -26,6 +26,13 @@
  *   Dropgsw      - Fasta ssearch/dropgsw   (local SW, affine gaps)
  *   P7Viterbi    - Hmmer hmmpfam           (Plan7 Viterbi)
  *   SemiGAlign   - Blast blastp            (x-drop gapped extension)
+ *
+ * One kernel invocation is a kernels::Invocation: a variant over the
+ * four problem descriptions.  KernelMachine::run takes one, marshals
+ * it into simulated memory, runs it and checks the score against the
+ * native reference.  SyntheticInputs is the one canned-input set
+ * (seed + scale) that bp5-serve jobs and bp5-trace --kernel run, and
+ * the *FromName lookups are the one name table both front ends parse.
  */
 
 #ifndef BIOPERF5_KERNELS_KERNELS_H
@@ -33,6 +40,8 @@
 
 #include <cstdint>
 #include <memory>
+#include <string>
+#include <variant>
 #include <vector>
 
 #include "bio/align.h"
@@ -114,6 +123,14 @@ struct SankoffProblem
     const bio::ParsimonyCost *cost = nullptr;
 };
 
+/**
+ * One kernel invocation.  A problem converts to it implicitly, so
+ * km.run(problem) reads as before; the alternative must match the
+ * machine's kernel (AlignProblem for ForwardPass and Dropgsw).
+ */
+using Invocation =
+    std::variant<AlignProblem, ViterbiProblem, ExtendProblem, SankoffProblem>;
+
 // --------------------------------------------------------------------
 // Native references that the simulated kernels must match exactly.
 // --------------------------------------------------------------------
@@ -160,13 +177,11 @@ class KernelMachine
     /**
      * Run one invocation with full timing; checks the result against
      * the native reference (panics on mismatch — the compiled kernel
-     * would be silently wrong otherwise).
+     * would be silently wrong otherwise — and on a problem of another
+     * kernel's kind).
      * @return the kernel's score
      */
-    int64_t run(const AlignProblem &p);
-    int64_t run(const ViterbiProblem &p);
-    int64_t run(const ExtendProblem &p);
-    int64_t run(const SankoffProblem &p);
+    int64_t run(const Invocation &inv);
 
     /**
      * Return the machine to its just-constructed state: cold caches,
@@ -210,8 +225,6 @@ class KernelMachine
     }
 
   private:
-    int64_t invoke(const std::vector<uint64_t> &args, int64_t expected);
-
     KernelKind kind_;
     mpc::Variant variant_;
     mpc::Compiled compiled_;
@@ -248,6 +261,61 @@ class MachinePool
 
     std::vector<Entry> entries_;
 };
+
+// --------------------------------------------------------------------
+// Canned inputs and name lookups shared by bp5-serve and bp5-trace.
+// --------------------------------------------------------------------
+
+/**
+ * Deterministic synthetic inputs for one kernel, pure in (kind, seed,
+ * n), and the invocations over them:
+ *   ForwardPass, Dropgsw: one random length-n protein pair;
+ *   SemiGAlign:           one length-n query/subject pair;
+ *   P7Viterbi:            a Plan7 model of a 5-member length-n family,
+ *                         one invocation per member;
+ *   Sankoff:              an 8-leaf length-n DNA family and its UPGMA
+ *                         tree, one invocation per column.
+ * The invocations point into this object, which therefore neither
+ * copies nor moves.
+ */
+class SyntheticInputs
+{
+  public:
+    SyntheticInputs(KernelKind kind, uint64_t seed, unsigned n);
+    SyntheticInputs(const SyntheticInputs &) = delete;
+    SyntheticInputs &operator=(const SyntheticInputs &) = delete;
+
+    const std::vector<Invocation> &invocations() const
+    {
+        return invocations_;
+    }
+
+  private:
+    std::vector<bio::Sequence> seqs_;
+    bio::Plan7Model model_;
+    bio::GuideTree tree_;
+    std::vector<std::vector<uint8_t>> columns_; ///< leaf states per site
+    bio::ParsimonyCost cost_ = bio::ParsimonyCost::transitionTransversion();
+    std::vector<Invocation> invocations_;
+};
+
+// Case/punctuation-insensitive name lookups ("comp. isel" matches
+// "compisel"); each returns false on an unknown name.
+
+/** Kernel name or owning application ("dropgsw", "fasta", ...). */
+bool kernelFromName(const std::string &name, KernelKind &out);
+
+/** Variant by the paper's display name ("comp. max"), or "baseline". */
+bool variantFromName(const std::string &name, mpc::Variant &out);
+
+/** Machine preset (baseline|btac|fxu3|fxu4|enhanced). */
+bool machineFromName(const std::string &name, sim::MachineConfig &out);
+
+/** Overlay a memory system (classic|lsq|lsq+nextline|lsq+stride). */
+bool memsysFromName(const std::string &name, sim::MachineConfig &mc);
+
+/** The lookups' key form of @p s: lower-case letters and digits only. */
+std::string normalizedName(const std::string &s);
 
 /** Simulated-memory layout constants. */
 constexpr uint64_t kCodeBase = 0x10000;

@@ -116,40 +116,18 @@ MachinePool::acquire(KernelKind kind, mpc::Variant variant,
     return *entries_.back().km;
 }
 
-int64_t
-KernelMachine::invoke(const std::vector<uint64_t> &args, int64_t expected)
-{
-    BP5_ASSERT(args.size() <= 8, "too many kernel arguments");
-    sim::CoreState &st = machine_.state();
-    st.pc = kCodeBase;
-    st.gpr[1] = kStackTop;
-    for (size_t i = 0; i < args.size(); ++i)
-        st.gpr[3 + i] = args[i];
+namespace {
 
-    sim::RunResult r = functionalOnly_
-                           ? machine_.runFunctional(500'000'000)
-                           : machine_.run(500'000'000);
-    if (!r.halted) {
-        panic("kernel %s (%s) did not halt", kernelName(kind_),
-              mpc::variantName(variant_));
-    }
-    if (r.exitCode != expected) {
-        panic("kernel %s (%s) returned %lld, reference says %lld",
-              kernelName(kind_), mpc::variantName(variant_),
-              static_cast<long long>(r.exitCode),
-              static_cast<long long>(expected));
-    }
-    totals_.add(r.counters);
-    return r.exitCode;
-}
-
-int64_t
-KernelMachine::run(const AlignProblem &p)
+/** A marshalled invocation: argument registers and expected score. */
+struct Call
 {
-    BP5_ASSERT(kind_ == KernelKind::ForwardPass ||
-               kind_ == KernelKind::Dropgsw,
-               "align problem on non-align kernel");
-    DataWriter w(machine_.mem());
+    std::vector<uint64_t> args;
+    int64_t expected;
+};
+
+Call
+marshal(DataWriter &w, KernelKind kind, const AlignProblem &p)
+{
     uint64_t aPtr = w.codesOf(*p.a);
     uint64_t bPtr = w.codesOf(*p.b);
     uint64_t mPtr = w.matrix(*p.matrix);
@@ -158,23 +136,19 @@ KernelMachine::run(const AlignProblem &p)
     std::vector<int64_t> gp = {p.gap.open, p.gap.extend};
     uint64_t gpPtr = w.i64Array(gp);
 
-    int64_t expected = kind_ == KernelKind::ForwardPass
+    int64_t expected = kind == KernelKind::ForwardPass
                            ? refForwardPass(p)
                            : refDropgsw(p);
-    return invoke({aPtr, p.a->size(), bPtr, p.b->size(), mPtr, vPtr,
-                   fPtr, gpPtr},
-                  expected);
+    return {{aPtr, p.a->size(), bPtr, p.b->size(), mPtr, vPtr, fPtr, gpPtr},
+            expected};
 }
 
-int64_t
-KernelMachine::run(const ViterbiProblem &p)
+Call
+marshal(DataWriter &w, KernelKind, const ViterbiProblem &p)
 {
-    BP5_ASSERT(kind_ == KernelKind::P7Viterbi,
-               "viterbi problem on non-viterbi kernel");
     const bio::Plan7Model &m = *p.model;
     unsigned M = m.length();
     unsigned K = bio::alphabetSize(m.alphabet());
-    DataWriter w(machine_.mem());
 
     auto widen = [&](auto getter) {
         std::vector<int64_t> v(M + 1);
@@ -213,16 +187,12 @@ KernelMachine::run(const ViterbiProblem &p)
     uint64_t seqP = w.codesOf(*p.seq);
     uint64_t wsP = w.space(6 * (M + 1) * 8);
 
-    int64_t expected = refViterbi(p);
-    return invoke({descP, seqP, p.seq->size(), wsP}, expected);
+    return {{descP, seqP, p.seq->size(), wsP}, refViterbi(p)};
 }
 
-int64_t
-KernelMachine::run(const ExtendProblem &p)
+Call
+marshal(DataWriter &w, KernelKind, const ExtendProblem &p)
 {
-    BP5_ASSERT(kind_ == KernelKind::SemiGAlign,
-               "extend problem on non-extension kernel");
-    DataWriter w(machine_.mem());
     uint64_t aPtr = w.codesOf(*p.a, p.aFrom);
     uint64_t bPtr = w.codesOf(*p.b, p.bFrom);
     uint64_t mPtr = w.matrix(*p.matrix);
@@ -233,23 +203,19 @@ KernelMachine::run(const ExtendProblem &p)
     std::vector<int64_t> gp = {p.gap.open, p.gap.extend, p.xdrop};
     uint64_t gpPtr = w.i64Array(gp);
 
-    int64_t expected = refSemiGAlign(p);
-    return invoke({aPtr, alen, bPtr, blen, mPtr, vPtr, fPtr, gpPtr},
-                  expected);
+    return {{aPtr, alen, bPtr, blen, mPtr, vPtr, fPtr, gpPtr},
+            refSemiGAlign(p)};
 }
 
-int64_t
-KernelMachine::run(const SankoffProblem &p)
+Call
+marshal(DataWriter &w, KernelKind, const SankoffProblem &p)
 {
-    BP5_ASSERT(kind_ == KernelKind::Sankoff,
-               "sankoff problem on non-sankoff kernel");
     const bio::GuideTree &tree = *p.tree;
     unsigned K = p.cost->size();
     size_t numNodes = tree.nodes.size();
     BP5_ASSERT(tree.root == static_cast<int>(numNodes) - 1,
                "sankoff kernel expects the root to be the last node");
 
-    DataWriter w(machine_.mem());
     std::vector<int64_t> recs;
     recs.reserve(numNodes * 3);
     for (const auto &nd : tree.nodes) {
@@ -268,8 +234,62 @@ KernelMachine::run(const SankoffProblem &p)
     uint64_t costP = w.i64Array(costs);
     uint64_t workP = w.space(numNodes * K * 8);
 
-    int64_t expected = refSankoff(p);
-    return invoke({nodesP, numNodes, costP, workP, K}, expected);
+    return {{nodesP, numNodes, costP, workP, K}, refSankoff(p)};
+}
+
+/** Invocation alternative names, in the variant's order. */
+constexpr const char *kProblemNames[] = {"align", "viterbi", "extend",
+                                         "sankoff"};
+
+/** The Invocation alternative kernel @p k runs. */
+size_t
+problemIndex(KernelKind k)
+{
+    switch (k) {
+      case KernelKind::ForwardPass:
+      case KernelKind::Dropgsw: return 0;
+      case KernelKind::P7Viterbi: return 1;
+      case KernelKind::SemiGAlign: return 2;
+      case KernelKind::Sankoff: return 3;
+      default: panic("bad kernel kind %d", int(k));
+    }
+}
+
+} // namespace
+
+int64_t
+KernelMachine::run(const Invocation &inv)
+{
+    const char *problem = kProblemNames[inv.index()];
+    BP5_ASSERT(inv.index() == problemIndex(kind_),
+               "%s problem on non-%s kernel %s", problem, problem,
+               kernelName(kind_));
+    DataWriter w(machine_.mem());
+    Call call = std::visit(
+        [&](const auto &p) { return marshal(w, kind_, p); }, inv);
+
+    BP5_ASSERT(call.args.size() <= 8, "too many kernel arguments");
+    sim::CoreState &st = machine_.state();
+    st.pc = kCodeBase;
+    st.gpr[1] = kStackTop;
+    for (size_t i = 0; i < call.args.size(); ++i)
+        st.gpr[3 + i] = call.args[i];
+
+    sim::RunResult r = functionalOnly_
+                           ? machine_.runFunctional(500'000'000)
+                           : machine_.run(500'000'000);
+    if (!r.halted) {
+        panic("kernel %s (%s) did not halt", kernelName(kind_),
+              mpc::variantName(variant_));
+    }
+    if (r.exitCode != call.expected) {
+        panic("kernel %s (%s) returned %lld, reference says %lld",
+              kernelName(kind_), mpc::variantName(variant_),
+              static_cast<long long>(r.exitCode),
+              static_cast<long long>(call.expected));
+    }
+    totals_.add(r.counters);
+    return r.exitCode;
 }
 
 } // namespace bp5::kernels

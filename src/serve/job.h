@@ -72,46 +72,31 @@ std::string resultLine(const JobResult &r);
 /** Convenience error response. */
 JobResult errorResult(uint64_t id, std::string message);
 
-/** Kernel-name / app-name lookup ("dropgsw", "fasta", ...). */
-bool kernelFromName(const std::string &name, kernels::KernelKind &out);
-
-/** Variant lookup with the paper's display names ("comp. max"). */
-bool variantFromName(const std::string &name, mpc::Variant &out);
-
-/** Machine-preset lookup (baseline|btac|fxu3|fxu4|enhanced). */
-bool machineFromName(const std::string &name, sim::MachineConfig &out);
-
-/** Memory-system overlay (classic|lsq|lsq+nextline|lsq+stride). */
-bool memsysFromName(const std::string &name, sim::MachineConfig &mc);
-
 /**
- * Deterministic synthetic inputs for job execution, cached by
- * (kernel, seed, n) — input generation (UPGMA trees, Plan7 model
- * fits) dwarfs small-kernel runtime, and serving streams repeat the
- * same input families, so each shard keeps one of these.  Not
- * thread-safe; use one per shard.
+ * Deterministic synthetic inputs for job execution
+ * (kernels::SyntheticInputs), cached by (kernel, seed, n) — input
+ * generation (UPGMA trees, Plan7 model fits) dwarfs small-kernel
+ * runtime, and serving streams repeat the same input families, so
+ * each shard keeps one of these.  Not thread-safe; use one per shard.
  */
 class JobInputs
 {
   public:
-    JobInputs();
-    ~JobInputs();
-
     /**
      * Run exactly one invocation of @p spec on @p km (which must be
-     * built for spec.kind) and return the kernel score.  The machine
-     * is used as-is: reset it first when per-job results must match a
+     * built for spec.kind) and return the kernel score: invocation
+     * seed % count of the (kind, seed, n) input set.  The machine is
+     * used as-is: reset it first when per-job results must match a
      * fresh machine.
      */
     int64_t run(kernels::KernelMachine &km, const JobSpec &spec);
 
     /** Cached distinct (kernel, seed, n) input sets. */
-    size_t cachedSets() const;
+    size_t cachedSets() const { return cache_.size(); }
 
   private:
-    struct InputSet;
     std::map<std::tuple<int, uint64_t, unsigned>,
-             std::unique_ptr<InputSet>>
+             std::unique_ptr<kernels::SyntheticInputs>>
         cache_;
 };
 

@@ -8,9 +8,9 @@
 namespace bp5::sim {
 
 LoadStoreQueue::LoadStoreQueue(const LsqParams &params, bool classic)
-    : params_(params), classic_(classic)
+    : params_(params)
 {
-    if (!classic_) {
+    if (!classic) {
         BP5_ASSERT(params_.loads > 0 && params_.stores > 0,
                    "LSQ depths must be positive");
         BP5_ASSERT(isPow2(params_.mdpEntries),
@@ -108,8 +108,6 @@ LoadStoreQueue::orderLoadLsq(uint64_t pc, uint64_t addr, uint64_t ready)
 unsigned
 LoadStoreQueue::occupancy(bool loadQueue, uint64_t cycle) const
 {
-    if (classic_)
-        return 0;
     const std::vector<uint64_t> &ring = loadQueue ? loadCommit_ : storeCommit_;
     uint64_t seq = loadQueue ? loadSeq_ : storeSeq_;
     uint64_t n = seq < ring.size() ? seq : ring.size();

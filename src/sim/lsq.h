@@ -7,7 +7,7 @@
  *  - **classic**: the pre-MemorySystem behaviour, bit-for-bit.  A
  *    direct-mapped 4096-slot store table keyed on the 8-byte granule
  *    makes a later load to the same granule wait until the store's
- *    completion cycle; queues are unbounded (reserve() is a no-op),
+ *    completion cycle; queues are unbounded (nothing reserves a slot),
  *    nothing forwards, nothing speculates.  Each slot carries the
  *    epoch (run number) that wrote it, and a slot from an earlier run
  *    never matches, so a new run starts with an empty table without
@@ -65,7 +65,6 @@ class LoadStoreQueue
 
     LoadStoreQueue(const LsqParams &params, bool classic);
 
-    bool classic() const { return classic_; }
     const LsqParams &params() const { return params_; }
 
     /**
@@ -80,51 +79,12 @@ class LoadStoreQueue
     /** Full reset including the memory-dependence predictor. */
     void reset();
 
-    /**
-     * Claim a queue slot at dispatch.  Returns the (possibly delayed)
-     * dispatch cycle; sets @p *limited when the queue was full at
-     * @p dc and dispatch had to wait for the oldest entry to commit.
-     * Classic mode: returns @p dc unchanged.
-     */
-    uint64_t
-    reserve(bool isLoad, uint64_t dc, bool *limited)
-    {
-        return classic_ ? dc : reserveLsq(isLoad, dc, limited);
-    }
+    // One form per mode, for callers that know the mode at compile
+    // time (MemorySystem's per-mode steps); calling a form of the other
+    // mode is a bug.  A classic queue has no slots: dispatch never
+    // waits for one and a commit frees none.
 
-    /**
-     * Order a load at @p pc / @p addr whose operands are ready at
-     * @p ready against the older stores still in the queue.
-     */
-    Order
-    orderLoad(uint64_t pc, uint64_t addr, uint64_t ready)
-    {
-        return classic_ ? orderLoadClassic(addr, ready)
-                        : orderLoadLsq(pc, addr, ready);
-    }
-
-    /** A store's data became available at cycle @p cc. */
-    void
-    storeComplete(uint64_t addr, uint64_t cc)
-    {
-        if (classic_)
-            storeCompleteClassic(addr, cc);
-        else
-            storeCompleteLsq(addr, cc);
-    }
-
-    /** The memory op at the queue head committed at @p commitCycle. */
-    void
-    commit(bool isLoad, uint64_t commitCycle)
-    {
-        if (!classic_)
-            commitLsq(isLoad, commitCycle);
-    }
-
-    // The operations above for one mode, for a caller that knows the
-    // mode at compile time (MemorySystem's per-mode steps); calling a
-    // form of the other mode is a bug.
-
+    /** Order a load ready at @p ready after older same-granule stores. */
     Order
     orderLoadClassic(uint64_t addr, uint64_t ready) const
     {
@@ -147,9 +107,17 @@ class LoadStoreQueue
         slot.epoch = epoch_;
     }
 
+    /**
+     * Claim a queue slot at dispatch.  Returns the (possibly delayed)
+     * dispatch cycle; sets @p *limited when the queue was full at
+     * @p dc and dispatch had to wait for the oldest entry to commit.
+     */
     uint64_t reserveLsq(bool isLoad, uint64_t dc, bool *limited);
+
+    /** Order the load at @p pc / @p addr: forward, wait or speculate. */
     Order orderLoadLsq(uint64_t pc, uint64_t addr, uint64_t ready);
 
+    /** A store's data became available at cycle @p cc. */
     void
     storeCompleteLsq(uint64_t addr, uint64_t cc)
     {
@@ -160,6 +128,7 @@ class LoadStoreQueue
         sqPos_ = advance(sqPos_, sq_.size());
     }
 
+    /** The memory op at the queue head committed at @p commitCycle. */
     void
     commitLsq(bool isLoad, uint64_t commitCycle)
     {
@@ -171,7 +140,7 @@ class LoadStoreQueue
         pos = advance(pos, ring.size());
     }
 
-    /** Entries still in flight (commit > @p cycle); lsq mode only. */
+    /** Entries still in flight (commit > @p cycle); 0 in classic mode. */
     unsigned occupancy(bool loadQueue, uint64_t cycle) const;
 
   private:
@@ -186,7 +155,6 @@ class LoadStoreQueue
     }
 
     LsqParams params_;
-    bool classic_;
 
     // Classic mode: direct-mapped store table (granule -> completion),
     // valid only in the run whose epoch wrote it.

@@ -82,7 +82,7 @@ class MemorySystem
     // argument, Classic == classic(): the machine runs one loop per
     // memory-system mode, so none of these tests the mode.
 
-    /** Dispatch-time queue reservation (see LoadStoreQueue::reserve). */
+    /** Dispatch-time queue reservation (see LoadStoreQueue::reserveLsq). */
     template <bool Classic>
     uint64_t
     reserve(bool isLoad, uint64_t dc, bool *limited)

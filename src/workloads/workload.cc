@@ -131,6 +131,10 @@ struct Workload::Data
         size_t qFrom, dbIdx, sFrom;
     };
     std::vector<Seed> seeds;
+
+    // The simulated hot-kernel invocations, in application order,
+    // pointing into the inputs above; simulate() repeats them.
+    std::vector<kernels::Invocation> invocations;
 };
 
 Workload::Workload(const WorkloadConfig &config)
@@ -146,6 +150,13 @@ Workload::Workload(const WorkloadConfig &config)
         d.family = gen.family(sc.clustalN, sc.clustalLen,
                               bio::MutationModel{0.25, 0.03, 0.03},
                               "clu");
+        // Step 1 of Clustalw: all-against-all pairwise alignments.
+        for (size_t i = 0; i < d.family.size(); ++i) {
+            for (size_t j = i + 1; j < d.family.size(); ++j) {
+                d.invocations.push_back(kernels::AlignProblem{
+                    &d.family[i], &d.family[j], &d.matrix, d.gap});
+            }
+        }
         break;
       }
       case App::Fasta: {
@@ -153,6 +164,10 @@ Workload::Workload(const WorkloadConfig &config)
         d.db = gen.database(d.query, sc.fastaDb, sc.fastaQuery / 2,
                             sc.fastaQuery * 3 / 2, sc.fastaDb / 4,
                             bio::MutationModel{0.2, 0.03, 0.03});
+        for (const bio::Sequence &subj : d.db) {
+            d.invocations.push_back(
+                kernels::AlignProblem{&d.query, &subj, &d.matrix, d.gap});
+        }
         break;
       }
       case App::Hmmer: {
@@ -171,6 +186,8 @@ Workload::Workload(const WorkloadConfig &config)
                     gen.random(sc.hmmFamLen, "dbr" + std::to_string(i)));
             }
         }
+        for (const bio::Sequence &seq : d.hmmDb)
+            d.invocations.push_back(kernels::ViterbiProblem{&d.model, &seq});
         break;
       }
       case App::Blast: {
@@ -180,8 +197,11 @@ Workload::Workload(const WorkloadConfig &config)
                             bio::MutationModel{0.15, 0.02, 0.02});
         for (size_t k = 0; k < d.db.size(); ++k) {
             size_t qf = 0, sf = 0;
-            if (findSeed(d.query, d.db[k], qf, sf))
+            if (findSeed(d.query, d.db[k], qf, sf)) {
                 d.seeds.push_back({qf, k, sf});
+                d.invocations.push_back(kernels::ExtendProblem{
+                    &d.query, qf, &d.db[k], sf, &d.matrix, d.gap, 30});
+            }
         }
         BP5_ASSERT(!d.seeds.empty(), "no Blast seeds found");
         break;
@@ -189,6 +209,8 @@ Workload::Workload(const WorkloadConfig &config)
       default:
         panic("bad app");
     }
+
+    BP5_ASSERT(!d.invocations.empty(), "workload has no invocations");
 }
 
 Workload::~Workload() = default;
@@ -354,76 +376,14 @@ Workload::simulate(kernels::KernelMachine &km) const
 {
     BP5_ASSERT(km.kind() == appKernel(config_.app),
                "machine built for the wrong kernel");
-    const Data &d = *data_;
 
     SimResult res;
     res.compiled = km.compiled();
-    uint64_t budget = config_.simInstructionBudget;
-
-    auto exhausted = [&]() { return km.totals().instructions >= budget; };
-
-    switch (config_.app) {
-      case App::Clustalw: {
-        // Step 1 of Clustalw: all-against-all pairwise alignments.
-        bool done = false;
-        while (!done) {
-            for (size_t i = 0; i < d.family.size() && !done; ++i) {
-                for (size_t j = i + 1; j < d.family.size() && !done;
-                     ++j) {
-                    kernels::AlignProblem p{&d.family[i], &d.family[j],
-                                            &d.matrix, d.gap};
-                    km.run(p);
-                    ++res.invocations;
-                    done = exhausted();
-                }
-            }
-        }
-        break;
-      }
-      case App::Fasta: {
-        bool done = false;
-        while (!done) {
-            for (size_t k = 0; k < d.db.size() && !done; ++k) {
-                kernels::AlignProblem p{&d.query, &d.db[k], &d.matrix,
-                                        d.gap};
-                km.run(p);
-                ++res.invocations;
-                done = exhausted();
-            }
-        }
-        break;
-      }
-      case App::Hmmer: {
-        bool done = false;
-        while (!done) {
-            for (size_t k = 0; k < d.hmmDb.size() && !done; ++k) {
-                kernels::ViterbiProblem p{&d.model, &d.hmmDb[k]};
-                km.run(p);
-                ++res.invocations;
-                done = exhausted();
-            }
-        }
-        break;
-      }
-      case App::Blast: {
-        bool done = false;
-        while (!done) {
-            for (size_t k = 0; k < d.seeds.size() && !done; ++k) {
-                const auto &seed = d.seeds[k];
-                kernels::ExtendProblem p{&d.query,        seed.qFrom,
-                                         &d.db[seed.dbIdx], seed.sFrom,
-                                         &d.matrix,       d.gap,
-                                         30};
-                km.run(p);
-                ++res.invocations;
-                done = exhausted();
-            }
-        }
-        break;
-      }
-      default:
-        panic("bad app");
-    }
+    const std::vector<kernels::Invocation> &list = data_->invocations;
+    do {
+        km.run(list[res.invocations % list.size()]);
+        ++res.invocations;
+    } while (km.totals().instructions < config_.simInstructionBudget);
 
     res.counters = km.totals();
     return res;

@@ -7,6 +7,8 @@
 
 #include <gtest/gtest.h>
 
+#include <utility>
+
 #include "bio/parsimony.h"
 #include "bio/sequence.h"
 #include "isa/encode.h"
@@ -76,16 +78,38 @@ TEST(Failures, SankoffRejectsRaggedSequences)
                  "equal-length");
 }
 
+/**
+ * Every kernel refuses every Invocation alternative but its own, before
+ * following any of the problem's pointers.
+ */
 TEST(Failures, KernelMachineRejectsWrongProblemKind)
 {
-    kernels::KernelMachine km(kernels::KernelKind::P7Viterbi,
-                              mpc::Variant::Baseline,
-                              sim::MachineConfig());
-    bio::Sequence a("a", bio::Alphabet::Protein, "ARND");
-    kernels::AlignProblem p{&a, &a,
-                            &bio::SubstitutionMatrix::blosum62(),
-                            bio::GapPenalty{10, 1}};
-    EXPECT_DEATH(km.run(p), "align problem on non-align kernel");
+    const std::pair<kernels::Invocation, const char *> problems[] = {
+        {kernels::AlignProblem{}, "align problem on non-align kernel"},
+        {kernels::ViterbiProblem{}, "viterbi problem on non-viterbi kernel"},
+        {kernels::ExtendProblem{}, "extend problem on non-extend kernel"},
+        {kernels::SankoffProblem{}, "sankoff problem on non-sankoff kernel"},
+    };
+    // Each kernel with the index of the one alternative it runs.
+    const std::pair<kernels::KernelKind, size_t> kernelsAndOwn[] = {
+        {kernels::KernelKind::ForwardPass, 0},
+        {kernels::KernelKind::Dropgsw, 0},
+        {kernels::KernelKind::P7Viterbi, 1},
+        {kernels::KernelKind::SemiGAlign, 2},
+        {kernels::KernelKind::Sankoff, 3},
+    };
+    int rejected = 0;
+    for (const auto &[kind, own] : kernelsAndOwn) {
+        kernels::KernelMachine km(kind, mpc::Variant::Baseline,
+                                  sim::MachineConfig());
+        for (const auto &[inv, message] : problems) {
+            if (inv.index() == own)
+                continue;
+            EXPECT_DEATH(km.run(inv), message) << kernels::kernelName(kind);
+            ++rejected;
+        }
+    }
+    EXPECT_EQ(rejected, 15);
 }
 
 TEST(Failures, IrVerifyCatchesUnterminatedBlock)

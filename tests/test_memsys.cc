@@ -179,32 +179,35 @@ TEST(MemSysConfig, ClassicIsTheDefaultAndKeysAreStable)
 TEST(LoadStoreQueue, ClassicOrderingMatchesStoreTableSemantics)
 {
     sim::LoadStoreQueue q(sim::LsqParams{}, /*classic=*/true);
-    q.storeComplete(0x1000, 50);
+    q.storeCompleteClassic(0x1000, 50);
     // Same granule, load ready before the store's data: wait.
-    sim::LoadStoreQueue::Order o = q.orderLoad(0x100, 0x1000, 10);
+    sim::LoadStoreQueue::Order o = q.orderLoadClassic(0x1000, 10);
     EXPECT_EQ(o.ready, 50u);
     EXPECT_FALSE(o.forwarded); // classic never forwards
     EXPECT_FALSE(o.violation);
     // Ready after the store completed: no delay.
-    o = q.orderLoad(0x104, 0x1004, 60); // same 8-byte granule
+    o = q.orderLoadClassic(0x1004, 60); // same 8-byte granule
     EXPECT_EQ(o.ready, 60u);
     // Different granule: untouched.
-    o = q.orderLoad(0x108, 0x2000, 10);
+    o = q.orderLoadClassic(0x2000, 10);
     EXPECT_EQ(o.ready, 10u);
+    EXPECT_EQ(q.occupancy(true, 0), 0u);
     // Classic reservation is a no-op regardless of depth (the flag is
     // caller-initialized and only ever set, never cleared).
+    sim::Cache l2(sim::CacheParams{"L2", 512, 1, 64, 12}, nullptr, 230);
+    sim::Cache l1d(sim::CacheParams{"L1D", 256, 2, 64, 1}, &l2, 230);
+    sim::MemorySystem ms(sim::MemSysParams{}, &l1d, &l2);
     bool limited = false;
-    EXPECT_EQ(q.reserve(true, 123, &limited), 123u);
+    EXPECT_EQ(ms.reserve<true>(true, 123, &limited), 123u);
     EXPECT_FALSE(limited);
-    EXPECT_EQ(q.occupancy(true, 0), 0u);
 }
 
 TEST(LoadStoreQueue, ForwardsFromCompletedStore)
 {
     sim::LoadStoreQueue q(sim::LsqParams{}, /*classic=*/false);
-    q.storeComplete(0x1000, 20);
+    q.storeCompleteLsq(0x1000, 20);
     // Load ready after the store's data: forwarded, no extra wait.
-    sim::LoadStoreQueue::Order o = q.orderLoad(0x200, 0x1000, 30);
+    sim::LoadStoreQueue::Order o = q.orderLoadLsq(0x200, 0x1000, 30);
     EXPECT_TRUE(o.forwarded);
     EXPECT_FALSE(o.violation);
     EXPECT_EQ(o.ready, 30u);
@@ -213,29 +216,29 @@ TEST(LoadStoreQueue, ForwardsFromCompletedStore)
 TEST(LoadStoreQueue, ViolationTrainsThePredictor)
 {
     sim::LoadStoreQueue q(sim::LsqParams{}, /*classic=*/false);
-    q.storeComplete(0x1000, 100);
+    q.storeCompleteLsq(0x1000, 100);
     // First encounter: the load speculates past the incomplete store
     // and is squashed.
-    sim::LoadStoreQueue::Order o = q.orderLoad(0x200, 0x1000, 10);
+    sim::LoadStoreQueue::Order o = q.orderLoadLsq(0x200, 0x1000, 10);
     EXPECT_TRUE(o.violation);
     EXPECT_EQ(o.conflictComplete, 100u);
     // Same static load again: the predictor now says "dependent", so
     // it waits for the store and forwards instead of violating.
-    q.storeComplete(0x1000, 200);
-    o = q.orderLoad(0x200, 0x1000, 110);
+    q.storeCompleteLsq(0x1000, 200);
+    o = q.orderLoadLsq(0x200, 0x1000, 110);
     EXPECT_FALSE(o.violation);
     EXPECT_TRUE(o.forwarded);
     EXPECT_EQ(o.ready, 200u);
     // beginRun (new measurement, same machine) keeps the training...
     q.beginRun();
-    q.storeComplete(0x1000, 300);
-    o = q.orderLoad(0x200, 0x1000, 250);
+    q.storeCompleteLsq(0x1000, 300);
+    o = q.orderLoadLsq(0x200, 0x1000, 250);
     EXPECT_FALSE(o.violation);
     EXPECT_TRUE(o.forwarded);
     // ...while reset() forgets it.
     q.reset();
-    q.storeComplete(0x1000, 400);
-    o = q.orderLoad(0x200, 0x1000, 350);
+    q.storeCompleteLsq(0x1000, 400);
+    o = q.orderLoadLsq(0x200, 0x1000, 350);
     EXPECT_TRUE(o.violation);
 }
 
@@ -247,29 +250,30 @@ TEST(LoadStoreQueue, ViolationTrainsThePredictor)
 TEST(LoadStoreQueue, BeginRunForgetsEarlierStoresAndCommits)
 {
     sim::LoadStoreQueue classic(sim::LsqParams{}, /*classic=*/true);
-    classic.storeComplete(0x1000, 500);
+    classic.storeCompleteClassic(0x1000, 500);
     classic.beginRun();
-    EXPECT_EQ(classic.orderLoad(0x100, 0x1000, 10).ready, 10u);
-    classic.storeComplete(0x1000, 50); // this run's store still orders
-    EXPECT_EQ(classic.orderLoad(0x100, 0x1000, 10).ready, 50u);
+    EXPECT_EQ(classic.orderLoadClassic(0x1000, 10).ready, 10u);
+    // This run's store still orders.
+    classic.storeCompleteClassic(0x1000, 50);
+    EXPECT_EQ(classic.orderLoadClassic(0x1000, 10).ready, 50u);
 
     sim::LsqParams p;
     p.loads = 2;
     p.stores = 2;
     sim::LoadStoreQueue q(p, /*classic=*/false);
     for (uint64_t c = 100; c < 104; ++c) {
-        q.storeComplete(0x2000, c);
-        q.commit(true, c);
-        q.commit(false, c);
+        q.storeCompleteLsq(0x2000, c);
+        q.commitLsq(true, c);
+        q.commitLsq(false, c);
     }
     q.beginRun();
     bool limited = false;
-    EXPECT_EQ(q.reserve(true, 5, &limited), 5u);
-    EXPECT_EQ(q.reserve(false, 5, &limited), 5u);
+    EXPECT_EQ(q.reserveLsq(true, 5, &limited), 5u);
+    EXPECT_EQ(q.reserveLsq(false, 5, &limited), 5u);
     EXPECT_FALSE(limited);
     EXPECT_EQ(q.occupancy(true, 0), 0u);
     EXPECT_EQ(q.occupancy(false, 0), 0u);
-    sim::LoadStoreQueue::Order o = q.orderLoad(0x200, 0x2000, 10);
+    sim::LoadStoreQueue::Order o = q.orderLoadLsq(0x200, 0x2000, 10);
     EXPECT_FALSE(o.forwarded);
     EXPECT_FALSE(o.violation);
     EXPECT_EQ(o.ready, 10u);
@@ -280,8 +284,8 @@ TEST(LoadStoreQueue, SpeculationOffAlwaysWaits)
     sim::LsqParams p;
     p.speculativeLoads = false;
     sim::LoadStoreQueue q(p, /*classic=*/false);
-    q.storeComplete(0x1000, 100);
-    sim::LoadStoreQueue::Order o = q.orderLoad(0x200, 0x1000, 10);
+    q.storeCompleteLsq(0x1000, 100);
+    sim::LoadStoreQueue::Order o = q.orderLoadLsq(0x200, 0x1000, 10);
     EXPECT_FALSE(o.violation);
     EXPECT_TRUE(o.forwarded);
     EXPECT_EQ(o.ready, 100u); // waited for the store's data
@@ -293,19 +297,19 @@ TEST(LoadStoreQueue, ReservationBackPressuresAndCommitFrees)
     p.loads = 2;
     sim::LoadStoreQueue q(p, /*classic=*/false);
     bool limited = false;
-    EXPECT_EQ(q.reserve(true, 10, &limited), 10u);
+    EXPECT_EQ(q.reserveLsq(true, 10, &limited), 10u);
     EXPECT_FALSE(limited);
-    EXPECT_EQ(q.reserve(true, 10, &limited), 10u);
+    EXPECT_EQ(q.reserveLsq(true, 10, &limited), 10u);
     EXPECT_FALSE(limited);
     // Queue full; the two in-flight loads commit at 30 and 40.
-    q.commit(true, 30);
-    q.commit(true, 40);
+    q.commitLsq(true, 30);
+    q.commitLsq(true, 40);
     EXPECT_EQ(q.occupancy(true, 10), 2u);
     EXPECT_EQ(q.occupancy(true, 35), 1u);
     // Third load wants to dispatch at 10 but the oldest entry frees
     // only after its commit at 30.
     limited = false;
-    uint64_t dc = q.reserve(true, 10, &limited);
+    uint64_t dc = q.reserveLsq(true, 10, &limited);
     EXPECT_TRUE(limited);
     EXPECT_GT(dc, 10u);
 }

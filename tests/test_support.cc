@@ -8,7 +8,6 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <cmath>
 #include <set>
 #include <thread>
 #include <utility>
@@ -19,7 +18,6 @@
 #include "support/logging.h"
 #include "support/random.h"
 #include "support/saturating_counter.h"
-#include "support/stats.h"
 #include "support/table.h"
 #include "support/thread_pool.h"
 
@@ -131,49 +129,6 @@ TEST(Rng, WeightedRespectsWeights)
     EXPECT_NEAR(double(counts[2]) / counts[1], 3.0, 0.2);
 }
 
-TEST(RunningStat, Moments)
-{
-    RunningStat s;
-    for (double v : {2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0})
-        s.add(v);
-    EXPECT_EQ(s.count(), 8u);
-    EXPECT_DOUBLE_EQ(s.mean(), 5.0);
-    EXPECT_NEAR(s.stdev(), std::sqrt(32.0 / 7.0), 1e-12);
-    EXPECT_DOUBLE_EQ(s.min(), 2.0);
-    EXPECT_DOUBLE_EQ(s.max(), 9.0);
-    EXPECT_DOUBLE_EQ(s.sum(), 40.0);
-}
-
-TEST(RunningStat, EmptyIsZero)
-{
-    RunningStat s;
-    EXPECT_EQ(s.count(), 0u);
-    EXPECT_EQ(s.mean(), 0.0);
-    EXPECT_EQ(s.variance(), 0.0);
-}
-
-TEST(Histogram, BucketsAndQuantile)
-{
-    Histogram h(0.0, 10.0, 10);
-    for (int i = 0; i < 100; ++i)
-        h.add(i % 10 + 0.5);
-    EXPECT_EQ(h.total(), 100u);
-    EXPECT_EQ(h.underflow(), 0u);
-    EXPECT_EQ(h.overflow(), 0u);
-    for (size_t i = 0; i < 10; ++i)
-        EXPECT_EQ(h.bucketCount(i), 10u);
-    EXPECT_NEAR(h.quantile(0.5), 5.5, 1.0);
-}
-
-TEST(Histogram, OutOfRange)
-{
-    Histogram h(0.0, 1.0, 4);
-    h.add(-5.0);
-    h.add(2.0);
-    EXPECT_EQ(h.underflow(), 1u);
-    EXPECT_EQ(h.overflow(), 1u);
-}
-
 TEST(Counter2, SaturatesBothEnds)
 {
     uint8_t c = 0;
@@ -194,25 +149,6 @@ TEST(Counter2, WeakStartFlipsOnOneOutcome)
     EXPECT_FALSE(counter2::high(c));
     counter2::update(c, true);
     EXPECT_TRUE(counter2::high(c));
-}
-
-TEST(IntervalSeries, AccumulatesAndAverages)
-{
-    IntervalSeries s;
-    s.name = "ipc";
-    s.add(1.0);
-    s.add(2.0);
-    s.add(3.0);
-    EXPECT_EQ(s.values.size(), 3u);
-    EXPECT_DOUBLE_EQ(s.mean(), 2.0);
-    EXPECT_DOUBLE_EQ(IntervalSeries{}.mean(), 0.0);
-}
-
-TEST(Stats, MeanAndGeomean)
-{
-    EXPECT_DOUBLE_EQ(meanOf({1.0, 2.0, 3.0}), 2.0);
-    EXPECT_DOUBLE_EQ(meanOf({}), 0.0);
-    EXPECT_NEAR(geomeanOf({1.0, 4.0}), 2.0, 1e-12);
 }
 
 TEST(TextTable, RendersAlignedColumns)

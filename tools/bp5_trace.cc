@@ -10,7 +10,8 @@
  *
  * Selection:
  *   --kernel=NAME    forward_pass | dropgsw | P7Viterbi |
- *                    SEMI_G_ALIGN | sankoff
+ *                    SEMI_G_ALIGN | sankoff (or the owning app's
+ *                    name); runs the canned kernels::SyntheticInputs
  *   --app=NAME       Blast | Clustalw | Fasta | Hmmer (workload mode)
  *   --variant=NAME   Original | hand isel | hand max | comp. isel |
  *                    comp. max | Combination (punctuation optional)
@@ -37,7 +38,6 @@
  */
 
 #include <algorithm>
-#include <cctype>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -48,8 +48,6 @@
 
 #include "analysis/branch_class.h"
 #include "analysis/loops.h"
-#include "bio/generator.h"
-#include "bio/parsimony.h"
 #include "kernels/kernels.h"
 #include "obs/cpi_stack.h"
 #include "obs/konata_sink.h"
@@ -101,161 +99,16 @@ usage()
         stderr);
 }
 
-/** Case/punctuation-insensitive name form ("comp. isel" -> "compisel"). */
-std::string
-normalized(const std::string &s)
+/** Problem scale of --kernel's canned inputs (kernels::SyntheticInputs). */
+unsigned
+cannedScale(kernels::KernelKind kind)
 {
-    std::string out;
-    for (char c : s) {
-        if (std::isalnum(static_cast<unsigned char>(c)))
-            out += char(std::tolower(static_cast<unsigned char>(c)));
+    switch (kind) {
+      case kernels::KernelKind::P7Viterbi: return 40;
+      case kernels::KernelKind::SemiGAlign: return 150;
+      case kernels::KernelKind::Sankoff: return 64;
+      default: return 120;
     }
-    return out;
-}
-
-mpc::Variant
-variantFromString(const std::string &s)
-{
-    std::string want = normalized(s);
-    if (want == "baseline")
-        return mpc::Variant::Baseline;
-    for (int v = 0; v < int(mpc::Variant::NUM_VARIANTS); ++v) {
-        if (normalized(mpc::variantName(mpc::Variant(v))) == want)
-            return mpc::Variant(v);
-    }
-    fatal("unknown variant '%s'", s.c_str());
-}
-
-kernels::KernelKind
-kernelFromString(const std::string &s)
-{
-    std::string want = normalized(s);
-    for (int k = 0; k < int(kernels::KernelKind::NUM_KERNELS); ++k) {
-        if (normalized(kernels::kernelName(kernels::KernelKind(k))) == want)
-            return kernels::KernelKind(k);
-    }
-    fatal("unknown kernel '%s'", s.c_str());
-}
-
-sim::MachineConfig
-machineFromString(const std::string &s)
-{
-    std::string want = normalized(s);
-    if (want == "baseline")
-        return sim::MachineConfig::power5Baseline();
-    if (want == "btac")
-        return sim::MachineConfig::power5WithBtac();
-    if (want == "fxu3")
-        return sim::MachineConfig::power5WithFxu(3);
-    if (want == "fxu4")
-        return sim::MachineConfig::power5WithFxu(4);
-    if (want == "enhanced")
-        return sim::MachineConfig::power5Enhanced();
-    fatal("unknown machine '%s'", s.c_str());
-}
-
-/** Parse --memsys and overlay it on the selected machine config. */
-void
-applyMemsys(sim::MachineConfig &mc, const std::string &s)
-{
-    std::string want = normalized(s);
-    if (want == "classic") {
-        mc.memsys = sim::MemSysParams();
-        return;
-    }
-    mc.memsys.mode = sim::MemSysParams::Mode::Lsq;
-    if (want == "lsq")
-        return;
-    if (want == "lsqnextline") {
-        mc.memsys.l1dPrefetch.kind = sim::PrefetchParams::Kind::NextLine;
-        return;
-    }
-    if (want == "lsqstride") {
-        mc.memsys.l1dPrefetch.kind = sim::PrefetchParams::Kind::Stride;
-        return;
-    }
-    fatal("unknown memsys '%s'", s.c_str());
-}
-
-/** Canned deterministic inputs for one kernel; keeps invoking until
- *  the instruction budget is consumed.  @return invocation count. */
-uint64_t
-runKernel(kernels::KernelMachine &km, const Options &opts)
-{
-    uint64_t invocations = 0;
-    auto exhausted = [&]() {
-        return km.totals().instructions >= opts.budget;
-    };
-
-    switch (km.kind()) {
-    case kernels::KernelKind::ForwardPass:
-    case kernels::KernelKind::Dropgsw: {
-        bio::SequenceGenerator g(opts.seed);
-        bio::Sequence a = g.random(120, "a");
-        bio::Sequence b =
-            g.mutate(a, bio::MutationModel{0.3, 0.05, 0.05}, "b");
-        kernels::AlignProblem p{&a, &b,
-                                &bio::SubstitutionMatrix::blosum62(),
-                                bio::GapPenalty{10, 1}};
-        do {
-            km.run(p);
-            ++invocations;
-        } while (!exhausted());
-        break;
-    }
-    case kernels::KernelKind::P7Viterbi: {
-        bio::SequenceGenerator g(opts.seed);
-        auto fam = g.family(5, 40, bio::MutationModel{0.15, 0.02, 0.02});
-        bio::Plan7Model model = bio::Plan7Model::fromFamily(fam);
-        do {
-            for (size_t i = 0; i < fam.size() && !exhausted(); ++i) {
-                kernels::ViterbiProblem p{&model, &fam[i]};
-                km.run(p);
-                ++invocations;
-            }
-        } while (!exhausted());
-        break;
-    }
-    case kernels::KernelKind::SemiGAlign: {
-        bio::SequenceGenerator g(opts.seed);
-        bio::Sequence a = g.random(150, "query");
-        bio::Sequence b =
-            g.mutate(a, bio::MutationModel{0.25, 0.04, 0.04}, "subject");
-        kernels::ExtendProblem p{&a, 0, &b, 0,
-                                 &bio::SubstitutionMatrix::blosum62(),
-                                 bio::GapPenalty{10, 1}, 30};
-        do {
-            km.run(p);
-            ++invocations;
-        } while (!exhausted());
-        break;
-    }
-    case kernels::KernelKind::Sankoff: {
-        size_t leaves = 8, sites = 64;
-        bio::SequenceGenerator gen(opts.seed, bio::Alphabet::Dna);
-        auto fam = gen.family(leaves, sites,
-                              bio::MutationModel{0.2, 0.0, 0.0});
-        auto dist = bio::pairwiseDistances(
-            fam, bio::SubstitutionMatrix::dna(), bio::GapPenalty{10, 1});
-        bio::GuideTree tree = bio::upgmaTree(dist);
-        bio::ParsimonyCost cost =
-            bio::ParsimonyCost::transitionTransversion();
-        std::vector<uint8_t> states(leaves);
-        do {
-            for (size_t col = 0; col < sites && !exhausted(); ++col) {
-                for (size_t i = 0; i < leaves; ++i)
-                    states[i] = fam[i][col];
-                kernels::SankoffProblem p{&tree, &states, &cost};
-                km.run(p);
-                ++invocations;
-            }
-        } while (!exhausted());
-        break;
-    }
-    default:
-        panic("bad kernel kind");
-    }
-    return invocations;
 }
 
 /**
@@ -412,13 +265,19 @@ main(int argc, char **argv)
         return 2;
     }
 
-    mpc::Variant variant = variantFromString(opts.variant);
-    sim::MachineConfig mc = machineFromString(opts.machine);
-    applyMemsys(mc, opts.memsys);
+    mpc::Variant variant;
+    if (!kernels::variantFromName(opts.variant, variant))
+        fatal("unknown variant '%s'", opts.variant.c_str());
+    sim::MachineConfig mc;
+    if (!kernels::machineFromName(opts.machine, mc))
+        fatal("unknown machine '%s'", opts.machine.c_str());
+    if (!kernels::memsysFromName(opts.memsys, mc))
+        fatal("unknown memsys '%s'", opts.memsys.c_str());
     kernels::KernelKind kind = kernels::KernelKind::ForwardPass;
     std::string workloadName, inputName;
     if (!opts.kernel.empty()) {
-        kind = kernelFromString(opts.kernel);
+        if (!kernels::kernelFromName(opts.kernel, kind))
+            fatal("unknown kernel '%s'", opts.kernel.c_str());
         workloadName = kernels::kernelName(kind);
         inputName = strprintf("canned seed=%llu",
                               (unsigned long long)opts.seed);
@@ -428,10 +287,11 @@ main(int argc, char **argv)
     if (!opts.app.empty()) {
         workloads::WorkloadConfig wc;
         bool found = false;
+        std::string want = kernels::normalizedName(opts.app);
         for (int x = 0; x < int(workloads::App::NUM_APPS); ++x) {
-            if (normalized(workloads::appName(workloads::App(x))) ==
-                normalized(opts.app)) {
-                wc.app = workloads::App(x);
+            auto app = workloads::App(x);
+            if (kernels::normalizedName(workloads::appName(app)) == want) {
+                wc.app = app;
                 found = true;
             }
         }
@@ -465,11 +325,17 @@ main(int argc, char **argv)
     km.setTraceSink(&mux);
 
     auto t0 = std::chrono::steady_clock::now();
-    uint64_t invocations;
+    uint64_t invocations = 0;
     if (workload) {
         invocations = workload->simulate(km).invocations;
     } else {
-        invocations = runKernel(km, opts);
+        // Cycle through the canned invocations until the budget is used.
+        kernels::SyntheticInputs canned(kind, opts.seed, cannedScale(kind));
+        const std::vector<kernels::Invocation> &list = canned.invocations();
+        do {
+            km.run(list[invocations % list.size()]);
+            ++invocations;
+        } while (km.totals().instructions < opts.budget);
     }
     double wall = std::chrono::duration<double>(
                       std::chrono::steady_clock::now() - t0)

@@ -2,8 +2,8 @@
  * @file
  * google-benchmark microbenchmarks of the simulator itself: functional
  * and timing simulation throughput (simulated instructions per second)
- * on the Smith-Waterman kernel (timing untraced and with a no-op trace
- * sink), the per-instruction cost of the functional executor's loop
+ * on the Smith-Waterman kernel (timing untraced, with a no-op trace
+ * sink, and sampled with functional warming), the per-instruction cost of the functional executor's loop
  * (hooked as the timing model runs it, and runFast), the per-access
  * cost of guest memory reads, the cost of KernelMachine::reset()
  * between pooled jobs, plus compile time of the mpc pipeline.
@@ -119,6 +119,29 @@ BM_TimingSimulationTraced(benchmark::State &state)
         benchmark::Counter::kIs1000);
 }
 BENCHMARK(BM_TimingSimulationTraced)->Unit(benchmark::kMillisecond);
+
+/**
+ * BM_TimingSimulation under SMARTS sampling with functional warming:
+ * 2k-instruction timed windows every 40k, so most instructions retire
+ * through the warming fast-forward loop (Machine::runWarm).
+ */
+void
+BM_SampledSimulation(benchmark::State &state)
+{
+    KernelMachine km(KernelKind::Dropgsw, mpc::Variant::Baseline,
+                     sim::MachineConfig());
+    km.setSampling({2000, 38000, true});
+    AlignProblem p{&fx().a, &fx().b, &fx().m, fx().gap};
+    for (auto _ : state) {
+        km.run(p);
+        benchmark::DoNotOptimize(km.totals().cycles);
+    }
+    state.counters["MIPS"] = benchmark::Counter(
+        double(km.totals().instructions),
+        benchmark::Counter::kIsRate,
+        benchmark::Counter::kIs1000);
+}
+BENCHMARK(BM_SampledSimulation)->Unit(benchmark::kMillisecond);
 
 void
 BM_TimingSimulationWithBtac(benchmark::State &state)

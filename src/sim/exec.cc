@@ -1,10 +1,9 @@
 #include "sim/exec.h"
 
 #include <bit>
+#include <cstring>
+#include <type_traits>
 
-#include "sim/btac.h"
-#include "sim/cache.h"
-#include "sim/predictor.h"
 #include "support/bitfield.h"
 #include "support/logging.h"
 
@@ -82,8 +81,8 @@ doCompare(CoreState &st, unsigned bf, bool l64, bool sign, uint64_t a,
 // ------------------------------------------------------------------
 // Micro-op handlers: the simulator's only copy of MiniPOWER semantics.
 // Each handler fully retires one instruction: architectural update,
-// branch/load/store counter bumps, optional warming, and the outcome
-// (effective address, branch direction and target) in the FastCtx.
+// branch/load/store counter bumps, and the outcome (effective address,
+// branch direction and target) in the FastCtx.
 // It receives the instruction's pc and returns the next one, so the
 // pc stays in a register across the executor loop.
 // ------------------------------------------------------------------
@@ -145,23 +144,45 @@ OP_HANDLER(hCmpli)
 }
 
 // --- loads / stores (templated over width, extension and addressing)
+//
+// The hit path reads or writes through Memory::residentPtr and calls
+// nothing, so the handler needs no stack frame; a TLB miss or a
+// page-crossing access is tail-called into the out-of-line slow path,
+// which goes through Memory's block routines.
 
-/**
- * Functional warming (SMARTS fast-forward) of the L1D and the
- * direction predictor.  Out of line: both calls inline their whole
- * lookup, which would otherwise grow every load, store and branch
- * handler that plain functional runs execute.
- */
-[[gnu::noinline]] void
-warmL1d(Cache &l1d, uint64_t ea, bool isWrite)
+template <unsigned Size>
+using UIntOf = std::conditional_t<
+    Size == 1, uint8_t,
+    std::conditional_t<Size == 2, uint16_t,
+                       std::conditional_t<Size == 4, uint32_t, uint64_t>>>;
+
+/** A loaded value of @p Size bytes, extended to the register width. */
+template <unsigned Size, bool Sign>
+uint64_t
+extendLoaded(uint64_t v)
 {
-    l1d.access(ea, isWrite);
+    if constexpr (Sign && Size < 8)
+        return static_cast<uint64_t>(sext(v, Size * 8));
+    return v;
 }
 
-[[gnu::noinline]] void
-warmPredictor(DirectionPredictor &pred, uint64_t pc, bool taken)
+template <unsigned Size, bool Sign>
+[[gnu::noinline]] uint64_t
+loadSlow(const MicroOp &mo, FastCtx &x, uint64_t pc, uint64_t ea)
 {
-    pred.update(pc, taken);
+    UIntOf<Size> v;
+    x.mem.readBlock(ea, &v, Size);
+    x.st.gpr[mo.inst.rt] = extendLoaded<Size, Sign>(v);
+    return pc + 4;
+}
+
+template <unsigned Size>
+[[gnu::noinline]] uint64_t
+storeSlow(const MicroOp &mo, FastCtx &x, uint64_t pc, uint64_t ea)
+{
+    const UIntOf<Size> v = static_cast<UIntOf<Size>>(x.st.gpr[mo.inst.rt]);
+    x.mem.writeBlock(ea, &v, Size);
+    return pc + 4;
 }
 
 template <unsigned Size, bool Sign, bool Indexed>
@@ -172,21 +193,13 @@ OP_HANDLER(hLoad)
     uint64_t ea = base + (Indexed ? x.st.gpr[i.rb] : mo.imm);
     ++x.c.loads;
     x.memAddr = ea;
-    if (x.l1d)
-        warmL1d(*x.l1d, ea, false);
-    uint64_t v;
-    if constexpr (Size == 1)
-        v = x.mem.readU8(ea);
-    else if constexpr (Size == 2)
-        v = x.mem.readU16(ea);
-    else if constexpr (Size == 4)
-        v = x.mem.readU32(ea);
-    else
-        v = x.mem.readU64(ea);
-    if constexpr (Sign && Size < 8)
-        v = static_cast<uint64_t>(sext(v, Size * 8));
-    x.st.gpr[i.rt] = v;
-    return pc + 4;
+    if (const uint8_t *p = x.mem.residentPtr(ea, Size)) {
+        UIntOf<Size> v;
+        std::memcpy(&v, p, Size);
+        x.st.gpr[i.rt] = extendLoaded<Size, Sign>(v);
+        return pc + 4;
+    }
+    return loadSlow<Size, Sign>(mo, x, pc, ea);
 }
 
 template <unsigned Size, bool Indexed>
@@ -197,18 +210,12 @@ OP_HANDLER(hStore)
     uint64_t ea = base + (Indexed ? x.st.gpr[i.rb] : mo.imm);
     ++x.c.stores;
     x.memAddr = ea;
-    if (x.l1d)
-        warmL1d(*x.l1d, ea, true);
-    uint64_t v = x.st.gpr[i.rt];
-    if constexpr (Size == 1)
-        x.mem.writeU8(ea, static_cast<uint8_t>(v));
-    else if constexpr (Size == 2)
-        x.mem.writeU16(ea, static_cast<uint16_t>(v));
-    else if constexpr (Size == 4)
-        x.mem.writeU32(ea, static_cast<uint32_t>(v));
-    else
-        x.mem.writeU64(ea, v);
-    return pc + 4;
+    if (uint8_t *p = x.mem.residentPtr(ea, Size)) {
+        const UIntOf<Size> v = static_cast<UIntOf<Size>>(x.st.gpr[i.rt]);
+        std::memcpy(p, &v, Size);
+        return pc + 4;
+    }
+    return storeSlow<Size>(mo, x, pc, ea);
 }
 
 // --- X/XO-form ALU (record form folded into the handler)
@@ -327,14 +334,6 @@ OP_HANDLER(hCmpl)
 
 // --- branches (direct targets precomputed into mo.imm)
 
-/** BTAC warming with the detailed model's exact update rule. */
-inline void
-warmBtac(FastCtx &x, uint64_t pc, bool taken, uint64_t target)
-{
-    Btac::Lookup bl = x.btac->lookup(pc);
-    x.btac->update(pc, taken, taken ? target : 0, bl);
-}
-
 /** B, and BC with BO_ALWAYS: unconditional, not a condBranch. */
 OP_HANDLER(hB)
 {
@@ -342,8 +341,6 @@ OP_HANDLER(hB)
     ++x.c.takenBranches;
     x.taken = true;
     x.target = mo.imm;
-    if (x.btac)
-        warmBtac(x, pc, true, mo.imm);
     if (mo.inst.lk)
         x.st.lr = pc + 4;
     return mo.imm;
@@ -359,10 +356,6 @@ finishBc(const MicroOp &mo, FastCtx &x, uint64_t pc, bool taken)
         ++x.c.takenBranches;
     x.taken = taken;
     x.target = mo.imm;
-    if (x.pred)
-        warmPredictor(*x.pred, pc, taken);
-    if (x.btac)
-        warmBtac(x, pc, taken, mo.imm);
     if (mo.inst.lk)
         x.st.lr = pc + 4;
     return taken ? mo.imm : pc + 4;
@@ -388,7 +381,6 @@ template <bool ViaCtr>
 OP_HANDLER(hBcReg)
 {
     const isa::Inst &i = mo.inst;
-    bool cond = i.bo != isa::BO_ALWAYS;
     bool taken = evalBranchCond(i.bo, i.bi, x.st, x.st.ctr);
     uint64_t target = (ViaCtr ? x.st.ctr : x.st.lr) & ~3ULL;
     ++x.c.branches;
@@ -396,13 +388,8 @@ OP_HANDLER(hBcReg)
         ++x.c.takenBranches;
     x.taken = taken;
     x.target = target;
-    if (cond) {
+    if (i.bo != isa::BO_ALWAYS)
         ++x.c.condBranches;
-        if (x.pred)
-            warmPredictor(*x.pred, pc, taken);
-    }
-    if (x.btac)
-        warmBtac(x, pc, taken, target);
     if (i.lk)
         x.st.lr = pc + 4;
     return taken ? target : pc + 4;
@@ -520,7 +507,10 @@ void
 Executor::setImage(uint64_t base, size_t bytes)
 {
     imageBase_ = base;
-    imageBytes_ = bytes;
+    // Whole words only: a trailing partial word (a .byte or .half tail)
+    // has no slot, so if it is ever reached it runs through the scratch
+    // slot like code outside the image.
+    imageBytes_ = bytes & ~size_t(3);
     ops_.assign(bytes / 4, MicroOp());
 }
 
@@ -704,11 +694,11 @@ struct NoHook
 } // namespace
 
 Executor::FastResult
-Executor::runFast(uint64_t max, Counters &c, const Warming *warm)
+Executor::runFast(uint64_t max, Counters &c)
 {
     // Added once per burst: a memory increment per instruction is a
     // measurable share of this few-ns loop.
-    FastResult res = runHooked(max, c, NoHook{}, warm);
+    FastResult res = runHooked(max, c, NoHook{});
     c.instructions += res.executed;
     return res;
 }

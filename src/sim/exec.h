@@ -4,11 +4,19 @@
  * and reports what happened so the timing model can replay the
  * committed stream.
  *
- * The ISA semantics live in one place: one micro-op handler per
- * operation class.  A handler retires one instruction (architectural
- * update, architectural counter bumps, optional warming), takes the
- * instruction's pc and returns the next one, and records the memory
- * address and branch outcome in its FastCtx.
+ * The executor is pure ISA.  The semantics live in one place: one
+ * micro-op handler per operation class.  A handler retires one
+ * instruction (architectural update, architectural counter bumps),
+ * takes the instruction's pc and returns the next one, and records the
+ * memory address and branch outcome in its FastCtx.  It trains no
+ * microarchitectural structure: the predictor, BTAC and caches belong
+ * to the Machine, which trains them from the outcome in its hook.
+ *
+ * The handlers are leaf functions on their common path.  A load or
+ * store reaches guest memory through Memory::residentPtr (a page-bound
+ * check and a TLB tag compare); a TLB miss or a page-crossing access
+ * is tail-called into an out-of-line slow path, so the hit path needs
+ * no stack frame.
  *
  * setImage() registers the program's text segment; each 4-byte slot is
  * lazily decoded once into a MicroOp holding the handler, the decoded
@@ -31,9 +39,10 @@
  * held in locals.  After each retired instruction it calls a
  * per-instruction hook with the micro-op, its pc and the FastCtx:
  *
- *  - runFast() passes no hook: functional runs and SMARTS
- *    fast-forward, optionally warming the branch predictor, BTAC and
- *    L1D en route.
+ *  - runFast() passes no hook: functional runs, and SMARTS
+ *    fast-forward without functional warming.
+ *  - Machine::runWarm passes a hook that trains the branch predictor,
+ *    BTAC and L1D (SMARTS fast-forward with functional warming).
  *  - The timing model passes a hook that counts the instruction and
  *    schedules it (Machine::run and each sampled window).
  *
@@ -56,10 +65,6 @@
 
 namespace bp5::sim {
 
-class Btac;
-class Cache;
-class DirectionPredictor;
-
 struct MicroOp;
 
 /** Mutable state threaded through the micro-op handlers. */
@@ -77,10 +82,6 @@ struct FastCtx
     uint64_t memAddr = 0;
     uint64_t target = 0;
     bool taken = false;
-    /// Optional functional-warming hooks (SMARTS fast-forward).
-    DirectionPredictor *pred = nullptr;
-    Btac *btac = nullptr;
-    Cache *l1d = nullptr;
 };
 
 /**
@@ -130,14 +131,6 @@ class Executor
         int64_t exitCode = 0;
     };
 
-    /** Structures to warm functionally during fast-forward. */
-    struct Warming
-    {
-        DirectionPredictor *pred = nullptr;
-        Btac *btac = nullptr; ///< pass nullptr when BTAC is disabled
-        Cache *l1d = nullptr;
-    };
-
     /**
      * The executor loop: execute up to @p max instructions from
      * state.pc until SYS_EXIT, adding the architectural counts
@@ -146,21 +139,19 @@ class Executor
      * hook(const MicroOp &, uint64_t pc, const FastCtx &) with the op's
      * micro-op, its pc and the outcome context (see the file comment
      * for which outcome fields are current).  c.instructions is left
-     * to the caller.  With @p warm, conditional-branch outcomes update
-     * the direction predictor, all branches update the BTAC and memory
-     * ops touch the L1D, mirroring the detailed model's update rules.
-     * Panics on invalid encodings (the program image is broken).
+     * to the caller.  Panics on invalid encodings (the program image
+     * is broken).
      */
     template <typename Hook>
-    FastResult runHooked(uint64_t max, Counters &c, Hook &&hook,
-                         const Warming *warm = nullptr);
+    FastResult runHooked(uint64_t max, Counters &c, Hook &&hook);
 
     /**
-     * runHooked() with no hook (functional runs, fast-forward); adds
-     * the executed count to c.instructions once per burst.
+     * runHooked() with no hook: pure architectural execution
+     * (functional runs, and fast-forward that warms nothing; warming
+     * fast-forward is Machine::runWarm).  Adds the executed count to
+     * c.instructions once per burst.
      */
-    FastResult runFast(uint64_t max, Counters &c,
-                       const Warming *warm = nullptr);
+    FastResult runFast(uint64_t max, Counters &c);
 
     /** Characters printed by SYS_PUTC / SYS_PUTINT / SYS_PUTHEX. */
     const std::string &console() const { return console_; }
@@ -226,15 +217,9 @@ class Executor
 
 template <typename Hook>
 Executor::FastResult
-Executor::runHooked(uint64_t max, Counters &c, Hook &&hook,
-                    const Warming *warm)
+Executor::runHooked(uint64_t max, Counters &c, Hook &&hook)
 {
     FastCtx x{state_, mem_, c, console_};
-    if (warm) {
-        x.pred = warm->pred;
-        x.btac = warm->btac;
-        x.l1d = warm->l1d;
-    }
 
     // The pc, the image and the retired count live in locals
     // (registers) for the whole burst; state_.pc is written back once

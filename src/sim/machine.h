@@ -44,10 +44,14 @@ namespace bp5::sim {
 /**
  * SMARTS-style sampled-timing configuration: alternate a detailed
  * measurement window of @ref detailInstructions with a functional
- * fast-forward of @ref skipInstructions (predictor/BTAC/L1D warmed
- * when @ref functionalWarming).  Architectural counters stay exact;
- * cycle/event counters are extrapolated from the windows.  Both
- * fields nonzero enables sampling; reset() disables it.
+ * fast-forward of @ref skipInstructions.  With @ref functionalWarming
+ * the fast-forward runs through Machine::runWarm, which trains the
+ * direction predictor, the BTAC (when enabled) and the L1D by the
+ * timing model's own update rules; without it the fast-forward is the
+ * plain functional loop and those structures keep the state the last
+ * window left.  Architectural counters stay exact; cycle/event
+ * counters are extrapolated from the windows.  Both fields nonzero
+ * enables sampling; reset() disables it.
  */
 struct SamplingParams
 {
@@ -226,6 +230,24 @@ class Machine
     /** The executor loop of one shape, scheduleInstruction inlined. */
     template <bool Traced, bool BtacOn, bool Classic>
     Executor::FastResult runShape(uint64_t max, Counters &c);
+    /**
+     * Fast-forward up to @p max instructions with functional warming:
+     * the executor loop with a hook that tests the op's branch and
+     * load/store flags and runs trainOn for each branch and load/store.
+     * Adds the executed count to c.instructions once per burst.
+     * @tparam BtacOn config_.btacEnabled
+     */
+    template <bool BtacOn>
+    Executor::FastResult runWarm(uint64_t max, Counters &c);
+    /**
+     * Train the structures on the branch or load/store that just
+     * retired at @p pc with the training calls scheduleInstruction
+     * makes: the L1D on a load/store's address, the direction
+     * predictor on a conditional branch's outcome, the BTAC (when
+     * @p BtacOn) on every branch.
+     */
+    template <bool BtacOn>
+    void trainOn(const MicroOp &mo, uint64_t pc, const FastCtx &x);
     /** Fresh timing and store-ordering state for a new run. */
     void beginRun();
     /** Full-detail timing of up to @p max instructions into @p res. */

@@ -13,8 +13,11 @@
  * buffers are heap-allocated vectors, so cached pointers stay valid
  * across page-table rehashes; reads of absent pages return zero
  * without allocating (and are never cached, so a later write is
- * observed); clear() invalidates every slot.  Small accesses that
- * cross a page boundary fall back to the block routines.
+ * observed); clear() invalidates every slot.  A slot that holds a page
+ * number therefore always holds that page's buffer, so the inline fast
+ * path of a small access (residentPtr) is one page-bound check and one
+ * tag compare; a TLB miss or a page-crossing access goes to the
+ * out-of-line block routines.
  *
  * Not copyable: a copy would carry TLB pointers into the source's
  * pages.
@@ -45,21 +48,37 @@ class Memory
     Memory(const Memory &) = delete;
     Memory &operator=(const Memory &) = delete;
 
-    uint8_t
-    readU8(uint64_t addr) const
-    {
-        if (const uint8_t *p = readPtr(addr, 1))
-            return *p;
-        return 0;
-    }
+    uint8_t readU8(uint64_t addr) const { return readSmall<uint8_t>(addr); }
     uint16_t readU16(uint64_t addr) const { return readSmall<uint16_t>(addr); }
     uint32_t readU32(uint64_t addr) const { return readSmall<uint32_t>(addr); }
     uint64_t readU64(uint64_t addr) const { return readSmall<uint64_t>(addr); }
 
-    void writeU8(uint64_t addr, uint8_t v) { *writePtr(addr, 1) = v; }
+    void writeU8(uint64_t addr, uint8_t v) { writeSmall(addr, v); }
     void writeU16(uint64_t addr, uint16_t v) { writeSmall(addr, v); }
     void writeU32(uint64_t addr, uint32_t v) { writeSmall(addr, v); }
     void writeU64(uint64_t addr, uint64_t v) { writeSmall(addr, v); }
+
+    /**
+     * The fast path of every small access: a pointer to
+     * [addr, addr+len) when the span lies in one page whose translation
+     * is resident in the TLB, else nullptr (a TLB miss or a
+     * page-crossing span; neither is an error: the read and write
+     * calls handle both).  Touches no page table and fills no slot.
+     * @p len is at most kPageSize.
+     */
+    const uint8_t *
+    residentPtr(uint64_t addr, size_t len) const
+    {
+        return resident(addr, len);
+    }
+
+    /** Writable form of residentPtr(), for stores (the TLB caches
+     *  only allocated pages). */
+    uint8_t *
+    residentPtr(uint64_t addr, size_t len)
+    {
+        return resident(addr, len);
+    }
 
     /** Bulk copy into memory. */
     void writeBlock(uint64_t addr, const void *src, size_t len);
@@ -95,12 +114,18 @@ class Memory
         return a & (kPageSize - 1);
     }
 
-    /** Cached data pointer of page @p pn, or nullptr on a TLB miss. */
+    /** Body of both residentPtr() forms. */
     uint8_t *
-    tlbHit(uint64_t pn) const
+    resident(uint64_t addr, size_t len) const
     {
+        const uint64_t off = pageOff(addr);
+        const uint64_t pn = addr >> kPageShift;
         const TlbEntry &e = tlb_[pn & (kTlbSlots - 1)];
-        return e.pageNum == pn ? e.data : nullptr;
+        if (off > kPageSize - len || e.pageNum != pn)
+            return nullptr;
+        if (e.data == nullptr)
+            __builtin_unreachable(); // a tagged slot holds its page
+        return e.data + off;
     }
 
     /** TLB miss: find page @p pn (allocating it when @p allocate) and
@@ -113,17 +138,12 @@ class Memory
     const uint8_t *
     readPtr(uint64_t addr, size_t len) const
     {
-        uint64_t off = pageOff(addr);
-        if (off + len > kPageSize)
+        if (const uint8_t *p = residentPtr(addr, len))
+            return p;
+        if (pageOff(addr) + len > kPageSize)
             return nullptr;
-        uint64_t pn = addr >> kPageShift;
-        uint8_t *data = tlbHit(pn);
-        if (!data) {
-            data = tlbFill(pn, false);
-            if (!data)
-                return nullptr;
-        }
-        return data + off;
+        const uint8_t *data = tlbFill(addr >> kPageShift, false);
+        return data ? data + pageOff(addr) : nullptr;
     }
 
     /** Writable pointer for [addr, addr+len), allocating the page;
@@ -131,26 +151,24 @@ class Memory
     uint8_t *
     writePtr(uint64_t addr, size_t len)
     {
-        uint64_t off = pageOff(addr);
-        if (off + len > kPageSize)
+        if (uint8_t *p = residentPtr(addr, len))
+            return p;
+        if (pageOff(addr) + len > kPageSize)
             return nullptr;
-        uint64_t pn = addr >> kPageShift;
-        uint8_t *data = tlbHit(pn);
-        if (!data)
-            data = tlbFill(pn, true);
-        return data + off;
+        return tlbFill(addr >> kPageShift, true) + pageOff(addr);
     }
 
+    // A TLB miss or a page-crossing span takes the out-of-line block
+    // routine, which fills the slot (or reads zeros from an absent page).
     template <typename T>
     T
     readSmall(uint64_t addr) const
     {
         T v;
-        if (const uint8_t *p = readPtr(addr, sizeof(T))) {
+        if (const uint8_t *p = residentPtr(addr, sizeof(T)))
             std::memcpy(&v, p, sizeof(T));
-            return v;
-        }
-        readBlock(addr, &v, sizeof(T));
+        else
+            readBlock(addr, &v, sizeof(T));
         return v;
     }
 
@@ -158,11 +176,10 @@ class Memory
     void
     writeSmall(uint64_t addr, T v)
     {
-        if (uint8_t *p = writePtr(addr, sizeof(T))) {
+        if (uint8_t *p = residentPtr(addr, sizeof(T)))
             std::memcpy(p, &v, sizeof(T));
-            return;
-        }
-        writeBlock(addr, &v, sizeof(T));
+        else
+            writeBlock(addr, &v, sizeof(T));
     }
 
     // Reads fill TLB slots, so both are mutable.

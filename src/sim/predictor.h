@@ -197,8 +197,10 @@ class TournamentPredictor
         bool b = counter2::high(bc);
         bool g = counter2::high(gc);
         bool p = counter2::high(sc) ? g : b;
-        if (b != g)
-            counter2::update(sc, g == taken);
+        // The selector moves toward the component that was right, only
+        // when the two disagree: a select, not a branch on the outcome.
+        const uint8_t moved = counter2::next(sc, g == taken);
+        sc = b != g ? moved : sc;
         counter2::update(bc, taken);
         counter2::update(gc, taken);
         gshare_.push(taken);

@@ -30,6 +30,23 @@ TEST(Failures, ExecutorPanicsOnInvalidInstruction)
     EXPECT_DEATH(m.runFunctional(1), "invalid instruction");
 }
 
+/// A branch into the partial word that a .byte tail leaves at the end
+/// of the image decodes that word (and panics on it) instead of
+/// indexing one micro-op slot past the image.
+TEST(Failures, ExecutorPanicsOnBranchIntoPartialTrailingWord)
+{
+    masm::Program prog = masm::assemble(R"(
+        b       tail
+tail:
+        .byte   0x2a
+)");
+    ASSERT_EQ(prog.image.size(), 5u);
+    sim::Machine m;
+    m.loadProgram(prog);
+    m.state().pc = prog.base;
+    EXPECT_DEATH(m.runFunctional(2), "invalid instruction 0x0000002a");
+}
+
 TEST(Failures, MachineRejectsUnitCountsBeyondItsInlineTables)
 {
     sim::MachineConfig wide = sim::MachineConfig::power5WithFxu(

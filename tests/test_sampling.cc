@@ -3,13 +3,17 @@
  * Tests of SMARTS-style sampled timing (sim::SamplingParams): the
  * exactness contract (architectural counters identical to a full
  * detailed run; only cycle/event counters are extrapolated), error
- * bounds of the extrapolation, and reset() clearing the sampling mode.
+ * bounds of the extrapolation, functional warming training the
+ * predictor, BTAC and L1D as a timed run would, and reset() clearing
+ * the sampling mode.
  */
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cmath>
 #include <cstdint>
+#include <string>
 
 #include "kernels/kernels.h"
 #include "masm/assembler.h"
@@ -132,6 +136,104 @@ TEST(Sampling, WorksWithBtacConfig)
     double ipcErr = std::fabs(sampled.counters.ipc() - full.counters.ipc()) /
                     full.counters.ipc();
     EXPECT_LT(ipcErr, 0.15);
+}
+
+/// A 200-iteration bdnz loop (longer than a 300-instruction window),
+/// then 16k iterations of a loop with a data-dependent blt, an
+/// unconditional b, and a store/load pair that walks 8 cache lines at
+/// 0x500000.  The whole text is one cache line.
+const char *kWarmSrc = R"(
+        li      r12, 200
+        mtctr   r12
+spin:
+        addi    r14, r14, 1
+        bdnz    spin
+        addis   r13, r0, 0x50
+        li      r14, 0
+        li      r15, 1234
+        li      r20, 0
+        li      r12, 16384
+        mtctr   r12
+loop:
+        mulli   r15, r15, 25
+        addi    r15, r15, 13
+        andi.   r17, r15, 63
+        add     r19, r13, r20
+        std     r15, 0(r19)
+        ld      r18, 0(r19)
+        addi    r20, r20, 128
+        andi.   r20, r20, 1023
+        cmpdi   r17, 32
+        blt     skip
+        add     r14, r14, r18
+        b       next
+skip:
+        addi    r14, r14, 1
+next:
+        bdnz    loop
+        mr      r3, r14
+        li      r0, 0
+        sc
+)";
+
+/// The event counts a timed run takes from the trained structures:
+/// direction predictor, BTAC and L1D (and the L2 behind it).
+std::array<uint64_t, 8>
+trainedCounts(const sim::Counters &c)
+{
+    return {c.mispredDirection, c.mispredTarget,  c.takenBubbles,
+            c.btacPredictions,  c.btacCorrect,    c.btacMispredicts,
+            c.l1dMisses,        c.l2Misses};
+}
+
+/// Run kWarmSrc for 20300 instructions under @p prefix, then 5000 more
+/// with full timing; returns the second run's counters.
+sim::Counters
+countsAfterPrefix(const sim::MachineConfig &cfg,
+                  const sim::SamplingParams &prefix)
+{
+    masm::Program prog = masm::assemble(kWarmSrc);
+    sim::Machine m(cfg);
+    m.loadProgram(prog);
+    m.state().pc = prog.base;
+    m.setSampling(prefix);
+    EXPECT_FALSE(m.run(20'300).halted);
+    m.setSampling(sim::SamplingParams{});
+    return m.run(5'000).counters;
+}
+
+/**
+ * Functional warming trains exactly what a timed run trains: after a
+ * 300-instruction window and a 20000-instruction warmed fast-forward,
+ * the predictor, BTAC and caches make a following timed run count the
+ * same events as after 20300 timed instructions, for every predictor
+ * kind with the BTAC off and on.  Without warming the counts differ.
+ */
+TEST(Sampling, WarmedFastForwardTrainsLikeTimedRun)
+{
+    const sim::PredictorKind kinds[] = {
+        sim::PredictorKind::AlwaysTaken, sim::PredictorKind::Bimodal,
+        sim::PredictorKind::Gshare, sim::PredictorKind::Tournament};
+    for (bool btac : {false, true}) {
+        for (sim::PredictorKind kind : kinds) {
+            sim::MachineConfig cfg;
+            cfg.btacEnabled = btac;
+            cfg.predictor = kind;
+            cfg.l1d = {"L1D", 1024, 2, 128, 1};
+            cfg.l2 = {"L2", 4096, 2, 128, 12};
+            SCOPED_TRACE("btac=" + std::to_string(btac) + " predictor=" +
+                         std::to_string(int(kind)));
+
+            const auto timed =
+                trainedCounts(countsAfterPrefix(cfg, sim::SamplingParams{}));
+            const auto warmed =
+                trainedCounts(countsAfterPrefix(cfg, {300, 20'000, true}));
+            const auto cold =
+                trainedCounts(countsAfterPrefix(cfg, {300, 20'000, false}));
+            EXPECT_EQ(warmed, timed);
+            EXPECT_NE(cold, timed);
+        }
+    }
 }
 
 TEST(Sampling, ResetDisablesSampling)

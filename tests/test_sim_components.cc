@@ -17,6 +17,7 @@
 #include "sim/predictor.h"
 #include "support/bitfield.h"
 #include "support/random.h"
+#include "support/saturating_counter.h"
 
 namespace bp5::sim {
 namespace {
@@ -962,6 +963,74 @@ TEST(Predictor, GshareDegenerateSingleEntryTable)
     for (int i = 0; i < 8; ++i)
         g.update(0x40, true);
     EXPECT_TRUE(g.predict(0x1234));
+}
+
+/**
+ * counter2::update is a next-state table: every state and outcome
+ * against the saturating if-chain it replaced.  The tournament
+ * selector moves toward the right component only when bimodal and
+ * gshare disagree: on a seeded stream a tournament predicts exactly
+ * what its two components would under a selector trained by that
+ * rule through the if-chain, and both components win the selector
+ * over along the way.
+ */
+TEST(SatCounter, UpdateTableIsTheSaturatingRule)
+{
+    const auto ifChain = [](uint8_t c, bool up) -> uint8_t {
+        if (up) {
+            if (c < counter2::kMax)
+                ++c;
+        } else if (c > 0) {
+            --c;
+        }
+        return c;
+    };
+    for (uint8_t c = 0; c <= counter2::kMax; ++c) {
+        for (bool up : {false, true}) {
+            uint8_t u = c;
+            counter2::update(u, up);
+            EXPECT_EQ(u, ifChain(c, up)) << "state " << int(c) << " up " << up;
+            EXPECT_EQ(counter2::next(c, up), ifChain(c, up));
+        }
+    }
+
+    constexpr unsigned kEntries = 64, kHistory = 5, kSites = 32;
+    TournamentPredictor t(kEntries, kHistory);
+    BimodalPredictor bi(kEntries);
+    GsharePredictor gs(kEntries, kHistory);
+    std::vector<uint8_t> sel(kEntries, counter2::kWeaklyNotTaken);
+    std::vector<bool> toggle(kSites, false);
+    Rng r(0x5e1ec7);
+    unsigned usedGshare = 0, moves = 0;
+    const int kBranches = 20000;
+    for (int n = 0; n < kBranches; ++n) {
+        const size_t site = r.below(kSites);
+        const uint64_t pc = 0x10000 + 4 * site;
+        // A third of the sites alternate (history helps), the rest are
+        // biased one way or the other (history adds only noise).
+        bool taken;
+        if (site % 3 == 0)
+            taken = toggle[site] = !toggle[site];
+        else
+            taken = r.chance(site % 3 == 1 ? 0.9 : 0.15);
+        uint8_t &sc = sel[(pc >> 2) & (kEntries - 1)];
+        const bool b = bi.predict(pc);
+        const bool g = gs.predict(pc);
+        const bool useGshare = counter2::high(sc);
+        ASSERT_EQ(t.predict(pc), useGshare ? g : b) << "branch " << n;
+        usedGshare += useGshare;
+        if (b != g) {
+            const uint8_t moved = ifChain(sc, g == taken);
+            moves += moved != sc;
+            sc = moved;
+        }
+        t.update(pc, taken);
+        bi.update(pc, taken);
+        gs.update(pc, taken);
+    }
+    EXPECT_GT(usedGshare, 0u);
+    EXPECT_LT(usedGshare, unsigned(kBranches));
+    EXPECT_GT(moves, 0u);
 }
 
 /**

@@ -37,7 +37,7 @@ main(int argc, char **argv)
 
     size_t idx = 0;
     for (const char *which : {"Original", "Combination"}) {
-        std::vector<driver::ResultRow> rows;
+        std::vector<support::ResultRow> rows;
         for (int a = 0; a < 4; ++a) {
             double ipc[3];
             double fxuShare[3];
@@ -46,7 +46,7 @@ main(int argc, char **argv)
                 ipc[k] = c.ipc();
                 fxuShare[k] = c.cpiShare(sim::CpiComponent::Fxu);
             }
-            driver::ResultRow row;
+            support::ResultRow row;
             row.set("Application", appName(kApps[a]))
                 .set("2 FXU", ipc[0])
                 .set("3 FXU", ipc[1])

@@ -48,9 +48,9 @@ main(int argc, char **argv)
     if (opts.cpi) {
         // The full POWER5-style cycle-accounting view of the same
         // runs: every cycle in exactly one component (DESIGN 4.10).
-        std::vector<driver::ResultRow> rows;
+        std::vector<support::ResultRow> rows;
         for (int a = 0; a < 4; ++a) {
-            driver::ResultRow row;
+            support::ResultRow row;
             row.set("Application", appName(kApps[a]));
             addCpiColumns(row, counters[size_t(a)]);
             rows.push_back(row);

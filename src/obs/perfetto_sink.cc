@@ -11,19 +11,6 @@ namespace bp5::obs {
 namespace {
 
 const char *
-stallReasonName(sim::StallReason r)
-{
-    switch (r) {
-    case sim::StallReason::None: return "none";
-    case sim::StallReason::Frontend: return "frontend";
-    case sim::StallReason::Branch: return "branch";
-    case sim::StallReason::FXU: return "fxu";
-    case sim::StallReason::LSU: return "lsu";
-    default: return "other";
-    }
-}
-
-const char *
 flushCauseName(sim::FlushRecord::Cause c)
 {
     switch (c) {
@@ -188,7 +175,7 @@ PerfettoSink::onInstruction(const sim::InstRecord &r, const sim::Counters &)
         (unsigned long long)global(r.dispatchCycle),
         (unsigned long long)global(r.issueCycle),
         (unsigned long long)global(r.writebackCycle),
-        stallReasonName(r.stall),
+        sim::stallReasonKey(r.stall),
         r.mispredicted ? ",\"mispredicted\":true" : "",
         r.l1dMiss ? ",\"l1d_miss\":true" : "",
         r.l2Miss ? ",\"l2_miss\":true" : "",

@@ -6,42 +6,44 @@ namespace bp5::obs {
 
 namespace {
 
-/** Field-wise a - b (a must dominate b; counters only ever grow). */
-sim::Counters
-sub(const sim::Counters &a, const sim::Counters &b)
+/** A derived rate column and the raw counter column it follows. */
+struct RateColumn
 {
-    sim::Counters d;
-    d.cycles = a.cycles - b.cycles;
-    d.instructions = a.instructions - b.instructions;
-    d.branches = a.branches - b.branches;
-    d.condBranches = a.condBranches - b.condBranches;
-    d.takenBranches = a.takenBranches - b.takenBranches;
-    d.mispredDirection = a.mispredDirection - b.mispredDirection;
-    d.mispredTarget = a.mispredTarget - b.mispredTarget;
-    d.takenBubbles = a.takenBubbles - b.takenBubbles;
-    d.btacPredictions = a.btacPredictions - b.btacPredictions;
-    d.btacCorrect = a.btacCorrect - b.btacCorrect;
-    d.btacMispredicts = a.btacMispredicts - b.btacMispredicts;
-    d.loads = a.loads - b.loads;
-    d.stores = a.stores - b.stores;
-    d.l1dAccesses = a.l1dAccesses - b.l1dAccesses;
-    d.l1dMisses = a.l1dMisses - b.l1dMisses;
-    d.l1iAccesses = a.l1iAccesses - b.l1iAccesses;
-    d.l1iMisses = a.l1iMisses - b.l1iMisses;
-    d.l2Misses = a.l2Misses - b.l2Misses;
-    d.storeForwards = a.storeForwards - b.storeForwards;
-    d.disambigFlushes = a.disambigFlushes - b.disambigFlushes;
-    d.lsqFullLoads = a.lsqFullLoads - b.lsqFullLoads;
-    d.lsqFullStores = a.lsqFullStores - b.lsqFullStores;
-    d.prefetchIssued = a.prefetchIssued - b.prefetchIssued;
-    d.prefetchHits = a.prefetchHits - b.prefetchHits;
-    for (size_t i = 0; i < d.stallCycles.size(); ++i)
-        d.stallCycles[i] = a.stallCycles[i] - b.stallCycles[i];
+    uint64_t sim::Counters::*after;
+    const char *key;
+    double (sim::Counters::*rate)() const;
+};
+
+constexpr RateColumn kRateColumns[] = {
+    {&sim::Counters::instructions, "ipc", &sim::Counters::ipc},
+    {&sim::Counters::mispredTarget, "mispredict_rate",
+     &sim::Counters::branchMispredictRate},
+    {&sim::Counters::l1dMisses, "l1d_miss_rate",
+     &sim::Counters::l1dMissRate},
+};
+
+/**
+ * Visits the counter columns of @p d in CSV order: raw(prefix, key,
+ * value) for each kCounterFields row, stall reason and CPI component,
+ * and rate(key, value) for each derived rate.  StallReason::None has
+ * no column: it names a completing cycle, which is never a stall.
+ */
+template <class Raw, class Rate>
+void
+forEachColumn(const sim::Counters &d, Raw raw, Rate rate)
+{
+    for (const sim::CounterField &f : sim::kCounterFields) {
+        raw("", f.key, d.*f.member);
+        for (const RateColumn &rc : kRateColumns)
+            if (rc.after == f.member)
+                rate(rc.key, (d.*rc.rate)());
+    }
+    for (size_t i = size_t(sim::StallReason::Frontend);
+         i < d.stallCycles.size(); ++i)
+        raw("stall_", sim::stallReasonKey(sim::StallReason(i)),
+            d.stallCycles[i]);
     for (size_t i = 0; i < d.cpi.size(); ++i)
-        d.cpi[i] = a.cpi[i] - b.cpi[i];
-    for (size_t i = 0; i < d.opCount.size(); ++i)
-        d.opCount[i] = a.opCount[i] - b.opCount[i];
-    return d;
+        raw("cpi_", sim::cpiComponentKey(sim::CpiComponent(i)), d.cpi[i]);
 }
 
 } // namespace
@@ -58,7 +60,8 @@ PmuSampler::closeWindow(const sim::Counters &global, bool partial)
     PmuInterval w;
     w.startCycle = prevCycle_;
     w.endCycle = global.cycles;
-    w.delta = sub(global, prev_);
+    w.delta = global;
+    w.delta.subtract(prev_);
     w.partial = partial;
     done_.push_back(w);
     prev_ = global;
@@ -92,7 +95,8 @@ PmuSampler::intervals(bool include_trailing) const
         PmuInterval w;
         w.startCycle = prevCycle_;
         w.endCycle = base_.cycles;
-        w.delta = sub(base_, prev_);
+        w.delta = base_;
+        w.delta.subtract(prev_);
         w.partial = true;
         out.push_back(w);
     }
@@ -117,19 +121,18 @@ PmuSampler::timeline(bool include_trailing) const
 std::string
 PmuSampler::csvColumns()
 {
-    std::string cols =
-        "start_cycle,end_cycle,cycles,instructions,ipc,"
-        "branches,cond_branches,taken_branches,mispred_direction,"
-        "mispred_target,mispredict_rate,taken_bubbles,"
-        "loads,stores,l1d_accesses,l1d_misses,l1d_miss_rate,"
-        "l1i_accesses,l1i_misses,l2_misses,"
-        "store_forwards,disambig_flushes,lsq_full_loads,"
-        "lsq_full_stores,prefetch_issued,prefetch_hits,"
-        "stall_frontend,stall_branch,stall_fxu,stall_lsu,stall_other";
-    for (size_t i = 0; i < sim::kNumCpiComponents; ++i) {
-        cols += ",cpi_";
-        cols += sim::cpiComponentKey(sim::CpiComponent(i));
-    }
+    std::string cols = "start_cycle,end_cycle";
+    forEachColumn(
+        sim::Counters(),
+        [&cols](const char *prefix, const char *key, uint64_t) {
+            cols += ',';
+            cols += prefix;
+            cols += key;
+        },
+        [&cols](const char *key, double) {
+            cols += ',';
+            cols += key;
+        });
     cols += ",partial";
     return cols;
 }
@@ -148,45 +151,16 @@ PmuSampler::toCsv(bool include_trailing) const
 {
     std::string out = csvHeader();
     for (const PmuInterval &w : intervals(include_trailing)) {
-        const sim::Counters &d = w.delta;
-        out += strprintf(
-            "%llu,%llu,%llu,%llu,%.6f,"
-            "%llu,%llu,%llu,%llu,%llu,%.6f,%llu,"
-            "%llu,%llu,%llu,%llu,%.6f,%llu,%llu,%llu,"
-            "%llu,%llu,%llu,%llu,%llu,%llu,"
-            "%llu,%llu,%llu,%llu,%llu",
-            (unsigned long long)w.startCycle,
-            (unsigned long long)w.endCycle,
-            (unsigned long long)d.cycles,
-            (unsigned long long)d.instructions, d.ipc(),
-            (unsigned long long)d.branches,
-            (unsigned long long)d.condBranches,
-            (unsigned long long)d.takenBranches,
-            (unsigned long long)d.mispredDirection,
-            (unsigned long long)d.mispredTarget, d.branchMispredictRate(),
-            (unsigned long long)d.takenBubbles,
-            (unsigned long long)d.loads, (unsigned long long)d.stores,
-            (unsigned long long)d.l1dAccesses,
-            (unsigned long long)d.l1dMisses, d.l1dMissRate(),
-            (unsigned long long)d.l1iAccesses,
-            (unsigned long long)d.l1iMisses,
-            (unsigned long long)d.l2Misses,
-            (unsigned long long)d.storeForwards,
-            (unsigned long long)d.disambigFlushes,
-            (unsigned long long)d.lsqFullLoads,
-            (unsigned long long)d.lsqFullStores,
-            (unsigned long long)d.prefetchIssued,
-            (unsigned long long)d.prefetchHits,
-            (unsigned long long)d.stallCycles[size_t(
-                sim::StallReason::Frontend)],
-            (unsigned long long)d.stallCycles[size_t(
-                sim::StallReason::Branch)],
-            (unsigned long long)d.stallCycles[size_t(sim::StallReason::FXU)],
-            (unsigned long long)d.stallCycles[size_t(sim::StallReason::LSU)],
-            (unsigned long long)d.stallCycles[size_t(
-                sim::StallReason::Other)]);
-        for (size_t i = 0; i < d.cpi.size(); ++i)
-            out += strprintf(",%llu", (unsigned long long)d.cpi[i]);
+        out += strprintf("%llu,%llu", (unsigned long long)w.startCycle,
+                         (unsigned long long)w.endCycle);
+        forEachColumn(
+            w.delta,
+            [&out](const char *, const char *, uint64_t v) {
+                out += strprintf(",%llu", (unsigned long long)v);
+            },
+            [&out](const char *, double v) {
+                out += strprintf(",%.6f", v);
+            });
         out += strprintf(",%d\n", int(w.partial));
     }
     return out;

@@ -11,6 +11,7 @@
 
 #include <array>
 #include <cstdint>
+#include <iterator>
 #include <map>
 
 #include "isa/opcodes.h"
@@ -28,6 +29,22 @@ enum class StallReason : unsigned
     Other,
     NUM_REASONS,
 };
+
+/** Stable machine-readable key ("frontend", "fxu", ...). */
+constexpr const char *
+stallReasonKey(StallReason r)
+{
+    switch (r) {
+    case StallReason::None: return "none";
+    case StallReason::Frontend: return "frontend";
+    case StallReason::Branch: return "branch";
+    case StallReason::FXU: return "fxu";
+    case StallReason::LSU: return "lsu";
+    case StallReason::Other: return "other";
+    case StallReason::NUM_REASONS: break;
+    }
+    return "?";
+}
 
 /**
  * POWER5-style cycle-accounting component.  Every simulated cycle is
@@ -99,7 +116,11 @@ cpiComponentLabel(CpiComponent c)
     return "?";
 }
 
-/** Aggregate counters for one simulation run or interval. */
+/**
+ * Aggregate counters for one simulation run or interval.  Every scalar
+ * field has one row in kCounterFields below; code that must see every
+ * field walks that table, never a hand-written list.
+ */
 struct Counters
 {
     uint64_t cycles = 0;
@@ -265,9 +286,74 @@ struct Counters
     /** Accumulate @p other into this (for workload-level aggregation). */
     void add(const Counters &other);
 
+    /** Field-wise this -= @p other (this must dominate: counters grow). */
+    void subtract(const Counters &other);
+
     /** Field-wise equality (the tracing-invariance tests rely on it). */
     friend bool operator==(const Counters &, const Counters &) = default;
 };
+
+/**
+ * How Machine::runSampled forms a counter's total from its detailed
+ * windows and its fast-forward phases (DESIGN.md section 4.7).
+ */
+enum class SampledRule : unsigned char
+{
+    Exact,         ///< fast-forward counts it too; merged unscaled
+    Extrapolated,  ///< windows only; scaled by total/detailed instructions
+    Reconstructed, ///< recomputed from the exact counts at the end
+};
+
+/** One scalar field of Counters. */
+struct CounterField
+{
+    const char *key;            ///< snake_case key of the CSV and manifests
+    uint64_t Counters::*member;
+    SampledRule sampled;
+};
+
+/**
+ * The counter schema: one row per scalar Counters field, in declaration
+ * order.  Of the arrays, stallCycles and cpi are extrapolated and
+ * opCount is exact.  add, subtract, the sampled extrapolation, the PMU
+ * CSV and the tests' field-by-field comparison all walk this table.
+ */
+inline constexpr CounterField kCounterFields[] = {
+    {"cycles", &Counters::cycles, SampledRule::Extrapolated},
+    {"instructions", &Counters::instructions, SampledRule::Exact},
+    {"branches", &Counters::branches, SampledRule::Exact},
+    {"cond_branches", &Counters::condBranches, SampledRule::Exact},
+    {"taken_branches", &Counters::takenBranches, SampledRule::Exact},
+    {"mispred_direction", &Counters::mispredDirection,
+     SampledRule::Extrapolated},
+    {"mispred_target", &Counters::mispredTarget, SampledRule::Extrapolated},
+    {"taken_bubbles", &Counters::takenBubbles, SampledRule::Extrapolated},
+    {"btac_predictions", &Counters::btacPredictions,
+     SampledRule::Extrapolated},
+    {"btac_correct", &Counters::btacCorrect, SampledRule::Extrapolated},
+    {"btac_mispredicts", &Counters::btacMispredicts,
+     SampledRule::Extrapolated},
+    {"loads", &Counters::loads, SampledRule::Exact},
+    {"stores", &Counters::stores, SampledRule::Exact},
+    {"l1d_accesses", &Counters::l1dAccesses, SampledRule::Reconstructed},
+    {"l1d_misses", &Counters::l1dMisses, SampledRule::Extrapolated},
+    {"l1i_accesses", &Counters::l1iAccesses, SampledRule::Reconstructed},
+    {"l1i_misses", &Counters::l1iMisses, SampledRule::Extrapolated},
+    {"l2_misses", &Counters::l2Misses, SampledRule::Extrapolated},
+    {"store_forwards", &Counters::storeForwards, SampledRule::Extrapolated},
+    {"disambig_flushes", &Counters::disambigFlushes,
+     SampledRule::Extrapolated},
+    {"lsq_full_loads", &Counters::lsqFullLoads, SampledRule::Extrapolated},
+    {"lsq_full_stores", &Counters::lsqFullStores, SampledRule::Extrapolated},
+    {"prefetch_issued", &Counters::prefetchIssued, SampledRule::Extrapolated},
+    {"prefetch_hits", &Counters::prefetchHits, SampledRule::Extrapolated},
+};
+
+static_assert(sizeof(Counters) ==
+                  std::size(kCounterFields) * sizeof(uint64_t) +
+                      sizeof(Counters::stallCycles) +
+                      sizeof(Counters::cpi) + sizeof(Counters::opCount),
+              "every scalar Counters field needs a kCounterFields row");
 
 /**
  * Per-branch-site PMU counters (one record per static branch

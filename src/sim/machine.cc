@@ -7,41 +7,6 @@
 
 namespace bp5::sim {
 
-void
-Counters::add(const Counters &o)
-{
-    cycles += o.cycles;
-    instructions += o.instructions;
-    branches += o.branches;
-    condBranches += o.condBranches;
-    takenBranches += o.takenBranches;
-    mispredDirection += o.mispredDirection;
-    mispredTarget += o.mispredTarget;
-    takenBubbles += o.takenBubbles;
-    btacPredictions += o.btacPredictions;
-    btacCorrect += o.btacCorrect;
-    btacMispredicts += o.btacMispredicts;
-    loads += o.loads;
-    stores += o.stores;
-    l1dAccesses += o.l1dAccesses;
-    l1dMisses += o.l1dMisses;
-    l1iAccesses += o.l1iAccesses;
-    l1iMisses += o.l1iMisses;
-    l2Misses += o.l2Misses;
-    storeForwards += o.storeForwards;
-    disambigFlushes += o.disambigFlushes;
-    lsqFullLoads += o.lsqFullLoads;
-    lsqFullStores += o.lsqFullStores;
-    prefetchIssued += o.prefetchIssued;
-    prefetchHits += o.prefetchHits;
-    for (size_t i = 0; i < stallCycles.size(); ++i)
-        stallCycles[i] += o.stallCycles[i];
-    for (size_t i = 0; i < cpi.size(); ++i)
-        cpi[i] += o.cpi[i];
-    for (size_t i = 0; i < opCount.size(); ++i)
-        opCount[i] += o.opCount[i];
-}
-
 Machine::Machine(const MachineConfig &config)
     : config_(config), exec_(state_, mem_),
       l2_(config.l2, nullptr, config.memLatency),
@@ -669,14 +634,17 @@ scaleCounter(uint64_t v, double r)
  * SMARTS-style sampled timing: detailed measurement windows separated
  * by functional fast-forward phases through the compiled engine.
  *
- * - Architectural counters (instructions, opCount, branch and memory
- *   op counts) are exact: the fast-forward phases execute the same
- *   committed stream and their counts merge in unscaled.
- * - Event counters (cycles, mispredicts, taken bubbles, BTAC stats,
- *   cache misses, stall cycles) are measured inside the windows only
- *   and extrapolated by total/measured instructions.  l1iAccesses and
- *   l1dAccesses are reconstructed exactly (one per instruction and one
- *   per memory op respectively, as in the detailed model).
+ * Each counter's rule is its SampledRule row in kCounterFields:
+ * - Exact counters (instructions, branch and memory op counts, and the
+ *   opCount array) are counted by the fast-forward phases too, which
+ *   execute the same committed stream; their counts merge in unscaled.
+ * - Extrapolated counters (cycles, mispredicts, taken bubbles, BTAC
+ *   stats, cache misses, memory-system events, and the stallCycles and
+ *   cpi arrays) are measured inside the windows only and scaled by
+ *   total/measured instructions.
+ * - Reconstructed counters (l1iAccesses, l1dAccesses) are recomputed
+ *   exactly: one per instruction and one per memory op respectively,
+ *   as in the detailed model.
  * - With functionalWarming the direction predictor, BTAC and L1D stay
  *   warm across fast-forward: runWarm trains them by the detailed
  *   model's own update rules.  The L1I is not warmed — the kernels'
@@ -722,41 +690,25 @@ Machine::runSampled(uint64_t max_instructions)
     res.sampling.detailedCycles = c.cycles;
     res.sampling.fastForwardedInstructions = ff.instructions;
 
-    // Exact architectural merge.
-    c.instructions += ff.instructions;
-    c.branches += ff.branches;
-    c.condBranches += ff.condBranches;
-    c.takenBranches += ff.takenBranches;
-    c.loads += ff.loads;
-    c.stores += ff.stores;
-    for (size_t i = 0; i < c.opCount.size(); ++i)
-        c.opCount[i] += ff.opCount[i];
+    // Fast-forward counts only the Exact fields, so one add merges
+    // them and leaves the window-measured event counters as they are.
+    for (const CounterField &f : kCounterFields)
+        BP5_ASSERT(f.sampled == SampledRule::Exact || ff.*f.member == 0,
+                   "fast-forward counted %s", f.key);
+    c.add(ff);
 
     // Event extrapolation from the measured windows.
     if (res.sampling.detailedInstructions > 0 &&
         ff.instructions > 0) {
         double r = static_cast<double>(c.instructions) /
                    static_cast<double>(res.sampling.detailedInstructions);
-        c.cycles = scaleCounter(c.cycles, r);
-        c.mispredDirection = scaleCounter(c.mispredDirection, r);
-        c.mispredTarget = scaleCounter(c.mispredTarget, r);
-        c.takenBubbles = scaleCounter(c.takenBubbles, r);
-        c.btacPredictions = scaleCounter(c.btacPredictions, r);
-        c.btacCorrect = scaleCounter(c.btacCorrect, r);
-        c.btacMispredicts = scaleCounter(c.btacMispredicts, r);
-        c.l1dMisses = scaleCounter(c.l1dMisses, r);
-        c.l1iMisses = scaleCounter(c.l1iMisses, r);
-        c.l2Misses = scaleCounter(c.l2Misses, r);
-        c.storeForwards = scaleCounter(c.storeForwards, r);
-        c.disambigFlushes = scaleCounter(c.disambigFlushes, r);
-        c.lsqFullLoads = scaleCounter(c.lsqFullLoads, r);
-        c.lsqFullStores = scaleCounter(c.lsqFullStores, r);
-        c.prefetchIssued = scaleCounter(c.prefetchIssued, r);
-        c.prefetchHits = scaleCounter(c.prefetchHits, r);
-        for (size_t i = 0; i < c.stallCycles.size(); ++i)
-            c.stallCycles[i] = scaleCounter(c.stallCycles[i], r);
-        for (size_t i = 0; i < c.cpi.size(); ++i)
-            c.cpi[i] = scaleCounter(c.cpi[i], r);
+        for (const CounterField &f : kCounterFields)
+            if (f.sampled == SampledRule::Extrapolated)
+                c.*f.member = scaleCounter(c.*f.member, r);
+        for (uint64_t &v : c.stallCycles)
+            v = scaleCounter(v, r);
+        for (uint64_t &v : c.cpi)
+            v = scaleCounter(v, r);
         // Per-component rounding breaks the bit-exact sum-to-cycles
         // invariant by at most a handful of cycles; repair the residue
         // deterministically against the largest components.

@@ -10,9 +10,9 @@
 #include <gtest/gtest.h>
 
 #include "driver/driver.h"
-#include "driver/result.h"
 #include "masm/assembler.h"
 #include "sim/machine.h"
+#include "support/result.h"
 #include "workloads/workload.h"
 
 namespace bp5 {
@@ -21,7 +21,7 @@ namespace {
 using driver::ExperimentDriver;
 using driver::GridPoint;
 using driver::PointResult;
-using driver::ResultRow;
+using support::ResultRow;
 using workloads::App;
 using workloads::Workload;
 using workloads::WorkloadConfig;
@@ -36,31 +36,16 @@ cfg(App app, uint64_t budget = 150'000)
     return c;
 }
 
-/** Field-by-field equality of every counter the simulator reports. */
+/** Field-by-field equality of every counter; failures name the field. */
 void
 expectCountersEqual(const sim::Counters &a, const sim::Counters &b,
                     const std::string &what)
 {
-    EXPECT_EQ(a.cycles, b.cycles) << what;
-    EXPECT_EQ(a.instructions, b.instructions) << what;
-    EXPECT_EQ(a.branches, b.branches) << what;
-    EXPECT_EQ(a.condBranches, b.condBranches) << what;
-    EXPECT_EQ(a.takenBranches, b.takenBranches) << what;
-    EXPECT_EQ(a.mispredDirection, b.mispredDirection) << what;
-    EXPECT_EQ(a.mispredTarget, b.mispredTarget) << what;
-    EXPECT_EQ(a.takenBubbles, b.takenBubbles) << what;
-    EXPECT_EQ(a.btacPredictions, b.btacPredictions) << what;
-    EXPECT_EQ(a.btacCorrect, b.btacCorrect) << what;
-    EXPECT_EQ(a.btacMispredicts, b.btacMispredicts) << what;
-    EXPECT_EQ(a.loads, b.loads) << what;
-    EXPECT_EQ(a.stores, b.stores) << what;
-    EXPECT_EQ(a.l1dAccesses, b.l1dAccesses) << what;
-    EXPECT_EQ(a.l1dMisses, b.l1dMisses) << what;
-    EXPECT_EQ(a.l1iAccesses, b.l1iAccesses) << what;
-    EXPECT_EQ(a.l1iMisses, b.l1iMisses) << what;
-    EXPECT_EQ(a.l2Misses, b.l2Misses) << what;
-    EXPECT_EQ(a.stallCycles, b.stallCycles) << what;
-    EXPECT_EQ(a.opCount, b.opCount) << what;
+    for (const sim::CounterField &f : sim::kCounterFields)
+        EXPECT_EQ(a.*f.member, b.*f.member) << what << ": " << f.key;
+    EXPECT_EQ(a.stallCycles, b.stallCycles) << what << ": stall_cycles";
+    EXPECT_EQ(a.cpi, b.cpi) << what << ": cpi";
+    EXPECT_EQ(a.opCount, b.opCount) << what << ": op_count";
 }
 
 // ------------------------------------------------- reset equivalence
@@ -173,7 +158,7 @@ countersFingerprint(const std::vector<PointResult> &results)
             .set("stores", c.stores);
         rows.push_back(row);
     }
-    return driver::emitJson(rows);
+    return support::emitJson(rows);
 }
 
 /**
@@ -288,7 +273,7 @@ TEST(ResultRowTest, TextTableAlignsUnionOfKeys)
     ResultRow r1, r2;
     r1.set("app", "Blast").set("IPC", 1.25).set("only1", uint64_t(7));
     r2.set("app", "Hmmer").set("IPC", 0.5).set("only2", "x");
-    std::string text = driver::emitText({r1, r2}, "title:");
+    std::string text = support::emitText({r1, r2}, "title:");
     EXPECT_NE(text.find("title:"), std::string::npos);
     EXPECT_NE(text.find("app"), std::string::npos);
     EXPECT_NE(text.find("1.25"), std::string::npos);
@@ -304,7 +289,7 @@ TEST(ResultRowTest, JsonIsDeterministicAndTyped)
         .set("n", uint64_t(42))
         .setPct("rate", 0.125, 1)
         .setGainPct("gain", -0.034, 1);
-    std::string json = driver::emitJson({r});
+    std::string json = support::emitJson({r});
     EXPECT_EQ(json, "[\n  {\"name\": \"a \\\"quoted\\\" one\", "
                     "\"ipc\": 1.50, \"n\": 42, \"rate\": 0.12500, "
                     "\"gain\": -0.03400}\n]\n");
@@ -315,7 +300,7 @@ TEST(ResultRowTest, JsonLineIsOneRecordPerTable)
     ResultRow r1, r2;
     r1.set("app", "Blast").set("n", uint64_t(1));
     r2.set("app", "Hmmer").set("n", uint64_t(2));
-    std::string line = driver::emitJsonLine({r1, r2}, "Fig X:");
+    std::string line = support::emitJsonLine({r1, r2}, "Fig X:");
     EXPECT_EQ(line, "{\"title\": \"Fig X:\", \"rows\": ["
                     "{\"app\": \"Blast\", \"n\": 1}, "
                     "{\"app\": \"Hmmer\", \"n\": 2}]}\n");

@@ -13,6 +13,7 @@
 #include <cmath>
 #include <cstdio>
 #include <fstream>
+#include <set>
 #include <sstream>
 
 #include "bench/bench_util.h"
@@ -487,27 +488,90 @@ TEST(PmuSampler, CsvRoundTripsThroughParser)
         return size_t(0);
     };
 
-    // Parse every data row and re-sum the integer columns: the CSV
+    // Parse every data row and re-sum each raw counter column: the CSV
     // must reproduce the machine's end-of-run counters exactly.
-    uint64_t cycles = 0, instructions = 0, cpiSum = 0;
-    size_t cyclesCol = colIndex("cycles");
-    size_t instCol = colIndex("instructions");
-    std::vector<size_t> cpiCols;
+    std::vector<std::pair<std::string, uint64_t>> want;
+    for (const sim::CounterField &f : sim::kCounterFields)
+        want.emplace_back(f.key, total.*f.member);
+    for (size_t i = size_t(sim::StallReason::Frontend);
+         i < total.stallCycles.size(); ++i)
+        want.emplace_back(std::string("stall_") +
+                              sim::stallReasonKey(sim::StallReason(i)),
+                          total.stallCycles[i]);
     for (size_t i = 0; i < sim::kNumCpiComponents; ++i)
-        cpiCols.push_back(colIndex(
-            std::string("cpi_") +
-            sim::cpiComponentKey(sim::CpiComponent(i))));
+        want.emplace_back(std::string("cpi_") +
+                              sim::cpiComponentKey(sim::CpiComponent(i)),
+                          total.cpi[i]);
+    std::vector<size_t> wantCols;
+    for (const auto &w : want)
+        wantCols.push_back(colIndex(w.first));
+    std::vector<uint64_t> sums(want.size(), 0);
     for (size_t i = 2; i < lines.size(); ++i) {
         std::vector<std::string> cells = splitCsv(lines[i]);
         ASSERT_EQ(cells.size(), cols.size()) << lines[i];
-        cycles += std::stoull(cells[cyclesCol]);
-        instructions += std::stoull(cells[instCol]);
-        for (size_t ci : cpiCols)
-            cpiSum += std::stoull(cells[ci]);
+        for (size_t k = 0; k < want.size(); ++k)
+            sums[k] += std::stoull(cells[wantCols[k]]);
     }
-    EXPECT_EQ(cycles, total.cycles);
-    EXPECT_EQ(instructions, total.instructions);
-    EXPECT_EQ(cpiSum, total.cycles); // windowed CPI stacks sum exactly
+    for (size_t k = 0; k < want.size(); ++k)
+        EXPECT_EQ(sums[k], want[k].second) << want[k].first;
+    EXPECT_GT(total.cycles, 0u);
+    EXPECT_EQ(total.cpiSum(), total.cycles); // so the cpi_* columns do
+}
+
+// ---------------------------------------------------------------------
+// The counter schema.
+// ---------------------------------------------------------------------
+
+TEST(CounterSchema, KeysAreUnique)
+{
+    std::set<std::string> keys;
+    for (const sim::CounterField &f : sim::kCounterFields)
+        EXPECT_TRUE(keys.insert(f.key).second) << "duplicate " << f.key;
+}
+
+TEST(CounterSchema, MemberPointersRoundTripThroughAddSubtractAndEquality)
+{
+    // A distinct value per field, set through the table: any two rows
+    // sharing a member, or a field add or subtract skips, shows here.
+    sim::Counters a;
+    uint64_t next = 1;
+    for (const sim::CounterField &f : sim::kCounterFields)
+        a.*f.member = next++;
+    for (uint64_t &v : a.stallCycles)
+        v = next++;
+    for (uint64_t &v : a.cpi)
+        v = next++;
+    for (uint64_t &v : a.opCount)
+        v = next++;
+    next = 1;
+    for (const sim::CounterField &f : sim::kCounterFields)
+        EXPECT_EQ(a.*f.member, next++) << f.key;
+
+    sim::Counters sum;
+    sum.add(a);
+    EXPECT_EQ(sum, a);
+    sum.add(a);
+    next = 1;
+    for (const sim::CounterField &f : sim::kCounterFields)
+        EXPECT_EQ(sum.*f.member, 2 * next++) << f.key;
+    EXPECT_FALSE(sum == a);
+    for (size_t i = 0; i < a.opCount.size(); ++i)
+        EXPECT_EQ(sum.opCount[i], 2 * a.opCount[i]);
+
+    sum.subtract(a);
+    EXPECT_EQ(sum, a);
+    sum.subtract(a);
+    EXPECT_EQ(sum, sim::Counters());
+}
+
+TEST(CounterSchema, EveryKeyIsAPmuCsvColumn)
+{
+    std::vector<std::string> cols =
+        splitCsv(obs::PmuSampler::csvColumns());
+    std::set<std::string> have(cols.begin(), cols.end());
+    EXPECT_EQ(have.size(), cols.size()) << "duplicate CSV column";
+    for (const sim::CounterField &f : sim::kCounterFields)
+        EXPECT_TRUE(have.count(f.key)) << "no CSV column for " << f.key;
 }
 
 // ---------------------------------------------------------------------

@@ -468,5 +468,65 @@ TEST(TimedShapes, TracedUntracedAndFreshAgreeInEveryShape)
     }
 }
 
+/** Keeps the counters as of the last instruction a detail window ran. */
+struct WindowCounters final : TraceSink
+{
+    Counters last;
+
+    void
+    onInstruction(const InstRecord &, const Counters &c) override
+    {
+        last = c;
+    }
+};
+
+/**
+ * runSampled applies each kCounterFields row's SampledRule: Exact
+ * counts match a full-detail run, and every Extrapolated count is its
+ * detail-window count scaled by total/detailed instructions.  The
+ * program reaches every Extrapolated counter, so marking any of them
+ * Exact (left at its window count) fails here.
+ */
+TEST(CounterSchema, SampledRunAppliesEachFieldsRule)
+{
+    const masm::Program p = masm::assemble(kShapeSrc, 0x10000);
+    MachineConfig mc =
+        MachineConfig::power5WithLsq(4, 2, PrefetchParams::Kind::Stride);
+    mc.btacEnabled = true;
+    SamplingParams sp;
+    sp.detailInstructions = 3000;
+    sp.skipInstructions = 7000;
+
+    WindowCounters windows;
+    Machine sampled(mc);
+    const Counters c = runShapeProgram(sampled, p, &windows, sp);
+    Machine detailed(mc);
+    const Counters full =
+        runShapeProgram(detailed, p, nullptr, SamplingParams());
+
+    const Counters &w = windows.last;
+    ASSERT_GT(w.instructions, 0u);
+    ASSERT_LT(w.instructions, c.instructions);
+    const double r = double(c.instructions) / double(w.instructions);
+    auto scaled = [r](uint64_t v) { return uint64_t(double(v) * r + 0.5); };
+    for (const CounterField &f : kCounterFields) {
+        SCOPED_TRACE(f.key);
+        switch (f.sampled) {
+        case SampledRule::Exact:
+            EXPECT_EQ(c.*f.member, full.*f.member);
+            break;
+        case SampledRule::Extrapolated:
+            EXPECT_GT(w.*f.member, 0u);
+            EXPECT_EQ(c.*f.member, scaled(w.*f.member));
+            break;
+        case SampledRule::Reconstructed:
+            break; // Sampling.* check the reconstruction
+        }
+    }
+    for (size_t i = 0; i < c.stallCycles.size(); ++i)
+        EXPECT_EQ(c.stallCycles[i], scaled(w.stallCycles[i])) << i;
+    EXPECT_EQ(c.opCount, full.opCount);
+}
+
 } // namespace
 } // namespace bp5::sim

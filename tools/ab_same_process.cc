@@ -49,6 +49,7 @@ enum AbMode : unsigned
 
 #ifdef AB_SIDE
 
+#include <cstring>
 #include <ctime>
 #include <memory>
 #include <vector>
@@ -117,17 +118,14 @@ AB_PASTE(ab_run, AB_SIDE)(unsigned app, unsigned mode)
     AbSample s;
     s.seconds = threadCpuNow() - t0;
     s.instructions = c.instructions;
+    // Every Counters field is a uint64_t, so hashing its words covers
+    // each field of either tree; the two trees' digests are equal only
+    // if their counters are.
+    static_assert(sizeof c % sizeof(uint64_t) == 0);
+    uint64_t words[sizeof c / sizeof(uint64_t)];
+    std::memcpy(words, &c, sizeof c);
     uint64_t h = 0xcbf29ce484222325ULL;
-    for (uint64_t v :
-         {c.instructions, c.cycles, c.branches, c.condBranches,
-          c.takenBranches, c.mispredDirection, c.mispredTarget,
-          c.takenBubbles, c.btacPredictions, c.btacCorrect,
-          c.btacMispredicts, c.loads, c.stores, c.l1dAccesses, c.l1dMisses,
-          c.l1iAccesses, c.l1iMisses, c.l2Misses})
-        h = mix(h, v);
-    for (uint64_t v : c.cpi)
-        h = mix(h, v);
-    for (uint64_t v : c.opCount)
+    for (uint64_t v : words)
         h = mix(h, v);
     s.digest = h;
     return s;

@@ -58,7 +58,7 @@ main(int argc, char **argv)
              ++col) {
             for (size_t i = 0; i < leaves; ++i)
                 states[i] = fam[i][col];
-            kernels::SankoffProblem p{&tree, &states, &cost};
+            kernels::SankoffProblem p{&tree, states, &cost};
             km.run(p);
         }
         const sim::Counters &c = km.totals();

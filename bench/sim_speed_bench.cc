@@ -184,6 +184,23 @@ BENCHMARK(BM_KernelMachineReset)
     ->Iterations(2000);
 
 /**
+ * Building a baseline POWER5 Dropgsw KernelMachine: compile, lint,
+ * load and machine construction, what a pool pays on a key's first
+ * use.  The machine's cache tags and store table are demand-zero, so
+ * construction writes none of them.
+ */
+void
+BM_KernelMachineBuild(benchmark::State &state)
+{
+    for (auto _ : state) {
+        KernelMachine km(KernelKind::Dropgsw, mpc::Variant::Baseline,
+                         sim::MachineConfig::power5Baseline());
+        benchmark::DoNotOptimize(&km);
+    }
+}
+BENCHMARK(BM_KernelMachineBuild)->Unit(benchmark::kMicrosecond);
+
+/**
  * Guest-memory reads cycling round-robin over state.range(0) resident
  * pages: flat while the pages fit the software TLB
  * (sim::Memory::kTlbSlots), one page-table walk per read beyond it.

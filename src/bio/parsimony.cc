@@ -47,7 +47,7 @@ ParsimonyCost::set(unsigned a, unsigned b, int64_t v)
 }
 
 int64_t
-sankoffSite(const GuideTree &tree, const std::vector<uint8_t> &states,
+sankoffSite(const GuideTree &tree, std::span<const uint8_t> states,
             const ParsimonyCost &cost)
 {
     BP5_ASSERT(tree.root >= 0, "empty tree");

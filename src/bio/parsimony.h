@@ -14,6 +14,7 @@
 #define BIOPERF5_BIO_PARSIMONY_H
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "bio/clustal.h"
@@ -52,8 +53,7 @@ class ParsimonyCost
  * Minimum parsimony cost of one character (site): @p states gives the
  * leaf state per sequence, @p tree maps leaves to sequence indices.
  */
-int64_t sankoffSite(const GuideTree &tree,
-                    const std::vector<uint8_t> &states,
+int64_t sankoffSite(const GuideTree &tree, std::span<const uint8_t> states,
                     const ParsimonyCost &cost);
 
 /**

@@ -15,11 +15,15 @@
 
 namespace bp5::kernels {
 
+namespace {
+
+const bio::GapPenalty kGap{10, 1};
+
+} // namespace
+
 SyntheticInputs::SyntheticInputs(KernelKind kind, uint64_t seed, unsigned n)
+    : kind_(kind)
 {
-    const bio::GapPenalty gap{10, 1};
-    const bio::SubstitutionMatrix *blosum62 =
-        &bio::SubstitutionMatrix::blosum62();
     switch (kind) {
       case KernelKind::ForwardPass:
       case KernelKind::Dropgsw: {
@@ -27,8 +31,6 @@ SyntheticInputs::SyntheticInputs(KernelKind kind, uint64_t seed, unsigned n)
         seqs_.push_back(g.random(n, "a"));
         seqs_.push_back(
             g.mutate(seqs_[0], bio::MutationModel{0.3, 0.05, 0.05}, "b"));
-        invocations_.push_back(
-            AlignProblem{&seqs_[0], &seqs_[1], blosum62, gap});
         break;
       }
       case KernelKind::SemiGAlign: {
@@ -36,35 +38,64 @@ SyntheticInputs::SyntheticInputs(KernelKind kind, uint64_t seed, unsigned n)
         seqs_.push_back(g.random(n, "query"));
         seqs_.push_back(g.mutate(
             seqs_[0], bio::MutationModel{0.25, 0.04, 0.04}, "subject"));
-        invocations_.push_back(
-            ExtendProblem{&seqs_[0], 0, &seqs_[1], 0, blosum62, gap, 30});
         break;
       }
       case KernelKind::P7Viterbi: {
         bio::SequenceGenerator g(seed);
         seqs_ = g.family(5, n, bio::MutationModel{0.15, 0.02, 0.02});
         model_ = bio::Plan7Model::fromFamily(seqs_);
-        for (const bio::Sequence &s : seqs_)
-            invocations_.push_back(ViterbiProblem{&model_, &s});
         break;
       }
       case KernelKind::Sankoff: {
-        const size_t leaves = 8;
+        // The family is needed only for its tree and its columns.
+        leaves_ = 8;
         bio::SequenceGenerator g(seed, bio::Alphabet::Dna);
-        seqs_ = g.family(leaves, n, bio::MutationModel{0.2, 0.0, 0.0});
+        std::vector<bio::Sequence> fam =
+            g.family(leaves_, n, bio::MutationModel{0.2, 0.0, 0.0});
         tree_ = bio::upgmaTree(bio::pairwiseDistances(
-            seqs_, bio::SubstitutionMatrix::dna(), gap));
-        columns_.assign(n, std::vector<uint8_t>(leaves));
+            fam, bio::SubstitutionMatrix::dna(), kGap));
+        states_.resize(size_t(n) * leaves_);
         for (size_t col = 0; col < n; ++col) {
-            for (size_t i = 0; i < leaves; ++i)
-                columns_[col][i] = seqs_[i][col];
+            for (size_t i = 0; i < leaves_; ++i)
+                states_[col * leaves_ + i] = fam[i][col];
         }
-        for (const std::vector<uint8_t> &states : columns_)
-            invocations_.push_back(SankoffProblem{&tree_, &states, &cost_});
         break;
       }
       default:
         panic("bad kernel kind %d", int(kind));
+    }
+}
+
+size_t
+SyntheticInputs::size() const
+{
+    switch (kind_) {
+      case KernelKind::P7Viterbi:
+        return seqs_.size();
+      case KernelKind::Sankoff:
+        return states_.size() / leaves_;
+      default:
+        return 1;
+    }
+}
+
+Invocation
+SyntheticInputs::invocation(size_t i) const
+{
+    BP5_ASSERT(i < size(), "invocation %zu of %zu", i, size());
+    const bio::SubstitutionMatrix *blosum62 =
+        &bio::SubstitutionMatrix::blosum62();
+    switch (kind_) {
+      case KernelKind::SemiGAlign:
+        return ExtendProblem{&seqs_[0], 0, &seqs_[1], 0, blosum62, kGap, 30};
+      case KernelKind::P7Viterbi:
+        return ViterbiProblem{&model_, &seqs_[i]};
+      case KernelKind::Sankoff:
+        return SankoffProblem{
+            &tree_, std::span(states_).subspan(i * leaves_, leaves_),
+            &cost_};
+      default:
+        return AlignProblem{&seqs_[0], &seqs_[1], blosum62, kGap};
     }
 }
 

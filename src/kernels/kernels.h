@@ -40,6 +40,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <string>
 #include <variant>
 #include <vector>
@@ -119,7 +120,7 @@ struct ExtendProblem
 struct SankoffProblem
 {
     const bio::GuideTree *tree = nullptr;
-    const std::vector<uint8_t> *states = nullptr; ///< leaf states
+    std::span<const uint8_t> states; ///< leaf states, one per leaf
     const bio::ParsimonyCost *cost = nullptr;
 };
 
@@ -273,10 +274,11 @@ class MachinePool
  *   SemiGAlign:           one length-n query/subject pair;
  *   P7Viterbi:            a Plan7 model of a 5-member length-n family,
  *                         one invocation per member;
- *   Sankoff:              an 8-leaf length-n DNA family and its UPGMA
- *                         tree, one invocation per column.
- * The invocations point into this object, which therefore neither
- * copies nor moves.
+ *   Sankoff:              the UPGMA tree of an 8-leaf length-n DNA
+ *                         family and its leaf states, one invocation
+ *                         per column.
+ * An invocation is built on request and points into this object,
+ * which therefore neither copies nor moves.
  */
 class SyntheticInputs
 {
@@ -285,18 +287,22 @@ class SyntheticInputs
     SyntheticInputs(const SyntheticInputs &) = delete;
     SyntheticInputs &operator=(const SyntheticInputs &) = delete;
 
-    const std::vector<Invocation> &invocations() const
-    {
-        return invocations_;
-    }
+    /** Number of invocations. */
+    size_t size() const;
+
+    /** Invocation @p i, 0 <= i < size(). */
+    Invocation invocation(size_t i) const;
 
   private:
-    std::vector<bio::Sequence> seqs_;
+    KernelKind kind_;
+    std::vector<bio::Sequence> seqs_; ///< all kinds but Sankoff
     bio::Plan7Model model_;
     bio::GuideTree tree_;
-    std::vector<std::vector<uint8_t>> columns_; ///< leaf states per site
+    size_t leaves_ = 0;
+    /// Sankoff leaf states, column-major: site i is
+    /// [i * leaves_, (i + 1) * leaves_).
+    std::vector<uint8_t> states_;
     bio::ParsimonyCost cost_ = bio::ParsimonyCost::transitionTransversion();
-    std::vector<Invocation> invocations_;
 };
 
 // Case/punctuation-insensitive name lookups ("comp. isel" matches

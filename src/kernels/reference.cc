@@ -152,7 +152,7 @@ refSemiGAlign(const ExtendProblem &p)
 int64_t
 refSankoff(const SankoffProblem &p)
 {
-    return bio::sankoffSite(*p.tree, *p.states, *p.cost);
+    return bio::sankoffSite(*p.tree, p.states, *p.cost);
 }
 
 } // namespace bp5::kernels

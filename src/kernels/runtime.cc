@@ -222,7 +222,7 @@ marshal(DataWriter &w, KernelKind, const SankoffProblem &p)
         recs.push_back(nd.leaf >= 0 ? -1 : nd.left);
         recs.push_back(nd.leaf >= 0 ? -1 : nd.right);
         recs.push_back(nd.leaf >= 0
-                           ? (*p.states)[static_cast<size_t>(nd.leaf)]
+                           ? p.states[static_cast<size_t>(nd.leaf)]
                            : 0);
     }
     uint64_t nodesP = w.i64Array(recs);

@@ -147,8 +147,7 @@ JobInputs::run(kernels::KernelMachine &km, const JobSpec &spec)
         set = std::make_unique<kernels::SyntheticInputs>(spec.kind,
                                                          spec.seed, spec.n);
     }
-    const std::vector<kernels::Invocation> &inv = set->invocations();
-    return km.run(inv[spec.seed % inv.size()]);
+    return km.run(set->invocation(spec.seed % set->size()));
 }
 
 } // namespace bp5::serve

@@ -18,7 +18,7 @@ Cache::Cache(const CacheParams &params, Cache *next, unsigned memLatency)
     BP5_ASSERT(isPow2(numSets_), "set count must be a power of 2");
     lineShift_ = floorLog2(params_.lineBytes);
     tagShift_ = lineShift_ + floorLog2(numSets_);
-    lines_.resize(lines);
+    lines_ = support::ZeroPageArray<Line>(lines);
 }
 
 void

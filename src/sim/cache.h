@@ -28,7 +28,8 @@
 
 #include <cstdint>
 #include <string>
-#include <vector>
+
+#include "support/zero_page_array.h"
 
 namespace bp5::sim {
 
@@ -176,6 +177,7 @@ class Cache
     const CacheParams &params() const { return params_; }
 
   private:
+    /** A tag-array entry; all-zero bytes are a never-filled line. */
     struct Line
     {
         uint64_t tag = 0;
@@ -183,6 +185,8 @@ class Cache
         bool prefetched = false; ///< brought in by prefetchFill, untouched
         uint64_t readyCycle = 0; ///< prefetch arrival cycle
         uint64_t lruStamp = 0;   ///< 0 = never filled
+
+        friend bool operator==(const Line &, const Line &) = default;
     };
 
     /** Filled since the last flush(); see the file comment. */
@@ -210,7 +214,9 @@ class Cache
     unsigned numSets_;
     unsigned lineShift_; ///< log2(lineBytes)
     unsigned tagShift_;  ///< log2(lineBytes * numSets)
-    std::vector<Line> lines_; // numSets * assoc
+    /// numSets * assoc lines on demand-zero pages: a page becomes
+    /// resident when one of its sets first allocates a line.
+    support::ZeroPageArray<Line> lines_;
     uint64_t stamp_ = 0;      ///< LRU clock: stamp of the newest line
     uint64_t flushStamp_ = 0; ///< stamp_ at the last flush()
     CacheStats stats_;

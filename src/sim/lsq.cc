@@ -10,7 +10,9 @@ namespace bp5::sim {
 LoadStoreQueue::LoadStoreQueue(const LsqParams &params, bool classic)
     : params_(params)
 {
-    if (!classic) {
+    if (classic) {
+        table_ = support::ZeroPageArray<StoreSlot>(kTableSlots);
+    } else {
         BP5_ASSERT(params_.loads > 0 && params_.stores > 0,
                    "LSQ depths must be positive");
         BP5_ASSERT(isPow2(params_.mdpEntries),

@@ -30,10 +30,11 @@
 #ifndef BIOPERF5_SIM_LSQ_H
 #define BIOPERF5_SIM_LSQ_H
 
-#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <vector>
+
+#include "support/zero_page_array.h"
 
 namespace bp5::sim {
 
@@ -157,15 +158,21 @@ class LoadStoreQueue
     LsqParams params_;
 
     // Classic mode: direct-mapped store table (granule -> completion),
-    // valid only in the run whose epoch wrote it.
+    // valid only in the run whose epoch wrote it.  It sits on
+    // demand-zero pages (built in classic mode only): an all-zero slot
+    // is empty twice over, as its epoch 0 is no run's (beginRun makes
+    // epoch_ >= 1) and its completion cycle 0 delays no load.
     static constexpr size_t kTableSlots = 4096;
     struct StoreSlot
     {
-        uint64_t addr = ~0ULL;
+        uint64_t addr = 0;
         uint64_t complete = 0;
         uint32_t epoch = 0; ///< epoch_ of the run that wrote the slot
+
+        friend bool operator==(const StoreSlot &,
+                               const StoreSlot &) = default;
     };
-    std::array<StoreSlot, kTableSlots> table_{};
+    support::ZeroPageArray<StoreSlot> table_;
     uint32_t epoch_ = 0; ///< current run; bumped by beginRun()
 
     // Lsq mode: occupancy rings (commit cycle of the entry depth back).

@@ -13,6 +13,9 @@
 namespace bp5::bio {
 namespace {
 
+/** Leaf states of one site (sankoffSite takes a view of them). */
+using States = std::vector<uint8_t>;
+
 /** Balanced four-leaf tree ((0,1),(2,3)). */
 GuideTree
 fourLeafTree()
@@ -63,15 +66,15 @@ TEST(Sankoff, AllLeavesEqualCostsZero)
 {
     GuideTree t = fourLeafTree();
     ParsimonyCost c = ParsimonyCost::unit(Alphabet::Dna);
-    EXPECT_EQ(sankoffSite(t, {2, 2, 2, 2}, c), 0);
+    EXPECT_EQ(sankoffSite(t, States{2, 2, 2, 2}, c), 0);
 }
 
 TEST(Sankoff, SingleDeviantLeafCostsOne)
 {
     GuideTree t = fourLeafTree();
     ParsimonyCost c = ParsimonyCost::unit(Alphabet::Dna);
-    EXPECT_EQ(sankoffSite(t, {0, 2, 2, 2}, c), 1);
-    EXPECT_EQ(sankoffSite(t, {2, 2, 2, 3}, c), 1);
+    EXPECT_EQ(sankoffSite(t, States{0, 2, 2, 2}, c), 1);
+    EXPECT_EQ(sankoffSite(t, States{2, 2, 2, 3}, c), 1);
 }
 
 TEST(Sankoff, SplitSiteCostsOne)
@@ -79,7 +82,7 @@ TEST(Sankoff, SplitSiteCostsOne)
     // (0,1) = A and (2,3) = C: a single change on the root edge.
     GuideTree t = fourLeafTree();
     ParsimonyCost c = ParsimonyCost::unit(Alphabet::Dna);
-    EXPECT_EQ(sankoffSite(t, {0, 0, 1, 1}, c), 1);
+    EXPECT_EQ(sankoffSite(t, States{0, 0, 1, 1}, c), 1);
 }
 
 TEST(Sankoff, AlternatingSiteCostsTwo)
@@ -87,7 +90,7 @@ TEST(Sankoff, AlternatingSiteCostsTwo)
     // Leaves A,C,A,C on ((0,1),(2,3)): two changes are necessary.
     GuideTree t = fourLeafTree();
     ParsimonyCost c = ParsimonyCost::unit(Alphabet::Dna);
-    EXPECT_EQ(sankoffSite(t, {0, 1, 0, 1}, c), 2);
+    EXPECT_EQ(sankoffSite(t, States{0, 1, 0, 1}, c), 2);
 }
 
 TEST(Sankoff, WeightedCostsSelectCheaperAncestors)
@@ -96,8 +99,8 @@ TEST(Sankoff, WeightedCostsSelectCheaperAncestors)
     // A/C split costs 2.
     GuideTree t = fourLeafTree();
     ParsimonyCost c = ParsimonyCost::transitionTransversion(1, 2);
-    EXPECT_EQ(sankoffSite(t, {0, 0, 2, 2}, c), 1);
-    EXPECT_EQ(sankoffSite(t, {0, 0, 1, 1}, c), 2);
+    EXPECT_EQ(sankoffSite(t, States{0, 0, 2, 2}, c), 1);
+    EXPECT_EQ(sankoffSite(t, States{0, 0, 1, 1}, c), 2);
 }
 
 TEST(Sankoff, FitchBoundUnderUnitCost)

@@ -193,7 +193,7 @@ TEST_P(KernelVariant, MatchesNativeReference)
         break;
       }
       case KernelKind::Sankoff: {
-        SankoffProblem p{&d.tree, &d.states, &d.pcost};
+        SankoffProblem p{&d.tree, d.states, &d.pcost};
         EXPECT_EQ(km.run(p), refSankoff(p));
         break;
       }
@@ -229,7 +229,7 @@ TEST(KernelRefs, SankoffMatchesBioOnTsTvCosts)
 {
     const TestData &d = data();
     bio::ParsimonyCost tstv = bio::ParsimonyCost::transitionTransversion();
-    SankoffProblem p{&d.tree, &d.states, &tstv};
+    SankoffProblem p{&d.tree, d.states, &tstv};
     KernelMachine km(KernelKind::Sankoff, Variant::HandMax,
                      sim::MachineConfig());
     km.setFunctionalOnly(true);

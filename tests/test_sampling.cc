@@ -61,15 +61,16 @@ runLoop(const sim::SamplingParams &p,
     return m.run();
 }
 
-/// Strip the extrapolated event counters, keeping the architectural
+/// Strip the extrapolated event counters (the Extrapolated rows of
+/// the counter schema, stallCycles and cpi), keeping the architectural
 /// ones the sampling contract promises to report exactly.
 sim::Counters
 archOnly(sim::Counters c)
 {
-    c.cycles = 0;
-    c.mispredDirection = c.mispredTarget = c.takenBubbles = 0;
-    c.btacPredictions = c.btacCorrect = c.btacMispredicts = 0;
-    c.l1dMisses = c.l1iMisses = c.l2Misses = 0;
+    for (const sim::CounterField &f : sim::kCounterFields) {
+        if (f.sampled == sim::SampledRule::Extrapolated)
+            c.*f.member = 0;
+    }
     c.stallCycles.fill(0);
     c.cpi.fill(0);
     return c;

@@ -1,8 +1,8 @@
 /**
  * @file
  * Unit tests for the support library: bitfields, RNG, statistics,
- * saturating counters, table formatting, the thread pool and the
- * natural-loop core.
+ * saturating counters, table formatting, the thread pool, the
+ * natural-loop core and the demand-zero array.
  */
 
 #include <gtest/gtest.h>
@@ -20,6 +20,7 @@
 #include "support/saturating_counter.h"
 #include "support/table.h"
 #include "support/thread_pool.h"
+#include "support/zero_page_array.h"
 
 namespace bp5 {
 namespace {
@@ -329,6 +330,114 @@ TEST(NaturalLoops, ExitEdgesSorted)
     ASSERT_EQ(loops.size(), 1u);
     EXPECT_EQ(loops[0].blocks, (std::vector<int>{1, 2}));
     EXPECT_EQ(loops[0].exits, (Edges{{1, 3}, {1, 4}, {2, 5}}));
+}
+
+// ------------------------------------------------------ ZeroPageArray
+
+using support::ZeroPageArray;
+
+/** A slot whose empty state is all-ones: not zero-page material. */
+struct OnesSlot
+{
+    uint64_t addr = ~0ULL;
+    uint32_t epoch = 0;
+
+    friend bool operator==(const OnesSlot &, const OnesSlot &) = default;
+};
+
+/** The same slot with a zero empty state (padding after epoch). */
+struct ZeroSlot
+{
+    uint64_t addr = 0;
+    uint32_t epoch = 0;
+
+    friend bool operator==(const ZeroSlot &, const ZeroSlot &) = default;
+};
+
+TEST(ZeroPageArray, ZeroIsDefaultSeesEveryMember)
+{
+    // The compile-time check ZeroPageArray(n) makes of its element
+    // type (and so of Cache::Line and the classic StoreSlot).
+    static_assert(support::zeroIsDefault<uint64_t>());
+    static_assert(support::zeroIsDefault<ZeroSlot>());
+    static_assert(!support::zeroIsDefault<OnesSlot>());
+    EXPECT_TRUE(support::zeroIsDefault<ZeroSlot>());
+}
+
+TEST(ZeroPageArray, NewArrayReadsAsZeros)
+{
+    // Spans several pages and ends mid-page.
+    ZeroPageArray<ZeroSlot> a(3000);
+    ASSERT_EQ(a.size(), 3000u);
+    for (const ZeroSlot &s : a)
+        ASSERT_EQ(s, ZeroSlot());
+    a[2999].addr = 7; // the last element is writable
+    EXPECT_EQ(a[2999].addr, 7u);
+
+    EXPECT_THROW(ZeroPageArray<uint64_t>(SIZE_MAX / 4), std::bad_alloc);
+
+    ZeroPageArray<uint64_t> none(0);
+    EXPECT_EQ(none.size(), 0u);
+    EXPECT_EQ(none.begin(), none.end());
+}
+
+TEST(ZeroPageArray, CopyIsDeepAndIndependent)
+{
+    ZeroPageArray<uint64_t> a(2048);
+    a[0] = 1;
+    a[2047] = 2;
+    ZeroPageArray<uint64_t> b = a;
+    ASSERT_EQ(b.size(), 2048u);
+    EXPECT_NE(b.data(), a.data());
+    EXPECT_EQ(b[0], 1u);
+    EXPECT_EQ(b[2047], 2u);
+    b[0] = 3;
+    a[2047] = 4;
+    EXPECT_EQ(a[0], 1u);
+    EXPECT_EQ(b[2047], 2u);
+
+    ZeroPageArray<uint64_t> c(1);
+    c = a; // copy assignment replaces c's mapping
+    EXPECT_EQ(c.size(), 2048u);
+    EXPECT_EQ(c[2047], 4u);
+}
+
+TEST(ZeroPageArray, MoveLeavesTheSourceEmpty)
+{
+    ZeroPageArray<uint64_t> a(100);
+    a[99] = 9;
+    const uint64_t *mapping = a.data();
+    ZeroPageArray<uint64_t> b = std::move(a);
+    EXPECT_EQ(b.data(), mapping); // the mapping moved, nothing copied
+    EXPECT_EQ(b[99], 9u);
+    EXPECT_EQ(a.size(), 0u);
+    EXPECT_EQ(a.data(), nullptr);
+
+    ZeroPageArray<uint64_t> c;
+    c = std::move(b);
+    EXPECT_EQ(c.data(), mapping);
+    EXPECT_EQ(b.size(), 0u);
+}
+
+TEST(ZeroPageArray, OverrunHitsTheGuardPage)
+{
+    // 1000 elements end mid-page; the array is placed so its end meets
+    // the guard page, and one element past it faults.
+    ZeroPageArray<uint64_t> a(1000);
+    volatile uint64_t *p = a.data();
+    p[999] = 1;
+    EXPECT_DEATH(p[1000] = 2, "");
+}
+
+TEST(ZeroPageArray, FillStoresEveryElement)
+{
+    ZeroPageArray<ZeroSlot> a(1000);
+    a.fill(ZeroSlot{5, 6});
+    for (const ZeroSlot &s : a)
+        ASSERT_EQ(s, (ZeroSlot{5, 6}));
+    a.fill(ZeroSlot());
+    for (const ZeroSlot &s : a)
+        ASSERT_EQ(s, ZeroSlot());
 }
 
 } // namespace

@@ -11,9 +11,12 @@
 # tools/ab_same_process.cc: 30 interleaved repetitions of functional,
 # SMARTS-sampled and full-timing simulation of the four class-B
 # applications (seed 1, 2000000 instructions per application and
-# mode), alternating which side runs first.  It refuses to report if the two sides' counters differ, and
-# otherwise prints the head/base MIPS ratio per mode as
-# median [p25, p75] with the number of repetitions the head won.
+# mode), alternating which side runs first.  It refuses to report if
+# the two sides' counters differ, and otherwise prints the head/base
+# MIPS ratio per mode as median [p25, p75] with the number of
+# repetitions the head won.  It does so twice, from two binaries that
+# differ only in link order (base objects first, then head objects
+# first): identical code measured in one order alone read a ~2% bias.
 #
 # tools/ab_same_process.cc is compiled against both trees, so BASE_REF
 # needs the Workload and KernelMachine calls it makes (reset,
@@ -77,7 +80,19 @@ for side in base head; do
         -c "$ROOT/tools/ab_same_process.cc" -o "$WORK/obj/runner_$side.o"
 done
 $CXX $CXXFLAGS -c "$ROOT/tools/ab_same_process.cc" -o "$WORK/obj/main.o"
-$CXX $CXXFLAGS "$WORK"/obj/*.o -o "$WORK/ab"
+# Link order decides where each side's code lands, and that alone moves
+# the ratio by a few percent; link both orders and run both.
+link() {
+    local first=$1 second=$2
+    (cd "$WORK/obj" &&
+        $CXX $CXXFLAGS "$first"_*.o "$second"_*.o main.o \
+            runner_"$first".o runner_"$second".o -o "$WORK/ab_${first}_first")
+}
+link base head
+link head base
 
 echo "base $(git -C "$ROOT" rev-parse --short "$BASE_REF"), head = working tree" >&2
-"$WORK/ab"
+for first in base head; do
+    echo "link order: $first objects first"
+    "$WORK/ab_${first}_first"
+done

@@ -29,6 +29,7 @@
 #include <atomic>
 #include <condition_variable>
 #include <csignal>
+#include <sys/resource.h>
 #include <sys/socket.h>
 #include <cstdio>
 #include <cstring>
@@ -119,6 +120,21 @@ statsLine(const serve::Server &server)
                      (unsigned long long)s.configSwitches,
                      (unsigned long long)(s.accepted - s.completed -
                                           s.failed));
+}
+
+/**
+ * The server's summary row plus this process's peak resident set
+ * (getrusage ru_maxrss, KiB on Linux), which the pooled machines'
+ * tables dominate.
+ */
+support::ResultRow
+summaryRow(const serve::Server &server)
+{
+    support::ResultRow row = server.summaryRow();
+    struct rusage ru = {};
+    getrusage(RUSAGE_SELF, &ru);
+    row.set("peak_rss_mb", double(ru.ru_maxrss) / 1024.0, 1);
+    return row;
 }
 
 /**
@@ -299,7 +315,7 @@ runSocket(const Options &opts)
            (unsigned long long)s.rejected, (unsigned long long)s.failed);
     if (opts.json) {
         std::string out =
-            support::emitJsonLine({server.summaryRow()}, "serve-summary");
+            support::emitJsonLine({summaryRow(server)}, "serve-summary");
         std::fputs(out.c_str(), stdout);
     }
     return s.failed == 0 ? 0 : 1;
@@ -361,7 +377,7 @@ runOffline(const Options &opts)
            (unsigned long long)malformed);
     if (opts.json) {
         std::string doc =
-            support::emitJsonLine({server.summaryRow()}, "serve-summary");
+            support::emitJsonLine({summaryRow(server)}, "serve-summary");
         std::fputs(doc.c_str(), stdout);
     }
     return s.failed == 0 ? 0 : 1;

@@ -331,9 +331,8 @@ main(int argc, char **argv)
     } else {
         // Cycle through the canned invocations until the budget is used.
         kernels::SyntheticInputs canned(kind, opts.seed, cannedScale(kind));
-        const std::vector<kernels::Invocation> &list = canned.invocations();
         do {
-            km.run(list[invocations % list.size()]);
+            km.run(canned.invocation(invocations % canned.size()));
             ++invocations;
         } while (km.totals().instructions < opts.budget);
     }

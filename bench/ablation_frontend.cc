@@ -61,8 +61,8 @@ main(int argc, char **argv)
             .set("2 (POWER5)", ipc[1])
             .set("3 (SMT)", ipc[2])
             .set("bubble cost",
-                 "+" + num((ipc[0] / ipc[1] - 1.0) * 100.0, 1) +
-                     "% if removed");
+                 strprintf("+%.1f%% if removed",
+                           (ipc[0] / ipc[1] - 1.0) * 100.0));
         rows.push_back(row);
     }
     opts.emit(rows);

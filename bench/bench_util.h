@@ -23,8 +23,8 @@
 #include <vector>
 
 #include "driver/driver.h"
+#include "support/logging.h"
 #include "support/result.h"
-#include "support/table.h"
 #include "workloads/workload.h"
 
 namespace bp5::bench {
@@ -261,12 +261,6 @@ sparkline(const std::vector<double> &vals, double lo, double hi)
     return out;
 }
 
-inline std::string
-pct(double fraction, int precision = 1)
-{
-    return bp5::TextTable::pct(fraction, precision);
-}
-
 /**
  * Append the CPI-stack share columns the fig benches grow under
  * --cpi: completing plus the paper's stall narrative (branch flush,
@@ -282,12 +276,6 @@ addCpiColumns(support::ResultRow &row, const sim::Counters &c)
         .setPct("data/cyc", c.cpiDataShare())
         .setPct("fxu/cyc", c.cpiShare(sim::CpiComponent::Fxu))
         .setPct("front/cyc", c.cpiShare(sim::CpiComponent::Frontend));
-}
-
-inline std::string
-num(double v, int precision = 2)
-{
-    return bp5::TextTable::num(v, precision);
 }
 
 } // namespace bp5::bench

@@ -22,8 +22,8 @@ main(int argc, char **argv)
 {
     BenchOptions opts = BenchOptions::parse(argc, argv);
 
-    std::printf("=== Extension: Phylip-class parsimony kernel "
-                "(Sankoff) ===\n\n");
+    opts.note("=== Extension: Phylip-class parsimony kernel "
+              "(Sankoff) ===\n\n");
 
     // A DNA family and its guide tree; the kernel scores one site per
     // invocation (Phylip's inner loop over alignment columns).
@@ -40,13 +40,11 @@ main(int argc, char **argv)
     bio::ParsimonyCost cost =
         bio::ParsimonyCost::transitionTransversion();
 
-    std::printf("tree: %zu leaves; %zu sites; transition/transversion "
-                "costs 1/2\n\n",
-                leaves, sites);
+    opts.note("tree: %zu leaves; %zu sites; transition/transversion "
+              "costs 1/2\n\n",
+              leaves, sites);
 
-    TextTable t;
-    t.header({"Variant", "IPC", "vs Original", "branches/inst",
-              "mispredict", "min-ops/inst"});
+    std::vector<support::ResultRow> rows;
     double baseIpc = 0.0;
     for (int v = 0; v < int(mpc::Variant::NUM_VARIANTS); ++v) {
         mpc::Variant var = static_cast<mpc::Variant>(v);
@@ -64,20 +62,22 @@ main(int argc, char **argv)
         const sim::Counters &c = km.totals();
         if (var == mpc::Variant::Baseline)
             baseIpc = c.ipc();
-        double gain = c.ipc() / baseIpc - 1.0;
-        t.row({mpc::variantName(var), num(c.ipc()),
-               (gain >= 0 ? "+" : "") + num(gain * 100.0, 1) + "%",
-               pct(c.branchFraction()),
-               pct(c.branchMispredictRate()),
-               pct(c.predicatedFraction())});
+        support::ResultRow row;
+        row.set("Variant", mpc::variantName(var))
+            .set("IPC", c.ipc())
+            .setGainPct("vs Original", c.ipc() / baseIpc - 1.0)
+            .setPct("branches/inst", c.branchFraction())
+            .setPct("mispredict", c.branchMispredictRate())
+            .setPct("min-ops/inst", c.predicatedFraction());
+        rows.push_back(row);
     }
-    t.print();
+    opts.emit(rows);
 
-    std::printf("\nFinding: the Sankoff recurrence behaves like the\n"
-                "four alignment kernels - its min() hammocks are\n"
-                "value-dependent, the baseline mispredicts heavily,\n"
-                "and the paper's predicated instructions recover the\n"
-                "loss, supporting the extension claim of section\n"
-                "VIII.\n");
+    opts.note("\nFinding: the Sankoff recurrence behaves like the\n"
+              "four alignment kernels - its min() hammocks are\n"
+              "value-dependent, the baseline mispredicts heavily,\n"
+              "and the paper's predicated instructions recover the\n"
+              "loss, supporting the extension claim of section\n"
+              "VIII.\n");
     return 0;
 }

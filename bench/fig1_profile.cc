@@ -16,25 +16,29 @@ main(int argc, char **argv)
 {
     BenchOptions opts = BenchOptions::parse(argc, argv);
 
-    std::printf("=== Fig 1: function-wise breakout (class %c inputs) "
-                "===\n\n",
-                "ABC"[int(opts.klass)]);
+    opts.note("=== Fig 1: function-wise breakout (class %c inputs) "
+              "===\n\n",
+              "ABC"[int(opts.klass)]);
 
     for (int a = 0; a < 4; ++a) {
         Workload w(opts.workload(kApps[a]));
         auto prof = w.profileNative();
 
-        TextTable t(std::string(appName(kApps[a])) + ":");
-        t.header({"Function", "Share", "Seconds"});
-        for (const auto &f : prof)
-            t.row({f.name, pct(f.share), num(f.seconds, 4)});
-        t.print();
-        std::printf("\n");
+        std::vector<support::ResultRow> rows;
+        for (const auto &f : prof) {
+            support::ResultRow row;
+            row.set("Function", f.name)
+                .setPct("Share", f.share)
+                .set("Seconds", f.seconds, 4);
+            rows.push_back(row);
+        }
+        opts.emit(rows, std::string(appName(kApps[a])) + ":");
+        opts.note("\n");
     }
 
-    std::printf("Shape checks (paper Fig 1): Clustalw/Fasta/Hmmer "
-                "spend more than half their time in forward_pass / "
-                "dropgsw / P7Viterbi; Blast's largest consumer is "
-                "SEMI_G_ALIGN.\n");
+    opts.note("Shape checks (paper Fig 1): Clustalw/Fasta/Hmmer "
+              "spend more than half their time in forward_pass / "
+              "dropgsw / P7Viterbi; Blast's largest consumer is "
+              "SEMI_G_ALIGN.\n");
     return 0;
 }

@@ -24,9 +24,9 @@ main(int argc, char **argv)
 {
     BenchOptions opts = BenchOptions::parse(argc, argv);
 
-    std::printf("=== Fig 2: Clustalw IPC and branch misprediction rate "
-                "over time (class %c) ===\n\n",
-                "ABC"[int(opts.klass)]);
+    opts.note("=== Fig 2: Clustalw IPC and branch misprediction rate "
+              "over time (class %c) ===\n\n",
+              "ABC"[int(opts.klass)]);
 
     Workload w(opts.workload(App::Clustalw));
     kernels::KernelMachine km(appKernel(App::Clustalw),
@@ -53,25 +53,26 @@ main(int argc, char **argv)
         mis.push_back(s.branchMispredictRate);
     }
     if (ipc.empty()) {
-        std::printf("no samples collected (budget too small)\n");
+        std::fprintf(stderr, "no samples collected (budget too small)\n");
         return 1;
     }
 
-    std::printf("samples: %zu (one per 20k cycles)\n\n", ipc.size());
-    std::printf("IPC        [0..2]: %s\n",
-                sparkline(ipc, 0.0, 2.0).c_str());
-    std::printf("mispredict [0..%%25]: %s\n\n",
-                sparkline(mis, 0.0, 0.25).c_str());
+    opts.note("samples: %zu (one per 20k cycles)\n\n", ipc.size());
+    opts.note("IPC        [0..2]: %s\n", sparkline(ipc, 0.0, 2.0).c_str());
+    opts.note("mispredict [0..%%25]: %s\n\n",
+              sparkline(mis, 0.0, 0.25).c_str());
 
-    TextTable t;
-    t.header({"cycle", "IPC", "branch mispredict"});
+    std::vector<support::ResultRow> rows;
     size_t step = std::max<size_t>(1, ipc.size() / 24);
     for (size_t i = 0; i < timeline.size(); i += step) {
         const auto &s = timeline[i];
-        t.row({std::to_string(s.cycle), num(s.ipc),
-               pct(s.branchMispredictRate)});
+        support::ResultRow row;
+        row.set("cycle", s.cycle)
+            .set("IPC", s.ipc)
+            .setPct("branch mispredict", s.branchMispredictRate);
+        rows.push_back(row);
     }
-    t.print();
+    opts.emit(rows);
 
     // The paper's observation: IPC tracks the prediction rate, i.e.
     // the two series are anticorrelated.  Report the correlation.
@@ -89,8 +90,8 @@ main(int argc, char **argv)
         dm += (mis[i] - mm) * (mis[i] - mm);
     }
     double corr = (di > 0 && dm > 0) ? num_ / std::sqrt(di * dm) : 0.0;
-    std::printf("\ncorrelation(IPC, mispredict rate) = %.2f "
-                "(paper: strongly negative - IPC tracks prediction)\n",
-                corr);
+    opts.note("\ncorrelation(IPC, mispredict rate) = %.2f "
+              "(paper: strongly negative - IPC tracks prediction)\n",
+              corr);
     return 0;
 }

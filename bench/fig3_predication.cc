@@ -44,9 +44,9 @@ main(int argc, char **argv)
                 res[size_t(a) * kNumVariants + v].sim.counters;
             std::string paper = "-";
             if (var == mpc::Variant::HandIsel && p.handIselPct >= 0)
-                paper = "+" + num(p.handIselPct, 1) + "%";
+                paper = strprintf("+%.1f%%", p.handIselPct);
             if (var == mpc::Variant::HandMax && p.handMaxPct >= 0)
-                paper = "+" + num(p.handMaxPct, 1) + "%";
+                paper = strprintf("+%.1f%%", p.handMaxPct);
             support::ResultRow row;
             row.set("Application", appName(kApps[a]))
                 .set("Variant", mpc::variantName(var))

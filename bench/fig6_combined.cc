@@ -40,6 +40,9 @@ main(int argc, char **argv)
     }
     std::vector<driver::PointResult> res = opts.driver().run(grid);
 
+    auto signedIpc = [](double v) {
+        return strprintf(v >= 0 ? "+%.2f" : "%.2f", v);
+    };
     std::vector<support::ResultRow> rows;
     std::vector<double> gains;
     for (int a = 0; a < 4; ++a) {
@@ -57,14 +60,13 @@ main(int argc, char **argv)
         support::ResultRow row;
         row.set("Application", appName(kApps[a]))
             .set("base", ipcBase)
-            .set("+pred", (dPred >= 0 ? "+" : "") + num(dPred))
-            .set("+BTAC", (dBtac >= 0 ? "+" : "") + num(dBtac))
-            .set("+FXUs", (dFxu >= 0 ? "+" : "") + num(dFxu))
-            .set("residual",
-                 (residual >= 0 ? "+" : "") + num(residual))
+            .set("+pred", signedIpc(dPred))
+            .set("+BTAC", signedIpc(dBtac))
+            .set("+FXUs", signedIpc(dFxu))
+            .set("residual", signedIpc(residual))
             .set("all", ipcAll)
             .setGainPct("total gain", gain)
-            .set("(paper)", "+" + num(p.finalGainPct, 0) + "%");
+            .set("(paper)", strprintf("+%.0f%%", p.finalGainPct));
         if (opts.cpi) {
             // Cycle accounting of base vs all-enhancements: the flush
             // share collapsing is where the combined gain comes from.

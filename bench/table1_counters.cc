@@ -17,14 +17,11 @@ main(int argc, char **argv)
 {
     BenchOptions opts = BenchOptions::parse(argc, argv);
 
-    std::printf("=== Table I: hardware counter data, baseline POWER5 "
-                "(class %c inputs) ===\n\n",
-                "ABC"[int(opts.klass)]);
+    opts.note("=== Table I: hardware counter data, baseline POWER5 "
+              "(class %c inputs) ===\n\n",
+              "ABC"[int(opts.klass)]);
 
-    TextTable t;
-    t.header({"Application", "IPC", "(paper)", "L1D miss", "(paper)",
-              "dir. mispred", "(paper)", "FXU stalls", "(paper)"});
-
+    std::vector<support::ResultRow> rows;
     std::vector<sim::Counters> counters;
     for (int a = 0; a < 4; ++a) {
         Workload w(opts.workload(kApps[a]));
@@ -33,36 +30,38 @@ main(int argc, char **argv)
         const sim::Counters &c = r.counters;
         counters.push_back(c);
         const PaperTable1Row &p = kPaperTable1[a];
-        t.row({appName(kApps[a]),
-               num(c.ipc()),
-               num(p.ipc, 1),
-               pct(c.l1dMissRate()),
-               num(p.l1dMissPct, 1) + "%",
-               pct(c.mispredictDirectionShare(), 2),
-               num(p.dirSharePct, 2) + "%",
-               pct(c.stallShare(sim::StallReason::FXU)),
-               num(p.fxuStallPct, 1) + "%"});
+        support::ResultRow row;
+        row.set("Application", appName(kApps[a]))
+            .set("IPC", c.ipc())
+            .set("IPC (paper)", p.ipc, 1)
+            .setPct("L1D miss", c.l1dMissRate())
+            .setPct("L1D miss (paper)", p.l1dMissPct / 100.0)
+            .setPct("dir. mispred", c.mispredictDirectionShare(), 2)
+            .setPct("dir. mispred (paper)", p.dirSharePct / 100.0, 2)
+            .setPct("FXU stalls", c.stallShare(sim::StallReason::FXU))
+            .setPct("FXU stalls (paper)", p.fxuStallPct / 100.0);
+        rows.push_back(row);
     }
-    t.print();
+    opts.emit(rows);
 
     if (opts.cpi) {
         // The full POWER5-style cycle-accounting view of the same
         // runs: every cycle in exactly one component (DESIGN 4.10).
-        std::vector<support::ResultRow> rows;
+        std::vector<support::ResultRow> cpiRows;
         for (int a = 0; a < 4; ++a) {
             support::ResultRow row;
             row.set("Application", appName(kApps[a]));
             addCpiColumns(row, counters[size_t(a)]);
-            rows.push_back(row);
+            cpiRows.push_back(row);
         }
         opts.note("\n");
-        opts.emit(rows, "CPI stack (share of cycles):");
+        opts.emit(cpiRows, "CPI stack (share of cycles):");
     }
 
-    std::printf("\nShape checks (paper section III):\n"
-                "  - IPC well below the 5-wide completion limit\n"
-                "  - L1D miss rates are tiny: caches are not the "
-                "bottleneck\n"
-                "  - nearly all mispredictions are direction-caused\n");
+    opts.note("\nShape checks (paper section III):\n"
+              "  - IPC well below the 5-wide completion limit\n"
+              "  - L1D miss rates are tiny: caches are not the "
+              "bottleneck\n"
+              "  - nearly all mispredictions are direction-caused\n");
     return 0;
 }

@@ -28,16 +28,14 @@ main(int argc, char **argv)
 {
     BenchOptions opts = BenchOptions::parse(argc, argv);
 
-    std::printf("=== Table II: branch behaviour with predicated "
-                "instructions (class %c) ===\n\n",
-                "ABC"[int(opts.klass)]);
+    opts.note("=== Table II: branch behaviour with predicated "
+              "instructions (class %c) ===\n\n",
+              "ABC"[int(opts.klass)]);
 
     for (int a = 0; a < 4; ++a) {
         Workload w(opts.workload(kApps[a]));
         const PaperTable2Row &p = kPaperTable2[a];
-        TextTable t(std::string(appName(kApps[a])) + ":");
-        t.header({"Variant", "branches/inst", "(paper)",
-                  "mispredict", "(paper)", "taken", "(paper)"});
+        std::vector<support::ResultRow> rows;
         obs::SiteProfileSink baseline; // per-site counters (Original)
         mpc::Compiled baselineCode;
         for (int v = 0; v < 5; ++v) { // Table II has no Combination
@@ -48,18 +46,21 @@ main(int argc, char **argv)
                 km.setTraceSink(&baseline);
             SimResult r = w.simulate(km);
             const sim::Counters &c = r.counters;
-            t.row({mpc::variantName(var),
-                   pct(c.branchFraction()),
-                   num(p.branchesPct[v], 1) + "%",
-                   pct(c.branchMispredictRate()),
-                   num(p.mispredictPct[v], 1) + "%",
-                   pct(c.takenBranchFraction()),
-                   num(p.takenPct[v], 1) + "%"});
+            support::ResultRow row;
+            row.set("Variant", mpc::variantName(var))
+                .setPct("branches/inst", c.branchFraction())
+                .setPct("branches/inst (paper)",
+                        p.branchesPct[v] / 100.0)
+                .setPct("mispredict", c.branchMispredictRate())
+                .setPct("mispredict (paper)", p.mispredictPct[v] / 100.0)
+                .setPct("taken", c.takenBranchFraction())
+                .setPct("taken (paper)", p.takenPct[v] / 100.0);
+            rows.push_back(row);
             if (v == 0)
                 baselineCode = std::move(r.compiled);
         }
-        t.print();
-        std::printf("\n");
+        opts.emit(rows, std::string(appName(kApps[a])) + ":");
+        opts.note("\n");
 
         if (opts.analyze) {
             // Static classification of the baseline binary, joined
@@ -73,17 +74,17 @@ main(int argc, char **argv)
             std::string app = appName(kApps[a]);
             opts.emit(analysis::classProfileRows(classes),
                       app + ": static class vs PMU (Original)");
-            std::printf("\n");
+            opts.note("\n");
             opts.emit(analysis::siteProfileRows(sites,
                                                 baseline.branches(), 8),
                       app + ": hottest mispredicting sites");
-            std::printf("\n");
+            opts.note("\n");
         }
     }
 
-    std::printf("Shape checks (paper section VI-A): predication "
-                "reduces the branch share of every application\n"
-                "(Clustalw's roughly halves), while the remaining "
-                "branches stay hard or get easier to predict.\n");
+    opts.note("Shape checks (paper section VI-A): predication "
+              "reduces the branch share of every application\n"
+              "(Clustalw's roughly halves), while the remaining "
+              "branches stay hard or get easier to predict.\n");
     return 0;
 }

@@ -28,18 +28,6 @@ AbsVal::str() const
     return std::string(provName(prov)) + " " + range.str();
 }
 
-const char *
-memClassName(MemClass c)
-{
-    switch (c) {
-    case MemClass::InBounds: return "in-bounds";
-    case MemClass::OutOfBounds: return "out-of-bounds";
-    case MemClass::RegionRel: return "region-rel";
-    case MemClass::Unknown: return "unknown";
-    }
-    return "?";
-}
-
 unsigned
 memAccessSize(Op op)
 {

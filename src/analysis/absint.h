@@ -110,8 +110,6 @@ enum class MemClass
     Unknown,     ///< computed address nothing vouches for
 };
 
-const char *memClassName(MemClass c);
-
 /** One classified load/store. */
 struct MemAccess
 {

@@ -1,6 +1,5 @@
 #include "analysis/cfg.h"
 
-#include <algorithm>
 #include <deque>
 #include <map>
 #include <memory>
@@ -132,17 +131,6 @@ Cfg::blockAt(uint64_t pc) const
         if (pc >= b.start && pc < b.endPc())
             return &b;
     return nullptr;
-}
-
-std::vector<uint64_t>
-Cfg::reachablePcs() const
-{
-    std::vector<uint64_t> pcs;
-    for (const BasicBlock &b : blocks)
-        for (const CfgInst &ci : b.insts)
-            pcs.push_back(ci.pc);
-    std::sort(pcs.begin(), pcs.end());
-    return pcs;
 }
 
 std::vector<std::pair<uint64_t, unsigned>>

@@ -102,9 +102,6 @@ struct Cfg
     /** Block whose range contains @p pc, or nullptr. */
     const BasicBlock *blockAt(uint64_t pc) const;
 
-    /** Addresses of reachable instructions, ascending. */
-    std::vector<uint64_t> reachablePcs() const;
-
     /**
      * Maximal runs of addresses that decode to valid instructions but
      * are unreachable from the entry, as (start, instruction count)

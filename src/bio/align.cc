@@ -249,237 +249,6 @@ nwAlign(const Sequence &a, const Sequence &b, const SubstitutionMatrix &m,
     return traceback(dp, a, b, m, gap, false, a.size(), b.size());
 }
 
-namespace {
-
-/**
- * Myers-Miller machinery for the linear-space global alignment.
- * Scores are maximized; a vertical-gap run touching the subproblem's
- * top (bottom) boundary pays the adjusted open cost instead of the
- * standard one, which lets the recursion split runs without double
- * charging.
- */
-struct MyersMiller
-{
-    const Sequence &a, &b;
-    const SubstitutionMatrix &m;
-    int64_t g, h; ///< open, extend
-    // Edit script: 0 = diagonal, 1 = insert (gap in a), 2 = delete.
-    std::vector<uint8_t> script;
-
-    MyersMiller(const Sequence &a_, const Sequence &b_,
-                const SubstitutionMatrix &m_, const GapPenalty &gap)
-        : a(a_), b(b_), m(m_), g(gap.open), h(gap.extend)
-    {
-    }
-
-    int64_t hgap(size_t k) const
-    {
-        return k ? -(g + h * int64_t(k)) : 0;
-    }
-
-    /**
-     * Forward pass over a[ai, ai+M) x b[bi, bi+N): final-row best
-     * scores CC and vertical-gap-state scores DD, with the top
-     * boundary's vertical open set to @p topOpen.
-     */
-    void
-    forward(size_t ai, size_t bi, size_t M, size_t N, int64_t topOpen,
-            std::vector<int64_t> &CC, std::vector<int64_t> &DD,
-            bool reverse) const
-    {
-        CC.assign(N + 1, 0);
-        DD.assign(N + 1, kNegInf);
-        for (size_t j = 1; j <= N; ++j)
-            CC[j] = hgap(j);
-        for (size_t i = 1; i <= M; ++i) {
-            int64_t open0 = i == 1 ? topOpen : g;
-            int64_t diag = CC[0];
-            // Column 0: pure vertical run from the top boundary.
-            DD[0] = std::max(DD[0], CC[0] - open0) - h;
-            CC[0] = DD[0];
-            int64_t e = kNegInf;
-            for (size_t j = 1; j <= N; ++j) {
-                e = std::max(e, CC[j - 1] - g) - h;
-                DD[j] = std::max(DD[j], CC[j] - open0) - h;
-                unsigned ra = reverse ? a[ai + M - i] : a[ai + i - 1];
-                unsigned rb = reverse ? b[bi + N - j] : b[bi + j - 1];
-                int64_t dd = diag + m.score(ra, rb);
-                diag = CC[j];
-                CC[j] = std::max(std::max(e, DD[j]), dd);
-            }
-        }
-    }
-
-    /** Recursive divide and conquer; returns the subproblem score. */
-    int64_t
-    solve(size_t ai, size_t bi, size_t M, size_t N, int64_t topOpen,
-          int64_t bottomOpen)
-    {
-        if (M == 0) {
-            for (size_t k = 0; k < N; ++k)
-                script.push_back(1);
-            return hgap(N);
-        }
-        if (N == 0) {
-            for (size_t k = 0; k < M; ++k)
-                script.push_back(2);
-            return -(std::min(topOpen, bottomOpen) +
-                     h * int64_t(M));
-        }
-        if (M == 1) {
-            // Either delete the single residue, or match it at the
-            // best column with horizontal gaps around it.
-            int64_t delScore = -(std::min(topOpen, bottomOpen) + h) +
-                               hgap(N);
-            int64_t best = delScore;
-            size_t bestJ = 0; // 0 = delete option
-            for (size_t j = 1; j <= N; ++j) {
-                int64_t sc = hgap(j - 1) +
-                             m.score(a[ai], b[bi + j - 1]) +
-                             hgap(N - j);
-                if (sc > best) {
-                    best = sc;
-                    bestJ = j;
-                }
-            }
-            if (bestJ == 0) {
-                script.push_back(2);
-                for (size_t k = 0; k < N; ++k)
-                    script.push_back(1);
-            } else {
-                for (size_t k = 1; k < bestJ; ++k)
-                    script.push_back(1);
-                script.push_back(0);
-                for (size_t k = bestJ; k < N; ++k)
-                    script.push_back(1);
-            }
-            return best;
-        }
-
-        size_t mid = M / 2;
-        std::vector<int64_t> CCf, DDf, CCr, DDr;
-        forward(ai, bi, mid, N, topOpen, CCf, DDf, false);
-        forward(ai + mid, bi, M - mid, N, bottomOpen, CCr, DDr, true);
-
-        // Join: either the path crosses row `mid` cleanly at column
-        // j, or a vertical-gap run spans the boundary (add the open
-        // back, since both halves charged one).
-        int64_t best = kNegInf;
-        size_t bestJ = 0;
-        bool gapJoin = false;
-        for (size_t j = 0; j <= N; ++j) {
-            int64_t clean = CCf[j] + CCr[N - j];
-            int64_t gapped = DDf[j] + DDr[N - j] + g;
-            if (clean > best) {
-                best = clean;
-                bestJ = j;
-                gapJoin = false;
-            }
-            if (gapped > best) {
-                best = gapped;
-                bestJ = j;
-                gapJoin = true;
-            }
-        }
-
-        if (!gapJoin) {
-            solve(ai, bi, mid, bestJ, topOpen, g);
-            solve(ai + mid, bi + bestJ, M - mid, N - bestJ, g,
-                  bottomOpen);
-        } else {
-            // The run covers rows mid-1 and mid (0-based): emit them
-            // explicitly and forbid re-opening at the inner edges.
-            solve(ai, bi, mid - 1, bestJ, topOpen, 0);
-            script.push_back(2);
-            script.push_back(2);
-            solve(ai + mid + 1, bi + bestJ, M - mid - 1, N - bestJ, 0,
-                  bottomOpen);
-        }
-        return best;
-    }
-};
-
-} // namespace
-
-Alignment
-nwAlignLinear(const Sequence &a, const Sequence &b,
-              const SubstitutionMatrix &m, const GapPenalty &gap)
-{
-    checkInputs(a, b, m);
-    MyersMiller mm(a, b, m, gap);
-    int64_t score = mm.solve(0, 0, a.size(), b.size(), gap.open,
-                             gap.open);
-
-    Alignment out;
-    out.score = score;
-    out.endA = a.size();
-    out.endB = b.size();
-    size_t i = 0, j = 0;
-    for (uint8_t op : mm.script) {
-        switch (op) {
-          case 0:
-            out.alignedA += decodeResidue(a.alphabet(), a[i++]);
-            out.alignedB += decodeResidue(b.alphabet(), b[j++]);
-            break;
-          case 1:
-            out.alignedA += '-';
-            out.alignedB += decodeResidue(b.alphabet(), b[j++]);
-            break;
-          case 2:
-            out.alignedA += decodeResidue(a.alphabet(), a[i++]);
-            out.alignedB += '-';
-            break;
-        }
-    }
-    BP5_ASSERT(i == a.size() && j == b.size(),
-               "linear-space traceback is not a full alignment");
-    return out;
-}
-
-int64_t
-nwScoreBanded(const Sequence &a, const Sequence &b,
-              const SubstitutionMatrix &m, const GapPenalty &gap,
-              unsigned band)
-{
-    checkInputs(a, b, m);
-    int64_t M = int64_t(a.size()), N = int64_t(b.size());
-    int64_t k = std::max<int64_t>(band, std::llabs(M - N));
-    int64_t wg = gap.open, ws = gap.extend;
-
-    std::vector<int64_t> V(size_t(N) + 1, kNegInf);
-    std::vector<int64_t> F(size_t(N) + 1, kNegInf);
-    V[0] = 0;
-    for (int64_t j = 1; j <= std::min(N, k); ++j) {
-        V[size_t(j)] = -wg - j * ws;
-        F[size_t(j)] = V[size_t(j)];
-    }
-    for (int64_t i = 1; i <= M; ++i) {
-        int64_t lo = std::max<int64_t>(1, i - k);
-        int64_t hi = std::min(N, i + k);
-        int64_t vdiag = V[size_t(lo - 1)];
-        int64_t e = kNegInf;
-        if (lo == 1) {
-            vdiag = V[0];
-            V[0] = i <= k ? -wg - i * ws : kNegInf;
-            e = V[0] == kNegInf ? kNegInf : V[0];
-        }
-        if (lo - 1 >= 1)
-            V[size_t(lo - 1)] = kNegInf; // left edge falls outside
-        for (int64_t j = lo; j <= hi; ++j) {
-            size_t ju = size_t(j);
-            e = std::max(e - ws, V[ju - 1] - wg - ws);
-            F[ju] = std::max(F[ju] - ws, V[ju] - wg - ws);
-            int64_t g = vdiag + m.score(a[size_t(i - 1)],
-                                        b[size_t(j - 1)]);
-            vdiag = V[ju];
-            V[ju] = std::max(std::max(e, F[ju]), g);
-        }
-        if (hi < N)
-            V[size_t(hi + 1)] = kNegInf; // right edge stays closed
-    }
-    return V[size_t(N)];
-}
-
 Alignment
 swAlign(const Sequence &a, const Sequence &b, const SubstitutionMatrix &m,
         const GapPenalty &gap)

@@ -63,29 +63,6 @@ int64_t swScore(const Sequence &a, const Sequence &b,
 Alignment swAlign(const Sequence &a, const Sequence &b,
                   const SubstitutionMatrix &m, const GapPenalty &gap);
 
-/**
- * Global alignment with traceback in O(min(m,n)) memory via
- * Hirschberg/Myers-Miller divide and conquer (what real clustalw uses
- * in its pairalign stage for long sequences).  Produces an optimal
- * alignment with the same score as nwAlign; gap placement may differ
- * among co-optimal alignments.
- */
-Alignment nwAlignLinear(const Sequence &a, const Sequence &b,
-                        const SubstitutionMatrix &m,
-                        const GapPenalty &gap);
-
-/**
- * Banded global alignment score: only cells with |i - j - offset| <=
- * band are computed (the k-band optimization of ssearch and clustalw's
- * quick pairwise pass).  Exact when the optimal path stays inside the
- * band; a lower bound otherwise.
- * @param band half-width of the diagonal band (>= |m - n| is required
- *        for a path to exist; enforced internally)
- */
-int64_t nwScoreBanded(const Sequence &a, const Sequence &b,
-                      const SubstitutionMatrix &m, const GapPenalty &gap,
-                      unsigned band);
-
 } // namespace bp5::bio
 
 #endif // BIOPERF5_BIO_ALIGN_H

@@ -205,32 +205,6 @@ Profile::Profile(const Sequence &seq, size_t member_index)
     members_.push_back(member_index);
 }
 
-double
-Profile::columnScore(const Profile &a, size_t ca, const Profile &b,
-                     size_t cb, const SubstitutionMatrix &m)
-{
-    double total = 0.0;
-    size_t pairs = 0;
-    for (const std::string &ra : a.rows_) {
-        char x = ra[ca];
-        if (x == '-')
-            continue;
-        int cx = encodeResidue(a.alphabet_, x);
-        for (const std::string &rb : b.rows_) {
-            char y = rb[cb];
-            if (y == '-')
-                continue;
-            int cy = encodeResidue(b.alphabet_, y);
-            total += m.score(static_cast<unsigned>(cx),
-                             static_cast<unsigned>(cy));
-            ++pairs;
-        }
-    }
-    // Average over residue pairs keeps scores comparable to the
-    // pairwise matrices regardless of profile depth.
-    return pairs ? total / double(a.rows_.size() * b.rows_.size()) : 0.0;
-}
-
 namespace {
 
 /** Per-column residue frequencies of a profile (gaps excluded). */

@@ -82,14 +82,6 @@ class Profile
     const std::vector<std::string> &rows() const { return rows_; }
     const std::vector<size_t> &memberIndex() const { return members_; }
 
-    /**
-     * Column score between two profiles: expected substitution score
-     * over residue frequency distributions, gaps scoring zero.
-     */
-    static double columnScore(const Profile &a, size_t ca,
-                              const Profile &b, size_t cb,
-                              const SubstitutionMatrix &m);
-
     /** Align and merge two profiles (progressive step). */
     static Profile align(const Profile &a, const Profile &b,
                          const SubstitutionMatrix &m,

@@ -1,6 +1,5 @@
 #include "bio/fasta.h"
 
-#include <fstream>
 #include <sstream>
 
 #include "support/logging.h"
@@ -48,17 +47,6 @@ parseFasta(const std::string &text, Alphabet alphabet)
     return out;
 }
 
-std::vector<Sequence>
-readFastaFile(const std::string &path, Alphabet alphabet)
-{
-    std::ifstream f(path);
-    if (!f)
-        fatal("cannot open FASTA file '%s'", path.c_str());
-    std::ostringstream ss;
-    ss << f.rdbuf();
-    return parseFasta(ss.str(), alphabet);
-}
-
 std::string
 formatFasta(const std::vector<Sequence> &seqs, unsigned width)
 {
@@ -73,16 +61,6 @@ formatFasta(const std::vector<Sequence> &seqs, unsigned width)
         }
     }
     return out;
-}
-
-void
-writeFastaFile(const std::string &path, const std::vector<Sequence> &seqs,
-               unsigned width)
-{
-    std::ofstream f(path);
-    if (!f)
-        fatal("cannot write FASTA file '%s'", path.c_str());
-    f << formatFasta(seqs, width);
 }
 
 } // namespace bp5::bio

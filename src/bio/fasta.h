@@ -22,18 +22,9 @@ namespace bp5::bio {
 std::vector<Sequence> parseFasta(const std::string &text,
                                  Alphabet alphabet);
 
-/** Read and parse a FASTA file; missing files are fatal. */
-std::vector<Sequence> readFastaFile(const std::string &path,
-                                    Alphabet alphabet);
-
 /** Format sequences as FASTA text with @p width residues per line. */
 std::string formatFasta(const std::vector<Sequence> &seqs,
                         unsigned width = 60);
-
-/** Write FASTA to a file; I/O errors are fatal. */
-void writeFastaFile(const std::string &path,
-                    const std::vector<Sequence> &seqs,
-                    unsigned width = 60);
 
 } // namespace bp5::bio
 

@@ -82,26 +82,4 @@ sankoffSite(const GuideTree &tree, std::span<const uint8_t> states,
     return *std::min_element(root.begin(), root.end());
 }
 
-int64_t
-sankoffScore(const GuideTree &tree, const std::vector<Sequence> &seqs,
-             const ParsimonyCost &cost)
-{
-    BP5_ASSERT(!seqs.empty(), "no sequences");
-    size_t len = seqs[0].size();
-    for (const Sequence &s : seqs) {
-        if (s.size() != len)
-            fatal("sankoffScore requires equal-length sequences");
-        BP5_ASSERT(s.alphabet() == cost.alphabet(),
-                   "sequence/cost alphabet mismatch");
-    }
-    int64_t total = 0;
-    std::vector<uint8_t> states(seqs.size());
-    for (size_t col = 0; col < len; ++col) {
-        for (size_t i = 0; i < seqs.size(); ++i)
-            states[i] = seqs[i][col];
-        total += sankoffSite(tree, states, cost);
-    }
-    return total;
-}
-
 } // namespace bp5::bio

@@ -56,14 +56,6 @@ class ParsimonyCost
 int64_t sankoffSite(const GuideTree &tree, std::span<const uint8_t> states,
                     const ParsimonyCost &cost);
 
-/**
- * Total parsimony score of equal-length ungapped sequences over all
- * sites.  Fatal if lengths differ.
- */
-int64_t sankoffScore(const GuideTree &tree,
-                     const std::vector<Sequence> &seqs,
-                     const ParsimonyCost &cost);
-
 } // namespace bp5::bio
 
 #endif // BIOPERF5_BIO_PARSIMONY_H

@@ -30,29 +30,6 @@ constexpr int kBlosum62[20][20] = {
     { 0,-3,-3,-3,-1,-2,-2,-3,-3, 3, 1,-2, 1,-1,-2,-2, 0,-3,-1, 4},
 };
 
-constexpr int kPam250[20][20] = {
-    { 2,-2, 0, 0,-2, 0, 0, 1,-1,-1,-2,-1,-1,-3, 1, 1, 1,-6,-3, 0},
-    {-2, 6, 0,-1,-4, 1,-1,-3, 2,-2,-3, 3, 0,-4, 0, 0,-1, 2,-4,-2},
-    { 0, 0, 2, 2,-4, 1, 1, 0, 2,-2,-3, 1,-2,-3, 0, 1, 0,-4,-2,-2},
-    { 0,-1, 2, 4,-5, 2, 3, 1, 1,-2,-4, 0,-3,-6,-1, 0, 0,-7,-4,-2},
-    {-2,-4,-4,-5,12,-5,-5,-3,-3,-2,-6,-5,-5,-4,-3, 0,-2,-8, 0,-2},
-    { 0, 1, 1, 2,-5, 4, 2,-1, 3,-2,-2, 1,-1,-5, 0,-1,-1,-5,-4,-2},
-    { 0,-1, 1, 3,-5, 2, 4, 0, 1,-2,-3, 0,-2,-5,-1, 0, 0,-7,-4,-2},
-    { 1,-3, 0, 1,-3,-1, 0, 5,-2,-3,-4,-2,-3,-5, 0, 1, 0,-7,-5,-1},
-    {-1, 2, 2, 1,-3, 3, 1,-2, 6,-2,-2, 0,-2,-2, 0,-1,-1,-3, 0,-2},
-    {-1,-2,-2,-2,-2,-2,-2,-3,-2, 5, 2,-2, 2, 1,-2,-1, 0,-5,-1, 4},
-    {-2,-3,-3,-4,-6,-2,-3,-4,-2, 2, 6,-3, 4, 2,-3,-3,-2,-2,-1, 2},
-    {-1, 3, 1, 0,-5, 1, 0,-2, 0,-2,-3, 5, 0,-5,-1, 0, 0,-3,-4,-2},
-    {-1, 0,-2,-3,-5,-1,-2,-3,-2, 2, 4, 0, 6, 0,-2,-2,-1,-4,-2, 2},
-    {-3,-4,-3,-6,-4,-5,-5,-5,-2, 1, 2,-5, 0, 9,-5,-3,-3, 0, 7,-1},
-    { 1, 0, 0,-1,-3, 0,-1, 0, 0,-2,-3,-1,-2,-5, 6, 1, 0,-6,-5,-1},
-    { 1, 0, 1, 0, 0,-1, 0, 1,-1,-1,-3, 0,-2,-3, 1, 2, 1,-2,-3,-1},
-    { 1,-1, 0, 0,-2,-1, 0, 0,-1, 0,-2, 0,-1,-3, 0, 1, 3,-5,-3, 0},
-    {-6, 2,-4,-7,-8,-5,-7,-7,-3,-5,-2,-3,-4, 0,-6,-2,-5,17, 0,-6},
-    {-3,-4,-2,-4, 0,-4,-4,-5, 0,-1,-1,-4,-2, 7,-5,-3,-3, 0,10,-2},
-    { 0,-2,-2,-2,-2,-2,-2,-1,-2, 4, 2,-2, 2,-1,-1,-1, 0,-6,-2, 4},
-};
-
 SubstitutionMatrix
 fromTable(const char *name, const int table[20][20])
 {
@@ -78,13 +55,6 @@ SubstitutionMatrix::blosum62()
     return m;
 }
 
-const SubstitutionMatrix &
-SubstitutionMatrix::pam250()
-{
-    static const SubstitutionMatrix m = fromTable("PAM250", kPam250);
-    return m;
-}
-
 SubstitutionMatrix
 SubstitutionMatrix::dna(int match, int mismatch)
 {
@@ -101,17 +71,6 @@ SubstitutionMatrix::set(unsigned a, unsigned b, int v)
 {
     BP5_ASSERT(a < size() && b < size(), "residue index out of range");
     table_[a][b] = static_cast<int16_t>(v);
-}
-
-int
-SubstitutionMatrix::maxScore() const
-{
-    int best = table_[0][0];
-    for (unsigned i = 0; i < size(); ++i) {
-        for (unsigned j = 0; j < size(); ++j)
-            best = std::max<int>(best, table_[i][j]);
-    }
-    return best;
 }
 
 } // namespace bp5::bio

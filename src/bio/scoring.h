@@ -1,8 +1,8 @@
 /**
  * @file
  * Substitution matrices and gap penalties for sequence alignment.
- * Ships the standard BLOSUM62 and PAM250 protein matrices plus a
- * parametric DNA match/mismatch matrix.
+ * Ships the standard BLOSUM62 protein matrix plus a parametric DNA
+ * match/mismatch matrix.
  */
 
 #ifndef BIOPERF5_BIO_SCORING_H
@@ -28,9 +28,6 @@ class SubstitutionMatrix
     /** The standard BLOSUM62 protein matrix. */
     static const SubstitutionMatrix &blosum62();
 
-    /** The standard PAM250 (Dayhoff) protein matrix. */
-    static const SubstitutionMatrix &pam250();
-
     /** DNA matrix: +match for equal bases, -mismatch otherwise. */
     static SubstitutionMatrix dna(int match = 5, int mismatch = -4);
 
@@ -45,9 +42,6 @@ class SubstitutionMatrix
     const std::string &name() const { return name_; }
     Alphabet alphabet() const { return alphabet_; }
     unsigned size() const { return alphabetSize(alphabet_); }
-
-    /** Highest score in the table (used by BLAST word thresholds). */
-    int maxScore() const;
 
   private:
     std::string name_;

@@ -381,20 +381,6 @@ IrBuilder::select(Cond c, VReg a, VReg b, VReg x, VReg y)
     return i.dst;
 }
 
-void
-IrBuilder::selectInto(VReg dst, Cond c, VReg a, VReg b, VReg x)
-{
-    IrInst i;
-    i.op = IrOp::Select;
-    i.dst = dst;
-    i.cond = c;
-    i.a = a;
-    i.b = b;
-    i.x = x;
-    i.y = dst;
-    append(i);
-}
-
 VReg
 IrBuilder::max(VReg a, VReg b)
 {

@@ -171,8 +171,6 @@ class IrBuilder
     void storex(VReg val, VReg base, VReg index, unsigned size = 8);
 
     VReg select(Cond c, VReg a, VReg b, VReg x, VReg y);
-    /** In-place select: dst = (a cond b) ? x : dst-current-value. */
-    void selectInto(VReg dst, Cond c, VReg a, VReg b, VReg x);
     VReg max(VReg a, VReg b);
     VReg min(VReg a, VReg b);
     /** acc = max(acc, b) in place (single instruction, no copy). */

@@ -36,19 +36,6 @@ CpiStack::share(sim::CpiComponent c) const
                        : 0.0;
 }
 
-double
-CpiStack::cpiOf(sim::CpiComponent c) const
-{
-    return instructions ? double(cycles[size_t(c)]) / double(instructions)
-                        : 0.0;
-}
-
-uint64_t
-CpiStack::stallCycles() const
-{
-    return sum() - cycles[size_t(sim::CpiComponent::Completing)];
-}
-
 void
 CpiStack::add(const CpiStack &o)
 {

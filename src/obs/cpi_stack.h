@@ -39,12 +39,6 @@ struct CpiStack
     /** Share of total cycles in component @p c (0 on empty stack). */
     double share(sim::CpiComponent c) const;
 
-    /** Cycles-per-instruction contribution of component @p c. */
-    double cpiOf(sim::CpiComponent c) const;
-
-    /** All non-completing cycles (the stall portion of the stack). */
-    uint64_t stallCycles() const;
-
     void add(const CpiStack &o);
 };
 

@@ -166,37 +166,4 @@ PmuSampler::toCsv(bool include_trailing) const
     return out;
 }
 
-std::vector<support::ResultRow>
-PmuSampler::toRows(bool include_trailing) const
-{
-    std::vector<support::ResultRow> rows;
-    for (const PmuInterval &w : intervals(include_trailing)) {
-        const sim::Counters &d = w.delta;
-        support::ResultRow row;
-        row.set("start_cycle", w.startCycle)
-            .set("end_cycle", w.endCycle)
-            .set("cycles", d.cycles)
-            .set("instructions", d.instructions)
-            .set("ipc", d.ipc())
-            .setPct("mispredict", d.branchMispredictRate())
-            .setPct("l1d_miss", d.l1dMissRate())
-            .setPct("stall_fxu", d.stallShare(sim::StallReason::FXU))
-            .setPct("flush/cyc",
-                    d.cpiShare(sim::CpiComponent::BranchFlush))
-            .set("partial", w.partial ? "yes" : "no");
-        rows.push_back(std::move(row));
-    }
-    return rows;
-}
-
-void
-PmuSampler::reset()
-{
-    next_ = interval_;
-    base_ = sim::Counters();
-    prev_ = sim::Counters();
-    prevCycle_ = 0;
-    done_.clear();
-}
-
 } // namespace bp5::obs

@@ -24,7 +24,6 @@
 
 #include "sim/counters.h"
 #include "sim/trace.h"
-#include "support/result.h"
 
 namespace bp5::obs {
 
@@ -69,13 +68,6 @@ class PmuSampler final : public sim::TraceSink
      */
     static std::string csvHeader();
     std::string toCsv(bool include_trailing = true) const;
-
-    /** The same series as result rows (for --json emission). */
-    std::vector<support::ResultRow>
-    toRows(bool include_trailing = true) const;
-
-    /** Drop all state (windows, cycle base). */
-    void reset();
 
   private:
     void closeWindow(const sim::Counters &global, bool partial);

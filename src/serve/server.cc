@@ -242,13 +242,6 @@ Server::latencyHistogram() const
     return latencyUs_;
 }
 
-support::Log2Histogram
-Server::serviceHistogram() const
-{
-    std::lock_guard<std::mutex> lock(mu_);
-    return serviceUs_;
-}
-
 support::ResultRow
 Server::summaryRow() const
 {

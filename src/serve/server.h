@@ -112,9 +112,6 @@ class Server
     /** Admission-to-completion latency of served jobs (microseconds). */
     support::Log2Histogram latencyHistogram() const;
 
-    /** Kernel-execution time of served jobs (microseconds). */
-    support::Log2Histogram serviceHistogram() const;
-
     /**
      * The summary ResultRow drain() appends to the manifest
      * (throughput, latency percentiles); empty cells before drain().

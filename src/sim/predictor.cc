@@ -90,12 +90,6 @@ DirectionPredictor::DirectionPredictor(PredictorKind kind, unsigned entries,
 {
 }
 
-std::string
-DirectionPredictor::name() const
-{
-    return std::visit([](const auto &p) { return p.name(); }, impl_);
-}
-
 void
 DirectionPredictor::reset()
 {

@@ -19,7 +19,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <string>
 #include <variant>
 #include <vector>
 
@@ -57,7 +56,6 @@ class AlwaysTakenPredictor
     bool predict(uint64_t) const { return true; }
     void update(uint64_t, bool) {}
     bool predictUpdate(uint64_t, bool) { return true; }
-    std::string name() const { return "always-taken"; }
     void reset() {}
 };
 
@@ -84,7 +82,6 @@ class BimodalPredictor
         counter2::update(c, taken);
         return p;
     }
-    std::string name() const { return "bimodal"; }
     void reset();
 
   private:
@@ -130,7 +127,6 @@ class GsharePredictor
         push(taken);
         return p;
     }
-    std::string name() const { return "gshare"; }
     void reset();
 
     /** Table index of the branch at @p pc under the current history:
@@ -206,7 +202,6 @@ class TournamentPredictor
         gshare_.push(taken);
         return p;
     }
-    std::string name() const { return "tournament"; }
     void reset();
 
   private:
@@ -275,7 +270,6 @@ class DirectionPredictor
         return onKind(
             [pc, taken](auto &p) { return p.predictUpdate(pc, taken); });
     }
-    std::string name() const;
     /** Bit-identical to a fresh predictor of the same configuration. */
     void reset();
 

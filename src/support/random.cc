@@ -73,16 +73,6 @@ Rng::uniform()
     return static_cast<double>(next() >> 11) * 0x1.0p-53;
 }
 
-double
-Rng::gaussian()
-{
-    // Irwin-Hall sum of 12 uniforms minus 6: mean 0, variance 1.
-    double acc = 0.0;
-    for (int i = 0; i < 12; ++i)
-        acc += uniform();
-    return acc - 6.0;
-}
-
 size_t
 Rng::weighted(const std::vector<double> &weights)
 {

@@ -41,9 +41,6 @@ class Rng
     /** Bernoulli draw with probability @p p of true. */
     bool chance(double p) { return uniform() < p; }
 
-    /** Approximately normal draw (sum of uniforms), mean 0, stdev 1. */
-    double gaussian();
-
     /**
      * Draw an index according to non-negative weights.
      * @param weights per-index weights; sum must be positive.

@@ -1,8 +1,8 @@
 #include "support/result.h"
 
+#include <algorithm>
+#include <cctype>
 #include <cstdio>
-
-#include "support/table.h"
 
 namespace bp5::support {
 
@@ -38,6 +38,19 @@ jsonEscape(const std::string &s)
     }
     out += '"';
     return out;
+}
+
+bool
+looksNumeric(const std::string &s)
+{
+    if (s.empty())
+        return false;
+    for (char c : s) {
+        if (!(std::isdigit(static_cast<unsigned char>(c)) || c == '.' ||
+              c == '-' || c == '+' || c == '%' || c == 'x' || c == 'e'))
+            return false;
+    }
+    return true;
 }
 
 } // namespace
@@ -143,33 +156,45 @@ emitText(const std::vector<ResultRow> &rows, const std::string &title)
                 keys.push_back(c.key);
         }
     }
-    TextTable t(title);
-    t.header(keys);
+    // Header row, then one row of display texts per ResultRow.
+    std::vector<std::vector<std::string>> table = {keys};
     for (const ResultRow &r : rows) {
-        std::vector<std::string> cells;
-        cells.reserve(keys.size());
+        std::vector<std::string> &cells = table.emplace_back();
         for (const std::string &k : keys)
             cells.push_back(r.text(k));
-        t.row(cells);
     }
-    return t.toString();
-}
+    std::vector<size_t> widths(keys.size(), 0);
+    for (const auto &cells : table) {
+        for (size_t i = 0; i < cells.size(); ++i)
+            widths[i] = std::max(widths[i], cells[i].size());
+    }
+    size_t total = 0;
+    for (size_t w : widths)
+        total += w + 2;
+    if (total >= 2)
+        total -= 2;
 
-std::string
-emitJson(const std::vector<ResultRow> &rows)
-{
-    std::string out = "[\n";
-    for (size_t i = 0; i < rows.size(); ++i) {
-        out += "  {";
-        const auto &cells = rows[i].cells();
-        for (size_t j = 0; j < cells.size(); ++j) {
-            out += jsonEscape(cells[j].key) + ": " + cells[j].json;
-            if (j + 1 < cells.size())
-                out += ", ";
+    // 2-space column gaps; numeric-looking cells after the first
+    // column align right.
+    std::string out = title.empty() ? "" : title + "\n";
+    for (size_t row = 0; row < table.size(); ++row) {
+        const std::vector<std::string> &cells = table[row];
+        if (cells.empty())
+            continue; // no rows, so no columns
+        for (size_t i = 0; i < cells.size(); ++i) {
+            const std::string &c = cells[i];
+            std::string pad(widths[i] - c.size(), ' ');
+            if (i > 0)
+                out += "  ";
+            if (i > 0 && looksNumeric(c))
+                out += pad + c;
+            else
+                out += i + 1 < cells.size() ? c + pad : c;
         }
-        out += i + 1 < rows.size() ? "},\n" : "}\n";
+        out += "\n";
+        if (row == 0)
+            out += std::string(total, '-') + "\n";
     }
-    out += "]\n";
     return out;
 }
 

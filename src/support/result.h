@@ -78,9 +78,6 @@ class ResultRow
 std::string emitText(const std::vector<ResultRow> &rows,
                      const std::string &title = "");
 
-/** Render @p rows as a JSON array of objects (keys in row order). */
-std::string emitJson(const std::vector<ResultRow> &rows);
-
 /**
  * Render one table as a single JSON Lines record:
  * `{"title": "...", "rows": [{...}, ...]}\n` with no interior

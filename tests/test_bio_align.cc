@@ -153,57 +153,6 @@ TEST(Alignment, IdentityAndMatches)
     EXPECT_DOUBLE_EQ(al.identity(), 3.0 / 5.0);
 }
 
-TEST(LinearSpace, MatchesFullDpOnSmallCases)
-{
-    EXPECT_EQ(nwAlignLinear(dna("ACGTACGT"), dna("ACGT"), kDna,
-                            kGap).score, 6);
-    EXPECT_EQ(nwAlignLinear(dna("AC"), dna("GC"), kDna, kGap).score, 1);
-    Alignment al = nwAlignLinear(dna("ACGTACGT"), dna("ACGTACGT"), kDna,
-                                 kGap);
-    EXPECT_EQ(al.score, 40);
-    EXPECT_EQ(al.alignedA, al.alignedB);
-}
-
-TEST(LinearSpace, HandlesEmptyAndTinySequences)
-{
-    EXPECT_EQ(nwAlignLinear(dna(""), dna(""), kDna, kGap).score, 0);
-    EXPECT_EQ(nwAlignLinear(dna(""), dna("ACG"), kDna, kGap).score,
-              -13);
-    EXPECT_EQ(nwAlignLinear(dna("ACG"), dna(""), kDna, kGap).score,
-              -13);
-    EXPECT_EQ(nwAlignLinear(dna("A"), dna("A"), kDna, kGap).score, 5);
-}
-
-TEST(Banded, WideBandIsExact)
-{
-    Sequence a = dna("ACGTACGTAC");
-    Sequence b = dna("ACGTTACGT");
-    EXPECT_EQ(nwScoreBanded(a, b, kDna, kGap, 32),
-              nwScore(a, b, kDna, kGap));
-}
-
-TEST(Banded, NarrowBandIsLowerBound)
-{
-    SequenceGenerator g(2024);
-    Sequence a = g.random(80, "a");
-    Sequence b = g.random(80, "b");
-    const SubstitutionMatrix &m = SubstitutionMatrix::blosum62();
-    int64_t full = nwScore(a, b, m, kGap);
-    int64_t banded = nwScoreBanded(a, b, m, kGap, 2);
-    EXPECT_LE(banded, full);
-}
-
-TEST(Banded, SmallBandExactForSimilarSequences)
-{
-    // Homologs with no indels stay on the main diagonal.
-    SequenceGenerator g(2025);
-    Sequence a = g.random(100, "a");
-    Sequence b = g.mutate(a, MutationModel{0.2, 0.0, 0.0}, "b");
-    const SubstitutionMatrix &m = SubstitutionMatrix::blosum62();
-    EXPECT_EQ(nwScoreBanded(a, b, m, kGap, 3),
-              nwScore(a, b, m, kGap));
-}
-
 /** Property sweep over random pairs: score == traceback score, and
  *  the gapped strings rescore to the same value. */
 class AlignProperty : public ::testing::TestWithParam<int> {};
@@ -235,14 +184,6 @@ TEST_P(AlignProperty, ScoreTracebackConsistency)
     // Symmetry (BLOSUM62 is symmetric).
     EXPECT_EQ(nwScore(b, a, m, gap), nw);
     EXPECT_EQ(swScore(b, a, m, gap), sw);
-
-    // Linear-space Myers-Miller: optimal score, valid alignment.
-    Alignment lal = nwAlignLinear(a, b, m, gap);
-    EXPECT_EQ(lal.score, nw);
-    EXPECT_EQ(rescoreAlignment(lal, m, gap), nw);
-
-    // Banded with a generous band reproduces the full DP.
-    EXPECT_EQ(nwScoreBanded(a, b, m, gap, 100), nw);
 }
 
 INSTANTIATE_TEST_SUITE_P(RandomPairs, AlignProperty,

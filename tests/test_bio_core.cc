@@ -105,19 +105,14 @@ TEST(Scoring, Blosum62KnownValues)
     EXPECT_EQ(m.score(idx('W'), idx('A')), -3);
     EXPECT_EQ(m.score(idx('E'), idx('D')), 2);
     EXPECT_EQ(m.score(idx('C'), idx('C')), 9);
-    EXPECT_EQ(m.maxScore(), 11);
 }
 
 TEST(Scoring, MatricesAreSymmetric)
 {
-    for (const SubstitutionMatrix *m :
-         {&SubstitutionMatrix::blosum62(),
-          &SubstitutionMatrix::pam250()}) {
-        for (unsigned i = 0; i < 20; ++i) {
-            for (unsigned j = 0; j < 20; ++j)
-                EXPECT_EQ(m->score(i, j), m->score(j, i))
-                    << m->name() << " " << i << "," << j;
-        }
+    const SubstitutionMatrix &m = SubstitutionMatrix::blosum62();
+    for (unsigned i = 0; i < 20; ++i) {
+        for (unsigned j = 0; j < 20; ++j)
+            EXPECT_EQ(m.score(i, j), m.score(j, i)) << i << "," << j;
     }
 }
 

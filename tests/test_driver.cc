@@ -158,7 +158,7 @@ countersFingerprint(const std::vector<PointResult> &results)
             .set("stores", c.stores);
         rows.push_back(row);
     }
-    return support::emitJson(rows);
+    return support::emitJsonLine(rows, "");
 }
 
 /**
@@ -289,10 +289,11 @@ TEST(ResultRowTest, JsonIsDeterministicAndTyped)
         .set("n", uint64_t(42))
         .setPct("rate", 0.125, 1)
         .setGainPct("gain", -0.034, 1);
-    std::string json = support::emitJson({r});
-    EXPECT_EQ(json, "[\n  {\"name\": \"a \\\"quoted\\\" one\", "
-                    "\"ipc\": 1.50, \"n\": 42, \"rate\": 0.12500, "
-                    "\"gain\": -0.03400}\n]\n");
+    std::string json = support::emitJsonLine({r}, "t");
+    EXPECT_EQ(json, "{\"title\": \"t\", \"rows\": [{\"name\": "
+                    "\"a \\\"quoted\\\" one\", \"ipc\": 1.50, "
+                    "\"n\": 42, \"rate\": 0.12500, "
+                    "\"gain\": -0.03400}]}\n");
 }
 
 TEST(ResultRowTest, JsonLineIsOneRecordPerTable)

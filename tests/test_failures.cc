@@ -75,26 +75,6 @@ TEST(Failures, SequenceRejectsBadResidue)
                  "invalid residue");
 }
 
-TEST(Failures, SankoffRejectsRaggedSequences)
-{
-    bio::GuideTree t;
-    bio::GuideTree::Node l0, l1, j;
-    l0.leaf = 0;
-    l1.leaf = 1;
-    j.left = 0;
-    j.right = 1;
-    t.nodes = {l0, l1, j};
-    t.root = 2;
-    std::vector<bio::Sequence> seqs = {
-        bio::Sequence("a", bio::Alphabet::Dna, "ACGT"),
-        bio::Sequence("b", bio::Alphabet::Dna, "ACG"),
-    };
-    EXPECT_DEATH(bio::sankoffScore(t, seqs,
-                                   bio::ParsimonyCost::unit(
-                                       bio::Alphabet::Dna)),
-                 "equal-length");
-}
-
 /**
  * Every kernel refuses every Invocation alternative but its own, before
  * following any of the problem's pointers.

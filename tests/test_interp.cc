@@ -6,7 +6,7 @@
 
 #include <gtest/gtest.h>
 
-#include "mpc/interp.h"
+#include "ir_interp.h"
 
 namespace bp5::mpc {
 namespace {

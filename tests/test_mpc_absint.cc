@@ -9,9 +9,9 @@
 #include <gtest/gtest.h>
 
 #include "bio/generator.h"
+#include "ir_interp.h"
 #include "kernels/kernels.h"
 #include "mpc/compiler.h"
-#include "mpc/interp.h"
 #include "mpc/loops.h"
 #include "sim/machine.h"
 

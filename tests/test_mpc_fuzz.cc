@@ -9,8 +9,8 @@
 
 #include <gtest/gtest.h>
 
+#include "ir_interp.h"
 #include "mpc/compiler.h"
-#include "mpc/interp.h"
 #include "sim/machine.h"
 #include "support/random.h"
 

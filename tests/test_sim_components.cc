@@ -1060,7 +1060,8 @@ TEST(Predictor, PredictUpdateMatchesPredictThenUpdate)
     for (const Config &cfg : configs) {
         auto a = makePredictor(cfg.kind, cfg.entries, cfg.historyBits);
         auto b = makePredictor(cfg.kind, cfg.entries, cfg.historyBits);
-        SCOPED_TRACE(a->name() + " entries=" + std::to_string(cfg.entries) +
+        SCOPED_TRACE("kind=" + std::to_string(int(cfg.kind)) +
+                     " entries=" + std::to_string(cfg.entries) +
                      " history=" + std::to_string(cfg.historyBits));
         Rng r(0xb7a4c400ULL + cfg.entries + cfg.historyBits);
         // 200 branch sites over 50 KiB of code alias in the small
@@ -1114,8 +1115,8 @@ TEST(Predictor, ResetPredictsLikeFresh)
     };
     for (const Config &cfg : configs) {
         auto reused = makePredictor(cfg.kind, cfg.entries, cfg.historyBits);
-        SCOPED_TRACE(reused->name() + " history=" +
-                     std::to_string(cfg.historyBits));
+        SCOPED_TRACE("kind=" + std::to_string(int(cfg.kind)) +
+                     " history=" + std::to_string(cfg.historyBits));
         Rng r(0x5e5e7ULL + cfg.entries + cfg.historyBits);
         std::vector<uint64_t> pcs(100);
         for (uint64_t &pc : pcs)
@@ -1182,7 +1183,6 @@ TEST(Predictor, FactoryProducesAllKinds)
         EXPECT_EQ(p->kind(), k);
         p->update(0x10, true);
         (void)p->predict(0x10);
-        EXPECT_FALSE(p->name().empty());
     }
 }
 

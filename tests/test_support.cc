@@ -17,8 +17,8 @@
 #include "support/graph.h"
 #include "support/logging.h"
 #include "support/random.h"
+#include "support/result.h"
 #include "support/saturating_counter.h"
-#include "support/table.h"
 #include "support/thread_pool.h"
 #include "support/zero_page_array.h"
 
@@ -154,22 +154,24 @@ TEST(Counter2, WeakStartFlipsOnOneOutcome)
 
 TEST(TextTable, RendersAlignedColumns)
 {
-    TextTable t("Title");
-    t.header({"App", "IPC"});
-    t.row({"Blast", "0.90"});
-    t.row({"Clustalw", "1.10"});
-    std::string s = t.toString();
-    EXPECT_NE(s.find("Title"), std::string::npos);
-    EXPECT_NE(s.find("Blast"), std::string::npos);
-    EXPECT_NE(s.find("0.90"), std::string::npos);
-    // Numeric column is right-aligned under the header width.
-    EXPECT_NE(s.find("Clustalw"), std::string::npos);
+    support::ResultRow blast, clustalw;
+    blast.set("App", "Blast").set("IPC", 0.9);
+    clustalw.set("App", "Clustalw").set("IPC", 1.1);
+    // Numeric cells right-align under the header; text left-aligns.
+    EXPECT_EQ(support::emitText({blast, clustalw}, "Title"),
+              "Title\n"
+              "App       IPC\n"
+              "--------------\n"
+              "Blast     0.90\n"
+              "Clustalw  1.10\n");
 }
 
 TEST(TextTable, Formatters)
 {
-    EXPECT_EQ(TextTable::num(3.14159, 2), "3.14");
-    EXPECT_EQ(TextTable::pct(0.258, 1), "25.8%");
+    support::ResultRow r;
+    r.set("num", 3.14159, 2).setPct("pct", 0.258, 1);
+    EXPECT_EQ(r.text("num"), "3.14");
+    EXPECT_EQ(r.text("pct"), "25.8%");
 }
 
 TEST(Logging, Strprintf)

@@ -60,7 +60,6 @@ main(int argc, char **argv)
     };
 
     // Entry-count sweep at the default (sticky) confidence policy.
-    opts.note("-- entry count (threshold 7/8, sticky) --\n");
     std::vector<support::ResultRow> rows;
     for (int a = 0; a < 4; ++a) {
         const size_t b = size_t(a) * kPerApp;
@@ -78,10 +77,10 @@ main(int argc, char **argv)
         row.setPct("mispred@8", mispredAt8);
         rows.push_back(row);
     }
-    opts.emit(rows);
+    opts.emit(rows, "BTAC entry count (threshold 7/8, sticky):");
 
     // Confidence-policy sweep at eight entries.
-    opts.note("\n-- confidence policy (8 entries) --\n");
+    opts.note("\n");
     std::vector<support::ResultRow> rows2;
     for (int a = 0; a < 4; ++a) {
         const size_t b = size_t(a) * kPerApp;
@@ -96,7 +95,7 @@ main(int argc, char **argv)
             .setPct("mispred (sticky)", mispred(sticky));
         rows2.push_back(row);
     }
-    opts.emit(rows2);
+    opts.emit(rows2, "BTAC confidence policy (8 entries):");
 
     opts.note("\nFindings: the paper's choice is justified - eight\n"
                 "entries capture the gain (the hot kernels have few\n"

@@ -49,7 +49,6 @@ main(int argc, char **argv)
     }
     std::vector<driver::PointResult> res = opts.driver().run(grid);
 
-    opts.note("-- taken-branch bubble (Original code) --\n");
     std::vector<support::ResultRow> rows;
     for (int a = 0; a < 4; ++a) {
         double ipc[3];
@@ -65,9 +64,9 @@ main(int argc, char **argv)
                            (ipc[0] / ipc[1] - 1.0) * 100.0));
         rows.push_back(row);
     }
-    opts.emit(rows);
+    opts.emit(rows, "taken-branch bubble (Original code):");
 
-    opts.note("\n-- mispredict redirect penalty --\n");
+    opts.note("\n");
     std::vector<support::ResultRow> rows2;
     size_t idx = redirectBase;
     for (int a = 0; a < 4; ++a) {
@@ -83,7 +82,7 @@ main(int argc, char **argv)
             rows2.push_back(row);
         }
     }
-    opts.emit(rows2);
+    opts.emit(rows2, "mispredict redirect penalty:");
 
     opts.note(
         "\nFindings: the branchy Original build degrades steadily as\n"

@@ -53,15 +53,20 @@ struct BenchOptions
                 return a.compare(0, n, prefix) == 0 ? a.c_str() + n
                                                     : nullptr;
             };
+            auto num = [&](const char *v, auto &out) {
+                if (!parseNumber(v, out)) {
+                    std::fprintf(stderr, "bad value in '%s'\n", a.c_str());
+                    std::exit(1);
+                }
+            };
             if (const char *v = val("--klass=")) {
                 o.klass = workloads::inputClassFromString(v);
             } else if (const char *v = val("--budget=")) {
-                o.budget = std::strtoull(v, nullptr, 10);
+                num(v, o.budget);
             } else if (const char *v = val("--seed=")) {
-                o.seed = std::strtoull(v, nullptr, 10);
+                num(v, o.seed);
             } else if (const char *v = val("--threads=")) {
-                o.threads =
-                    static_cast<unsigned>(std::strtoul(v, nullptr, 10));
+                num(v, o.threads);
             } else if (a == "--json") {
                 o.json = true;
             } else if (a == "--analyze") {

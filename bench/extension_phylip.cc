@@ -22,9 +22,6 @@ main(int argc, char **argv)
 {
     BenchOptions opts = BenchOptions::parse(argc, argv);
 
-    opts.note("=== Extension: Phylip-class parsimony kernel "
-              "(Sankoff) ===\n\n");
-
     // A DNA family and its guide tree; the kernel scores one site per
     // invocation (Phylip's inner loop over alignment columns).
     size_t leaves = opts.klass == workloads::InputClass::A ? 8
@@ -39,10 +36,6 @@ main(int argc, char **argv)
     bio::GuideTree tree = bio::upgmaTree(dist);
     bio::ParsimonyCost cost =
         bio::ParsimonyCost::transitionTransversion();
-
-    opts.note("tree: %zu leaves; %zu sites; transition/transversion "
-              "costs 1/2\n\n",
-              leaves, sites);
 
     std::vector<support::ResultRow> rows;
     double baseIpc = 0.0;
@@ -71,7 +64,10 @@ main(int argc, char **argv)
             .setPct("min-ops/inst", c.predicatedFraction());
         rows.push_back(row);
     }
-    opts.emit(rows);
+    opts.emit(rows, strprintf("Extension: Phylip-class parsimony kernel "
+                              "(Sankoff; %zu-leaf tree, %zu sites, "
+                              "transition/transversion costs 1/2):",
+                              leaves, sites));
 
     opts.note("\nFinding: the Sankoff recurrence behaves like the\n"
               "four alignment kernels - its min() hammocks are\n"

@@ -24,10 +24,6 @@ main(int argc, char **argv)
 {
     BenchOptions opts = BenchOptions::parse(argc, argv);
 
-    opts.note("=== Fig 2: Clustalw IPC and branch misprediction rate "
-              "over time (class %c) ===\n\n",
-              "ABC"[int(opts.klass)]);
-
     Workload w(opts.workload(App::Clustalw));
     kernels::KernelMachine km(appKernel(App::Clustalw),
                               mpc::Variant::Baseline,
@@ -57,11 +53,6 @@ main(int argc, char **argv)
         return 1;
     }
 
-    opts.note("samples: %zu (one per 20k cycles)\n\n", ipc.size());
-    opts.note("IPC        [0..2]: %s\n", sparkline(ipc, 0.0, 2.0).c_str());
-    opts.note("mispredict [0..%%25]: %s\n\n",
-              sparkline(mis, 0.0, 0.25).c_str());
-
     std::vector<support::ResultRow> rows;
     size_t step = std::max<size_t>(1, ipc.size() / 24);
     for (size_t i = 0; i < timeline.size(); i += step) {
@@ -72,7 +63,14 @@ main(int argc, char **argv)
             .setPct("branch mispredict", s.branchMispredictRate);
         rows.push_back(row);
     }
-    opts.emit(rows);
+    opts.emit(rows, strprintf("Fig 2: Clustalw IPC and branch "
+                              "misprediction rate over time (class %c):",
+                              "ABC"[int(opts.klass)]));
+
+    opts.note("\nsamples: %zu (one per 20k cycles)\n\n", ipc.size());
+    opts.note("IPC        [0..2]: %s\n", sparkline(ipc, 0.0, 2.0).c_str());
+    opts.note("mispredict [0..%%25]: %s\n",
+              sparkline(mis, 0.0, 0.25).c_str());
 
     // The paper's observation: IPC tracks the prediction rate, i.e.
     // the two series are anticorrelated.  Report the correlation.

@@ -18,10 +18,6 @@ main(int argc, char **argv)
 {
     BenchOptions opts = BenchOptions::parse(argc, argv);
 
-    opts.note("=== Fig 4: effect of an eight-entry BTAC "
-                "(class %c) ===\n\n",
-                "ABC"[int(opts.klass)]);
-
     sim::MachineConfig plain;
     sim::MachineConfig btac = sim::MachineConfig::power5WithBtac();
 
@@ -60,7 +56,9 @@ main(int argc, char **argv)
             .setPct("BTAC mispred", mrate);
         rows.push_back(row);
     }
-    opts.emit(rows);
+    opts.emit(rows, strprintf("Fig 4: effect of an eight-entry BTAC "
+                              "(class %c):",
+                              "ABC"[int(opts.klass)]));
 
     opts.note(
         "\nShape checks (paper section VI-B):\n"

@@ -19,10 +19,6 @@ main(int argc, char **argv)
 {
     BenchOptions opts = BenchOptions::parse(argc, argv);
 
-    opts.note("=== Fig 6: combining predication, BTAC and four FXUs "
-                "(class %c) ===\n\n",
-                "ABC"[int(opts.klass)]);
-
     // Per app: {base, +pred, +BTAC, +FXUs, all}.
     sim::MachineConfig base;
     std::vector<driver::GridPoint> grid;
@@ -81,7 +77,9 @@ main(int argc, char **argv)
         }
         rows.push_back(row);
     }
-    opts.emit(rows);
+    opts.emit(rows, strprintf("Fig 6: combining predication, BTAC and "
+                              "four FXUs (class %c):",
+                              "ABC"[int(opts.klass)]));
 
     double avg = 0.0;
     for (double g : gains)

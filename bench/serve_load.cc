@@ -395,13 +395,16 @@ parseArg(const char *arg, const char *name, std::string &out)
     return true;
 }
 
+/** A numeric flag; a malformed value is fatal. */
+template <typename T>
 bool
-parseArg(const char *arg, const char *name, uint64_t &out)
+parseArg(const char *arg, const char *name, T &out)
 {
     std::string s;
     if (!parseArg(arg, name, s))
         return false;
-    out = std::strtoull(s.c_str(), nullptr, 0);
+    if (!parseNumber(s, out, 0))
+        fatal("bad value for %s: '%s'", name, s.c_str());
     return true;
 }
 
@@ -413,31 +416,22 @@ main(int argc, char **argv)
     Options opts;
     for (int i = 1; i < argc; ++i) {
         const char *arg = argv[i];
-        uint64_t n = 0;
-        std::string s;
         if (parseArg(arg, "--socket", opts.socketPath) ||
-            parseArg(arg, "--manifest", opts.manifestPath)) {
+            parseArg(arg, "--manifest", opts.manifestPath) ||
+            parseArg(arg, "--jobs", opts.jobs) ||
+            parseArg(arg, "--rate", opts.rate) ||
+            parseArg(arg, "--shards", opts.shards) ||
+            parseArg(arg, "--n", opts.n)) {
             continue;
-        } else if (parseArg(arg, "--jobs", opts.jobs)) {
-            continue;
-        } else if (parseArg(arg, "--rate", s)) {
-            opts.rate = std::strtod(s.c_str(), nullptr);
-        } else if (parseArg(arg, "--shards", n)) {
-            opts.shards = unsigned(n);
-        } else if (parseArg(arg, "--queue-depth", n)) {
-            if (n == 0)
+        } else if (parseArg(arg, "--queue-depth", opts.queueDepth)) {
+            if (opts.queueDepth == 0)
                 fatal("--queue-depth must be positive");
-            opts.queueDepth = size_t(n);
-        } else if (parseArg(arg, "--batch", n)) {
-            if (n == 0)
+        } else if (parseArg(arg, "--batch", opts.batchMax)) {
+            if (opts.batchMax == 0)
                 fatal("--batch must be positive");
-            opts.batchMax = unsigned(n);
-        } else if (parseArg(arg, "--n", n)) {
-            opts.n = unsigned(n);
-        } else if (parseArg(arg, "--seeds", n)) {
-            if (n == 0)
+        } else if (parseArg(arg, "--seeds", opts.seeds)) {
+            if (opts.seeds == 0)
                 fatal("--seeds must be positive");
-            opts.seeds = unsigned(n);
         } else if (parseArg(arg, "--window", opts.window)) {
             if (opts.window == 0)
                 fatal("--window must be positive");

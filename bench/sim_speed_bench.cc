@@ -19,6 +19,7 @@
 #include <benchmark/benchmark.h>
 
 #include <chrono>
+#include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <vector>
@@ -27,6 +28,7 @@
 #include "kernels/kernels.h"
 #include "sim/exec.h"
 #include "sim/memory.h"
+#include "support/logging.h"
 #include "support/result.h"
 #include "workloads/workload.h"
 
@@ -498,8 +500,11 @@ main(int argc, char **argv)
     for (int i = 1; i < argc; ++i) {
         if (std::strcmp(argv[i], "--json") == 0)
             json = true;
-        else if (std::strncmp(argv[i], "--budget=", 9) == 0)
-            budget = std::strtoull(argv[i] + 9, nullptr, 10);
+        else if (std::strncmp(argv[i], "--budget=", 9) == 0 &&
+                 !parseNumber(argv[i] + 9, budget)) {
+            std::fprintf(stderr, "bad value in '%s'\n", argv[i]);
+            return 1;
+        }
     }
     if (json)
         return jsonMain(budget);

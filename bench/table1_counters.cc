@@ -17,10 +17,6 @@ main(int argc, char **argv)
 {
     BenchOptions opts = BenchOptions::parse(argc, argv);
 
-    opts.note("=== Table I: hardware counter data, baseline POWER5 "
-              "(class %c inputs) ===\n\n",
-              "ABC"[int(opts.klass)]);
-
     std::vector<support::ResultRow> rows;
     std::vector<sim::Counters> counters;
     for (int a = 0; a < 4; ++a) {
@@ -42,7 +38,9 @@ main(int argc, char **argv)
             .setPct("FXU stalls (paper)", p.fxuStallPct / 100.0);
         rows.push_back(row);
     }
-    opts.emit(rows);
+    opts.emit(rows, strprintf("Table I: hardware counter data, baseline "
+                              "POWER5 (class %c inputs):",
+                              "ABC"[int(opts.klass)]));
 
     if (opts.cpi) {
         // The full POWER5-style cycle-accounting view of the same

@@ -20,6 +20,7 @@
 
 #include "masm/assembler.h"
 #include "sim/machine.h"
+#include "support/logging.h"
 
 using namespace bp5;
 
@@ -79,6 +80,14 @@ printCounters(const sim::Counters &c)
     }
 }
 
+/** Report a malformed numeric flag; returns the bad-argument status. */
+int
+badValue(const std::string &arg)
+{
+    std::fprintf(stderr, "bad value in '%s'\n", arg.c_str());
+    return 1;
+}
+
 } // namespace
 
 int
@@ -96,13 +105,14 @@ main(int argc, char **argv)
         } else if (a == "--btac") {
             cfg.btacEnabled = true;
         } else if (a.rfind("--fxu=", 0) == 0) {
-            cfg.numFXU = unsigned(std::strtoul(a.c_str() + 6, nullptr,
-                                               10));
+            if (!parseNumber(a.substr(6), cfg.numFXU))
+                return badValue(a);
         } else if (a.rfind("--taken-penalty=", 0) == 0) {
-            cfg.takenBranchPenalty = unsigned(
-                std::strtoul(a.c_str() + 16, nullptr, 10));
+            if (!parseNumber(a.substr(16), cfg.takenBranchPenalty))
+                return badValue(a);
         } else if (a.rfind("--max-insts=", 0) == 0) {
-            maxInsts = std::strtoull(a.c_str() + 12, nullptr, 10);
+            if (!parseNumber(a.substr(12), maxInsts))
+                return badValue(a);
         } else if (a == "--help" || a == "-h") {
             std::printf("usage: %s <file.s> [--functional] [--btac] "
                         "[--fxu=N] [--taken-penalty=N] "

@@ -53,7 +53,6 @@ struct AbsVal
     Prov prov = Prov::Bottom;
     Interval range = Interval::bottom();
 
-    static AbsVal bottom() { return {}; }
     static AbsVal constant(int64_t v)
     {
         return {Prov::Const, Interval::point(v)};

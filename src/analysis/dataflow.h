@@ -108,8 +108,6 @@ class ReachingDefs
     /** Definitions reaching the given use, located by pc. */
     std::vector<DefSite> reachingAt(uint64_t pc, unsigned reg) const;
 
-    const std::vector<DefSite> &sites() const { return sites_; }
-
   private:
     using BitVec = std::vector<uint64_t>;
 

@@ -40,7 +40,6 @@ struct Interval
     {
         return (isBottom() && o.isBottom()) || (lo == o.lo && hi == o.hi);
     }
-    bool operator!=(const Interval &o) const { return !(*this == o); }
 
     /** Least upper bound (interval hull). */
     Interval

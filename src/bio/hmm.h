@@ -62,9 +62,6 @@ class Plan7Model
     int32_t tBM(unsigned j) const { return tbm_[j]; } ///< begin->match
     int32_t tME(unsigned j) const { return tme_[j]; } ///< match->end
 
-    /** Raw arrays for the simulated-kernel bridge. */
-    const std::vector<int32_t> &matchTable() const { return msc_; }
-
     /**
      * P7Viterbi: best log-odds score (scaled) of aligning @p seq to
      * the model.  This is the reference for the simulated kernel.

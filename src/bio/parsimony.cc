@@ -13,7 +13,7 @@ constexpr int64_t kBig = 1LL << 40;
 } // namespace
 
 ParsimonyCost::ParsimonyCost(Alphabet alphabet, int64_t mismatch)
-    : alphabet_(alphabet), k_(alphabetSize(alphabet)),
+    : k_(alphabetSize(alphabet)),
       table_(k_ * k_, mismatch)
 {
     for (unsigned i = 0; i < k_; ++i)

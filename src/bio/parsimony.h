@@ -41,10 +41,8 @@ class ParsimonyCost
     }
     void set(unsigned a, unsigned b, int64_t v);
     unsigned size() const { return k_; }
-    Alphabet alphabet() const { return alphabet_; }
 
   private:
-    Alphabet alphabet_;
     unsigned k_;
     std::vector<int64_t> table_;
 };

@@ -31,9 +31,9 @@ constexpr int kBlosum62[20][20] = {
 };
 
 SubstitutionMatrix
-fromTable(const char *name, const int table[20][20])
+fromTable(const int table[20][20])
 {
-    SubstitutionMatrix m(name, Alphabet::Protein);
+    SubstitutionMatrix m(Alphabet::Protein);
     for (unsigned i = 0; i < 20; ++i) {
         for (unsigned j = 0; j < 20; ++j)
             m.set(i, j, table[i][j]);
@@ -43,22 +43,17 @@ fromTable(const char *name, const int table[20][20])
 
 } // namespace
 
-SubstitutionMatrix::SubstitutionMatrix(std::string name, Alphabet alphabet)
-    : name_(std::move(name)), alphabet_(alphabet)
-{
-}
-
 const SubstitutionMatrix &
 SubstitutionMatrix::blosum62()
 {
-    static const SubstitutionMatrix m = fromTable("BLOSUM62", kBlosum62);
+    static const SubstitutionMatrix m = fromTable(kBlosum62);
     return m;
 }
 
 SubstitutionMatrix
 SubstitutionMatrix::dna(int match, int mismatch)
 {
-    SubstitutionMatrix m("DNA", Alphabet::Dna);
+    SubstitutionMatrix m(Alphabet::Dna);
     for (unsigned i = 0; i < 4; ++i) {
         for (unsigned j = 0; j < 4; ++j)
             m.set(i, j, i == j ? match : mismatch);

@@ -23,7 +23,7 @@ class SubstitutionMatrix
     static constexpr unsigned kMaxResidues = 20;
 
     SubstitutionMatrix() = default;
-    SubstitutionMatrix(std::string name, Alphabet alphabet);
+    explicit SubstitutionMatrix(Alphabet alphabet) : alphabet_(alphabet) {}
 
     /** The standard BLOSUM62 protein matrix. */
     static const SubstitutionMatrix &blosum62();
@@ -39,12 +39,10 @@ class SubstitutionMatrix
 
     void set(unsigned a, unsigned b, int v);
 
-    const std::string &name() const { return name_; }
     Alphabet alphabet() const { return alphabet_; }
     unsigned size() const { return alphabetSize(alphabet_); }
 
   private:
-    std::string name_;
     Alphabet alphabet_ = Alphabet::Protein;
     std::array<std::array<int16_t, kMaxResidues>, kMaxResidues> table_{};
 };

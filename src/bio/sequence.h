@@ -57,7 +57,6 @@ class Sequence
     const std::string &name() const { return name_; }
     Alphabet alphabet() const { return alphabet_; }
     size_t size() const { return codes_.size(); }
-    bool empty() const { return codes_.empty(); }
 
     uint8_t operator[](size_t i) const { return codes_[i]; }
     const std::vector<uint8_t> &codes() const { return codes_; }

@@ -63,7 +63,6 @@ class ExperimentDriver
      * (machine config, workload, counters, wall time, simulated MIPS).
      */
     void setManifestPath(std::string path) { manifestPath_ = std::move(path); }
-    const std::string &manifestPath() const { return manifestPath_; }
 
     /** The manifest rows of the most recent run() call. */
     const std::vector<support::ResultRow> &manifest() const

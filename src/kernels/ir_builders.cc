@@ -794,12 +794,10 @@ buildKernelIr(KernelKind k, bool hand)
 }
 
 mpc::Compiled
-compileKernel(KernelKind k, mpc::Variant v, unsigned unrollFactor)
+compileKernel(KernelKind k, mpc::Variant v)
 {
-    mpc::Function fn = buildKernelIr(k, mpc::variantUsesHandIr(v));
-    mpc::CompileOptions opts = mpc::optionsFor(v);
-    opts.unrollFactor = unrollFactor;
-    return mpc::compile(std::move(fn), opts);
+    return mpc::compile(buildKernelIr(k, mpc::variantUsesHandIr(v)),
+                        mpc::optionsFor(v));
 }
 
 } // namespace bp5::kernels

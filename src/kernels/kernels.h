@@ -76,10 +76,8 @@ const char *kernelApp(KernelKind k);
  */
 mpc::Function buildKernelIr(KernelKind k, bool hand);
 
-/** Compile kernel @p k in variant @p v (selects the right builder).
- *  @param unrollFactor counted-loop unroll factor (0/1 = off) */
-mpc::Compiled compileKernel(KernelKind k, mpc::Variant v,
-                            unsigned unrollFactor = 0);
+/** Compile kernel @p k in variant @p v (selects the right builder). */
+mpc::Compiled compileKernel(KernelKind k, mpc::Variant v);
 
 // --------------------------------------------------------------------
 // Problems: native-side descriptions of one kernel invocation.
@@ -168,11 +166,9 @@ class KernelMachine
 {
   public:
     KernelMachine(KernelKind kind, mpc::Variant variant,
-                  const sim::MachineConfig &config,
-                  unsigned unrollFactor = 0);
+                  const sim::MachineConfig &config);
 
     KernelKind kind() const { return kind_; }
-    mpc::Variant variant() const { return variant_; }
     const mpc::Compiled &compiled() const { return compiled_; }
 
     /**

@@ -73,10 +73,9 @@ class DataWriter
 } // namespace
 
 KernelMachine::KernelMachine(KernelKind kind, mpc::Variant variant,
-                             const sim::MachineConfig &config,
-                             unsigned unrollFactor)
+                             const sim::MachineConfig &config)
     : kind_(kind), variant_(variant),
-      compiled_(compileKernel(kind, variant, unrollFactor)),
+      compiled_(compileKernel(kind, variant)),
       machine_(config)
 {
     masm::Program prog = compiled_.program(kCodeBase);

@@ -21,13 +21,7 @@ compile(Function fn, const CompileOptions &opts)
         out.ifc = ifConvert(fn, opts.ifcOpts);
         removeUnreachableBlocks(fn);
     }
-    if (opts.unrollFactor >= 2) {
-        UnrollOptions uo;
-        uo.factor = opts.unrollFactor;
-        out.unroll = unrollLoops(fn, uo);
-    }
-    if (opts.runDce)
-        out.dceRemoved = deadCodeElim(fn);
+    deadCodeElim(fn);
     fn.verify();
     LoweredFunction lf = lower(fn, opts.cg);
     out.insts = std::move(lf.insts);

@@ -46,11 +46,7 @@ struct CompileOptions
      */
     bool proveSafe = false;
     IfConvertOptions ifcOpts;
-
-    /** Unroll counted loops by this factor (0/1 = off; see passes.h). */
-    unsigned unrollFactor = 0;
     CodegenOptions cg;
-    bool runDce = true;
 };
 
 /** Everything produced by a compilation. */
@@ -59,9 +55,7 @@ struct Compiled
     std::vector<isa::Inst> insts;
     IfConvertStats ifc;
     ProveStats prove;
-    UnrollStats unroll;
     CodegenStats cg;
-    unsigned dceRemoved = 0;
 
     /** Assemble at @p base into a loadable program image. */
     masm::Program program(uint64_t base = 0x10000) const;

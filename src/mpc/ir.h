@@ -145,15 +145,12 @@ class IrBuilder
 
     int newBlock(const std::string &name) { return fn_.addBlock(name); }
     void setBlock(int id) { cur_ = id; }
-    int currentBlock() const { return cur_; }
 
     VReg iconst(int64_t v);
     VReg add(VReg a, VReg b) { return bin(IrOp::Add, a, b); }
     VReg sub(VReg a, VReg b) { return bin(IrOp::Sub, a, b); }
     VReg mul(VReg a, VReg b) { return bin(IrOp::Mul, a, b); }
     VReg div(VReg a, VReg b) { return bin(IrOp::Div, a, b); }
-    VReg and_(VReg a, VReg b) { return bin(IrOp::And, a, b); }
-    VReg or_(VReg a, VReg b) { return bin(IrOp::Or, a, b); }
     VReg xor_(VReg a, VReg b) { return bin(IrOp::Xor, a, b); }
     VReg addi(VReg a, int64_t imm) { return immOp(IrOp::AddI, a, imm); }
     VReg muli(VReg a, int64_t imm) { return immOp(IrOp::MulI, a, imm); }

@@ -72,34 +72,6 @@ unsigned deadCodeElim(Function &fn);
  */
 IrOp classifySelect(const IrInst &sel);
 
-/** Loop-unrolling knobs. */
-struct UnrollOptions
-{
-    unsigned factor = 0;       ///< copies of the body (>= 2 to enable)
-    unsigned maxBodyInsts = 96; ///< skip loops bigger than this
-};
-
-/** Outcome statistics of the unroll pass. */
-struct UnrollStats
-{
-    unsigned unrolled = 0; ///< loops transformed
-    unsigned rejected = 0; ///< counted loops skipped (size/shape)
-};
-
-/**
- * Unroll rotated counted do-while loops (see loops.h for the shape
- * requirements) by UnrollOptions::factor using a guarded main body
- * plus the original loop as the remainder: entry and the unrolled
- * back edge test `iv cond limit - step*(factor-1)`, which proves the
- * removed intermediate latch checks true; a tail test on the original
- * bound routes leftover iterations through the untouched original
- * loop.  Architectural results are bit-identical to the rolled form
- * (differential-tested); legality assumes `limit - step*(factor-1)`
- * does not wrap, which holds for any bound derived from an in-memory
- * object size.
- */
-UnrollStats unrollLoops(Function &fn, const UnrollOptions &opts);
-
 } // namespace bp5::mpc
 
 #endif // BIOPERF5_MPC_PASSES_H

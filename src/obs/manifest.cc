@@ -17,7 +17,7 @@ addMachineCells(support::ResultRow &row, const sim::MachineConfig &mc)
         .set("lsu", mc.numLSU)
         .set("predictor_entries", mc.predictorEntries)
         .set("btac", mc.btacEnabled ? "on" : "off")
-        .set("taken_penalty", mc.effectiveTakenPenalty())
+        .set("taken_penalty", mc.takenBranchPenalty)
         .set("mispredict_penalty", mc.mispredictPenalty)
         .set("mem_latency", mc.memLatency)
         .set("memsys", sim::memSysModeKey(mc.memsys.mode));
@@ -28,9 +28,6 @@ addMachineCells(support::ResultRow &row, const sim::MachineConfig &mc)
     if (mc.memsys.l1dPrefetch.enabled())
         row.set("l1d_prefetch",
                 sim::prefetchKindKey(mc.memsys.l1dPrefetch.kind));
-    if (mc.memsys.l2Prefetch.enabled())
-        row.set("l2_prefetch",
-                sim::prefetchKindKey(mc.memsys.l2Prefetch.kind));
 }
 
 void

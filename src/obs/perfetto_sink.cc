@@ -5,6 +5,7 @@
 #include "isa/disasm.h"
 #include "sim/config.h"
 #include "support/logging.h"
+#include "support/result.h"
 
 namespace bp5::obs {
 
@@ -29,25 +30,6 @@ missLevelName(sim::CacheMissRecord::Level l)
     case sim::CacheMissRecord::Level::L1D: return "L1D miss";
     default: return "L2 miss";
     }
-}
-
-/** Escape for a JSON string literal (mnemonics/disasm are ASCII). */
-std::string
-jsonEscape(const std::string &s)
-{
-    std::string out;
-    out.reserve(s.size());
-    for (char ch : s) {
-        if (ch == '"' || ch == '\\') {
-            out += '\\';
-            out += ch;
-        } else if (static_cast<unsigned char>(ch) < 0x20) {
-            out += strprintf("\\u%04x", unsigned(ch));
-        } else {
-            out += ch;
-        }
-    }
-    return out;
 }
 
 constexpr unsigned kFlushLaneOffset = 0;  ///< lanes_ + 0
@@ -163,10 +145,10 @@ PerfettoSink::onInstruction(const sim::InstRecord &r, const sim::Counters &)
     uint64_t ts = global(r.fetchCycle);
     uint64_t end = global(r.commitCycle);
     uint64_t dur = end > ts ? end - ts : 1;
-    std::string name = jsonEscape(isa::disassemble(r.inst, r.pc));
+    std::string name = support::jsonEscape(isa::disassemble(r.inst, r.pc));
     append(strprintf(
         "{\"ph\":\"X\",\"pid\":1,\"tid\":%llu,\"ts\":%llu,\"dur\":%llu,"
-        "\"cat\":\"inst\",\"name\":\"%s\",\"args\":{\"pc\":\"0x%llx\","
+        "\"cat\":\"inst\",\"name\":%s,\"args\":{\"pc\":\"0x%llx\","
         "\"seq\":%llu,\"dispatch\":%llu,\"issue\":%llu,"
         "\"writeback\":%llu,\"stall\":\"%s\"%s%s%s%s%s}}",
         (unsigned long long)(r.seq % lanes_), (unsigned long long)ts,

@@ -82,17 +82,13 @@ class RebasingSink : public sim::TraceSink
     onRunEnd(const sim::Counters &final) override
     {
         cycleBase_ += final.cycles;
-        ++runs_;
     }
 
   protected:
     uint64_t global(uint64_t runCycle) const { return cycleBase_ + runCycle; }
-    uint64_t cycleBase() const { return cycleBase_; }
-    unsigned runs() const { return runs_; }
 
   private:
     uint64_t cycleBase_ = 0;
-    unsigned runs_ = 0;
 };
 
 } // namespace bp5::obs

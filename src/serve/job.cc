@@ -4,35 +4,9 @@
 
 #include "obs/json.h"
 #include "support/logging.h"
+#include "support/result.h"
 
 namespace bp5::serve {
-
-namespace {
-
-/** Minimal JSON string escape for protocol error messages. */
-std::string
-jsonEscape(const std::string &s)
-{
-    std::string out = "\"";
-    for (char c : s) {
-        switch (c) {
-        case '"': out += "\\\""; break;
-        case '\\': out += "\\\\"; break;
-        case '\n': out += "\\n"; break;
-        case '\r': out += "\\r"; break;
-        case '\t': out += "\\t"; break;
-        default:
-            if (static_cast<unsigned char>(c) < 0x20)
-                out += strprintf("\\u%04x", c);
-            else
-                out += c;
-        }
-    }
-    out += '"';
-    return out;
-}
-
-} // namespace
 
 bool
 parseJobLine(const std::string &line, JobSpec &out, std::string &err)
@@ -123,7 +97,7 @@ resultLine(const JobResult &r)
     if (!r.ok) {
         return strprintf("{\"id\": %" PRIu64 ", \"ok\": false, "
                          "\"error\": %s}\n",
-                         r.id, jsonEscape(r.error).c_str());
+                         r.id, support::jsonEscape(r.error).c_str());
     }
     return strprintf(
         "{\"id\": %" PRIu64 ", \"ok\": true, \"score\": %" PRId64

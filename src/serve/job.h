@@ -91,9 +91,6 @@ class JobInputs
      */
     int64_t run(kernels::KernelMachine &km, const JobSpec &spec);
 
-    /** Cached distinct (kernel, seed, n) input sets. */
-    size_t cachedSets() const { return cache_.size(); }
-
   private:
     std::map<std::tuple<int, uint64_t, unsigned>,
              std::unique_ptr<kernels::SyntheticInputs>>

@@ -82,7 +82,6 @@ class Btac
                 const Lookup &used);
 
     const BtacStats &stats() const { return stats_; }
-    void resetStats() { stats_ = BtacStats(); }
 
     /**
      * Return to the just-constructed state (no entries, zero stats)

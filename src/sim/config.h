@@ -1,9 +1,9 @@
 /**
  * @file
  * Machine configuration for the POWER5-class core model.  Defaults
- * approximate the 1.65 GHz POWER5 studied by the paper (one core, SMT
- * off); the fields the paper sweeps — FXU count, BTAC, taken-branch
- * penalty — are first-class knobs.
+ * approximate the 1.65 GHz POWER5 studied by the paper (one core, one
+ * hardware thread); the fields the paper sweeps — FXU count, BTAC,
+ * taken-branch penalty — are first-class knobs.
  */
 
 #ifndef BIOPERF5_SIM_CONFIG_H
@@ -24,7 +24,6 @@ struct MachineConfig
     unsigned frontendDepth = 7;    ///< fetch-to-dispatch stages
     unsigned mispredictPenalty = 16; ///< extra redirect cycles on flush
     unsigned takenBranchPenalty = 2; ///< POWER5 taken-branch bubble
-    bool smt = false;              ///< SMT raises the bubble to 3 cycles
 
     // Dispatch / completion.
     unsigned dispatchWidth = 5;    ///< POWER5 group dispatch
@@ -61,12 +60,6 @@ struct MachineConfig
     // MemSysParams::Mode::Lsq enables the load/store queue, store
     // forwarding, speculative disambiguation and prefetchers.
     MemSysParams memsys;
-
-    /** The taken-branch bubble in effect (2, or 3 with SMT). */
-    unsigned effectiveTakenPenalty() const
-    {
-        return smt ? takenBranchPenalty + 1 : takenBranchPenalty;
-    }
 
     /** Field-wise equality (the experiment driver keys machine reuse
      *  on it). */

@@ -253,15 +253,6 @@ struct Counters
         return cycles ? double(f) / double(cycles) : 0.0;
     }
 
-    /** Dynamic fraction of instructions with opcode @p op. */
-    double
-    opFraction(isa::Op op) const
-    {
-        return instructions
-                   ? double(opCount[size_t(op)]) / double(instructions)
-                   : 0.0;
-    }
-
     /** Fraction of isel+max instructions (paper section VI-A). */
     double
     predicatedFraction() const

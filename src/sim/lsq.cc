@@ -88,11 +88,9 @@ LoadStoreQueue::orderLoadLsq(uint64_t pc, uint64_t addr, uint64_t ready)
         return o;
     }
 
-    bool predictedDependent =
-        !params_.speculativeLoads ||
-        mdp_[(pc >> 2) & (mdp_.size() - 1)] == pc;
-    if (predictedDependent) {
-        // Wait for the store's data, then forward.
+    uint64_t &mdpSlot = mdp_[(pc >> 2) & (mdp_.size() - 1)];
+    if (mdpSlot == pc) {
+        // Predicted dependent: wait for the store's data, then forward.
         o.ready = match->complete;
         o.forwarded = true;
         return o;
@@ -103,7 +101,7 @@ LoadStoreQueue::orderLoadLsq(uint64_t pc, uint64_t addr, uint64_t ready)
     // the next dynamic instance of this load waits instead.
     o.violation = true;
     o.conflictComplete = match->complete;
-    mdp_[(pc >> 2) & (mdp_.size() - 1)] = pc;
+    mdpSlot = pc;
     return o;
 }
 

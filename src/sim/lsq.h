@@ -45,7 +45,6 @@ struct LsqParams
     unsigned stores = 16;          ///< store-reorder-queue depth
     unsigned forwardLatency = 1;   ///< store-to-load forward cycles
     unsigned disambigPenalty = 16; ///< refetch penalty after a violation
-    bool speculativeLoads = true;  ///< issue past unresolved older stores
     unsigned mdpEntries = 1024;    ///< dependence-predictor slots (pow2)
 
     friend bool operator==(const LsqParams &, const LsqParams &) = default;
@@ -65,8 +64,6 @@ class LoadStoreQueue
     };
 
     LoadStoreQueue(const LsqParams &params, bool classic);
-
-    const LsqParams &params() const { return params_; }
 
     /**
      * Start a run with empty queues and store table; keeps the MDP.

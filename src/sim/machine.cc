@@ -12,7 +12,7 @@ Machine::Machine(const MachineConfig &config)
       l2_(config.l2, nullptr, config.memLatency),
       l1i_(config.l1i, &l2_, config.memLatency),
       l1d_(config.l1d, &l2_, config.memLatency),
-      memsys_(config.memsys, &l1d_, &l2_),
+      memsys_(config.memsys, &l1d_),
       predictor_(config.predictor, config.predictorEntries,
                  config.predictorHistoryBits),
       btac_(config.btac), robCommitCycle_(config.robSize, 0)
@@ -394,7 +394,7 @@ Machine::scheduleInstruction(const MicroOp &mo, uint64_t pc,
                 // Target known at fetch: only the fetch-group break.
                 ts.fetchAvail = fc + 1;
             } else {
-                ts.fetchAvail = fc + 1 + config_.effectiveTakenPenalty();
+                ts.fetchAvail = fc + 1 + config_.takenBranchPenalty;
                 ++c.takenBubbles;
             }
         }

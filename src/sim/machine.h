@@ -94,7 +94,6 @@ class Machine
 
     Memory &mem() { return mem_; }
     CoreState &state() { return state_; }
-    const MachineConfig &config() const { return config_; }
 
     /** Copy a program image into memory (does not change the PC). */
     void loadProgram(const masm::Program &prog);
@@ -139,10 +138,8 @@ class Machine
     const SamplingParams &sampling() const { return sampling_; }
 
     const Cache &l1d() const { return l1d_; }
-    const Cache &l1i() const { return l1i_; }
     const Cache &l2() const { return l2_; }
     const Btac &btac() const { return btac_; }
-    const MemorySystem &memsys() const { return memsys_; }
 
     /**
      * Attach an event observer (non-owning; nullptr detaches, and
@@ -152,7 +149,6 @@ class Machine
      * loop's.  Attach or detach between runs, not from a sink's hook.
      */
     void setTraceSink(TraceSink *sink) { sink_ = sink; }
-    TraceSink *traceSink() const { return sink_; }
 
     /** Execution units per class the timing state holds inline
      *  (paper Fig 5 sweeps numFXU up to 4). */

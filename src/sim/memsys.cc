@@ -16,14 +16,12 @@ memSysModeKey(MemSysParams::Mode m)
     return "?";
 }
 
-MemorySystem::MemorySystem(const MemSysParams &params, Cache *l1d, Cache *l2)
+MemorySystem::MemorySystem(const MemSysParams &params, Cache *l1d)
     : params_(params), l1d_(l1d),
       lsq_(params.lsq, params.classic())
 {
     if (params_.l1dPrefetch.enabled())
         l1dPf_ = std::make_unique<Prefetcher>(params_.l1dPrefetch, l1d_);
-    if (params_.l2Prefetch.enabled())
-        l2Pf_ = std::make_unique<Prefetcher>(params_.l2Prefetch, l2);
 }
 
 void
@@ -38,8 +36,6 @@ MemorySystem::reset()
     lsq_.reset();
     if (l1dPf_)
         l1dPf_->reset();
-    if (l2Pf_)
-        l2Pf_->reset();
 }
 
 } // namespace bp5::sim

@@ -1,8 +1,8 @@
 /**
  * @file
  * The composable memory system of the core model (DESIGN.md §4.11):
- * a load/store queue (sim/lsq.h) plus optional stride / next-line
- * prefetch engines (sim/prefetch.h) attached to the L1D and L2 of the
+ * a load/store queue (sim/lsq.h) plus an optional stride / next-line
+ * prefetch engine (sim/prefetch.h) attached to the L1D of the
  * Machine's cache hierarchy.  The Machine delegates every step of its
  * memory path here — queue reservation at dispatch, store-to-load
  * ordering, the demand cache access, store completion, commit — and
@@ -38,7 +38,6 @@ struct MemSysParams
     Mode mode = Mode::Classic;
     LsqParams lsq;
     PrefetchParams l1dPrefetch;
-    PrefetchParams l2Prefetch;
 
     bool classic() const { return mode == Mode::Classic; }
 
@@ -63,19 +62,16 @@ class MemorySystem
         unsigned prefetchIssued = 0; ///< fills triggered by this access
     };
 
-    /** @p l2 must be the level below @p l1d: an L2 miss is the L1D
-     *  demand fill missing there. */
-    MemorySystem(const MemSysParams &params, Cache *l1d, Cache *l2);
+    MemorySystem(const MemSysParams &params, Cache *l1d);
 
     const MemSysParams &params() const { return params_; }
     bool classic() const { return params_.classic(); }
-    const LoadStoreQueue &lsq() const { return lsq_; }
 
     /** Start a run with empty queues and store table, in O(1) (see
      *  LoadStoreQueue::beginRun); Machine calls it at each run start. */
     void beginRun();
 
-    /** Full reset: queues, dependence predictor, prefetch tables. */
+    /** Full reset: queues, dependence predictor, prefetch table. */
     void reset();
 
     // Per-operation steps of the timing model.  The mode is a template
@@ -105,7 +101,7 @@ class MemorySystem
     }
 
     /** Demand access from the core: walks the hierarchy, classifies
-     *  the miss level, and runs the attached prefetch engines.
+     *  the miss level, and runs the attached prefetch engine.
      *  Inline: one call per memory op on the timing hot loop. */
     [[gnu::always_inline]] Access
     access(uint64_t pc, uint64_t addr, bool isStore, uint64_t now)
@@ -119,8 +115,6 @@ class MemorySystem
         r.prefetchedHit = o.prefetchedHit;
         if (l1dPf_)
             r.prefetchIssued += l1dPf_->observe(pc, addr, r.l1dMiss, now);
-        if (l2Pf_)
-            r.prefetchIssued += l2Pf_->observe(pc, addr, r.l2Miss, now);
         return r;
     }
 
@@ -156,7 +150,6 @@ class MemorySystem
     Cache *l1d_;
     LoadStoreQueue lsq_;
     std::unique_ptr<Prefetcher> l1dPf_;
-    std::unique_ptr<Prefetcher> l2Pf_;
 };
 
 } // namespace bp5::sim

@@ -59,8 +59,6 @@ class Prefetcher
   public:
     Prefetcher(const PrefetchParams &params, Cache *target);
 
-    const PrefetchParams &params() const { return params_; }
-
     /**
      * Observe one demand access.
      * @param pc the accessing instruction (stride table index)

@@ -1,10 +1,10 @@
 /**
  * @file
- * Natural-loop detection over a plain successor-list graph: the one
- * dominator/loop core shared by the mpc IR loop analysis (mpc/loops.h)
- * and the binary CFG loop analysis behind bp5-lint (analysis/loops.h).
- * Each caller builds its successor lists, runs naturalLoops() and then
- * recognizes its own counted-loop shapes on the result.
+ * Natural-loop detection over a plain successor-list graph: the
+ * dominator/loop core under the binary CFG loop analysis behind
+ * bp5-lint (analysis/loops.h).  A caller builds its successor lists,
+ * runs naturalLoops() and then recognizes its own counted-loop shapes
+ * on the result.
  *
  * A back edge is an edge b -> h where h dominates b; the loop of h is
  * h plus every node that reaches one of its latches without passing

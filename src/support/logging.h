@@ -9,7 +9,10 @@
 #define BIOPERF5_SUPPORT_LOGGING_H
 
 #include <cstdarg>
+#include <cstdint>
+#include <limits>
 #include <string>
+#include <type_traits>
 
 namespace bp5 {
 
@@ -41,6 +44,41 @@ std::string strprintf(const char *fmt, ...)
 
 /** vprintf-style formatting into a std::string. */
 std::string vstrprintf(const char *fmt, va_list args);
+
+/** Parse all of @p text as an unsigned integer no larger than @p max
+ *  (see parseNumber). */
+bool parseUnsigned(const std::string &text, uint64_t max, int base,
+                   uint64_t &out);
+
+/** Parse all of @p text as a finite, non-negative double. */
+bool parseNonNegative(const std::string &text, double &out);
+
+/**
+ * Strict parse of a numeric command-line value into @p out.  The whole
+ * of @p text must be one number that fits T: an empty value, a sign,
+ * leading blanks, trailing characters, overflow and a value above T's
+ * maximum are rejected, and @p out is left unchanged.  Integers are
+ * read in @p base; base 0 also accepts the C prefixes `0x` and `0`.
+ * @return true when @p out was set.
+ */
+template <typename T>
+bool
+parseNumber(const std::string &text, T &out, int base = 10)
+{
+    if constexpr (std::is_floating_point_v<T>) {
+        double v;
+        if (!parseNonNegative(text, v))
+            return false;
+        out = static_cast<T>(v);
+    } else {
+        static_assert(std::is_unsigned_v<T>, "unsigned or floating point");
+        uint64_t v;
+        if (!parseUnsigned(text, std::numeric_limits<T>::max(), base, v))
+            return false;
+        out = static_cast<T>(v);
+    }
+    return true;
+}
 
 } // namespace bp5
 

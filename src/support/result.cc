@@ -16,30 +16,6 @@ fmtDouble(double v, int precision)
     return buf;
 }
 
-std::string
-jsonEscape(const std::string &s)
-{
-    std::string out = "\"";
-    for (char c : s) {
-        switch (c) {
-          case '"': out += "\\\""; break;
-          case '\\': out += "\\\\"; break;
-          case '\n': out += "\\n"; break;
-          case '\t': out += "\\t"; break;
-          default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-                out += buf;
-            } else {
-                out += c;
-            }
-        }
-    }
-    out += '"';
-    return out;
-}
-
 bool
 looksNumeric(const std::string &s)
 {
@@ -54,6 +30,31 @@ looksNumeric(const std::string &s)
 }
 
 } // namespace
+
+std::string
+jsonEscape(const std::string &s)
+{
+    std::string out = "\"";
+    for (char c : s) {
+        switch (c) {
+          case '"': out += "\\\""; break;
+          case '\\': out += "\\\\"; break;
+          case '\n': out += "\\n"; break;
+          case '\r': out += "\\r"; break;
+          case '\t': out += "\\t"; break;
+          default:
+            if (static_cast<unsigned char>(c) < 0x20) {
+                char buf[8];
+                std::snprintf(buf, sizeof(buf), "\\u%04x", unsigned(c));
+                out += buf;
+            } else {
+                out += c;
+            }
+        }
+    }
+    out += '"';
+    return out;
+}
 
 ResultRow &
 ResultRow::add(const std::string &key, std::string text, std::string json)

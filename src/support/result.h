@@ -87,6 +87,13 @@ std::string emitText(const std::vector<ResultRow> &rows,
 std::string emitJsonLine(const std::vector<ResultRow> &rows,
                          const std::string &title);
 
+/**
+ * @p s as a quoted JSON string literal: `"` and `\` are escaped, `\n`,
+ * `\r` and `\t` get their short escapes and any other byte below 0x20
+ * becomes `\u00XX`; every other byte is copied as is.
+ */
+std::string jsonEscape(const std::string &s);
+
 } // namespace bp5::support
 
 #endif // BIOPERF5_SUPPORT_RESULT_H

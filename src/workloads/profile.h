@@ -77,8 +77,6 @@ class Profiler
     /** Breakdown sorted by descending share. */
     std::vector<FunctionTime> breakdown() const;
 
-    void reset() { totals_.clear(); }
-
   private:
     std::map<std::string, double> totals_;
 };

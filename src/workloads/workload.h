@@ -77,7 +77,6 @@ class Workload
     explicit Workload(const WorkloadConfig &config);
     ~Workload();
 
-    const WorkloadConfig &config() const { return config_; }
     App app() const { return config_.app; }
 
     /**

@@ -262,10 +262,6 @@ TEST(BinAbsint, AllKernelVariantsPedanticCleanWithMemoryRules)
                 << r.toText("kernel");
         }
     }
-    // Unrolled builds must stay clean too.
-    mpc::Compiled u = kernels::compileKernel(
-        kernels::KernelKind::ForwardPass, mpc::Variant::Baseline, 2);
-    EXPECT_TRUE(lintProgram(u.program(kernels::kCodeBase), lo).clean());
 }
 
 // --------------------------------------------------------------------

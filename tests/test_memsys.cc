@@ -152,7 +152,6 @@ TEST(MemSysConfig, ClassicIsTheDefaultAndKeysAreStable)
     sim::MachineConfig mc;
     EXPECT_TRUE(mc.memsys.classic());
     EXPECT_FALSE(mc.memsys.l1dPrefetch.enabled());
-    EXPECT_FALSE(mc.memsys.l2Prefetch.enabled());
     EXPECT_STREQ(sim::memSysModeKey(sim::MemSysParams::Mode::Classic),
                  "classic");
     EXPECT_STREQ(sim::memSysModeKey(sim::MemSysParams::Mode::Lsq), "lsq");
@@ -196,7 +195,7 @@ TEST(LoadStoreQueue, ClassicOrderingMatchesStoreTableSemantics)
     // caller-initialized and only ever set, never cleared).
     sim::Cache l2(sim::CacheParams{"L2", 512, 1, 64, 12}, nullptr, 230);
     sim::Cache l1d(sim::CacheParams{"L1D", 256, 2, 64, 1}, &l2, 230);
-    sim::MemorySystem ms(sim::MemSysParams{}, &l1d, &l2);
+    sim::MemorySystem ms(sim::MemSysParams{}, &l1d);
     bool limited = false;
     EXPECT_EQ(ms.reserve<true>(true, 123, &limited), 123u);
     EXPECT_FALSE(limited);
@@ -279,18 +278,6 @@ TEST(LoadStoreQueue, BeginRunForgetsEarlierStoresAndCommits)
     EXPECT_EQ(o.ready, 10u);
 }
 
-TEST(LoadStoreQueue, SpeculationOffAlwaysWaits)
-{
-    sim::LsqParams p;
-    p.speculativeLoads = false;
-    sim::LoadStoreQueue q(p, /*classic=*/false);
-    q.storeCompleteLsq(0x1000, 100);
-    sim::LoadStoreQueue::Order o = q.orderLoadLsq(0x200, 0x1000, 10);
-    EXPECT_FALSE(o.violation);
-    EXPECT_TRUE(o.forwarded);
-    EXPECT_EQ(o.ready, 100u); // waited for the store's data
-}
-
 TEST(LoadStoreQueue, ReservationBackPressuresAndCommitFrees)
 {
     sim::LsqParams p;
@@ -332,7 +319,7 @@ TEST(MemSysAccess, DirtyWritebackMissIsNotTheDemandL2Miss)
     sim::CacheParams l2p{"L2", 512, 1, 64, 12};
     sim::Cache l2(l2p, nullptr, 230);
     sim::Cache l1d(l1p, &l2, 230);
-    sim::MemorySystem ms(sim::MemSysParams{}, &l1d, &l2);
+    sim::MemorySystem ms(sim::MemSysParams{}, &l1d);
     const uint64_t a = 0x000, b = 0x200, c = 0x080; // one L1D set;
                                                     // A, B share an L2 set
     ms.access(0x100, c, false, 0);

@@ -1,18 +1,14 @@
 /**
  * @file
  * IR-level analysis tests: must-accessed-address proofs for
- * speculative loads, store-merging if-conversion, natural-loop / trip
- * count analysis, and differential tests that unrolled code is
- * bit-identical to the rolled original (registers AND memory).
+ * speculative loads, and store-merging if-conversion checked
+ * bit-identical to the branchy original (registers AND memory).
  */
 
 #include <gtest/gtest.h>
 
-#include "bio/generator.h"
-#include "ir_interp.h"
 #include "kernels/kernels.h"
 #include "mpc/compiler.h"
-#include "mpc/loops.h"
 #include "sim/machine.h"
 
 namespace bp5::mpc {
@@ -258,155 +254,7 @@ TEST(StoreMerge, StoreNotLastInArmNotMerged)
 }
 
 // --------------------------------------------------------------------
-// Natural loops and trip counts (IR level).
-// --------------------------------------------------------------------
-
-/** Rotated do-while: i = 0; do { mem[q] += i; i++ } while (i < n). */
-Function
-makeCountedLoop(int64_t init, int64_t limitConst)
-{
-    Function fn;
-    fn.name = "counted";
-    IrBuilder b(fn);
-    b.declareArgs(1); // q
-    int entry = b.newBlock("entry");
-    int head = b.newBlock("head");
-    int done = b.newBlock("done");
-    b.setBlock(entry);
-    VReg i = b.iconst(init);
-    VReg n = b.iconst(limitConst);
-    b.jump(head);
-    b.setBlock(head);
-    VReg cur = b.load(0, 0, 8, true, true);
-    b.store(b.add(cur, i), 0, 0);
-    b.copyTo(i, b.addi(i, 1));
-    b.br(Cond::LT, i, n, head, done);
-    b.setBlock(done);
-    b.ret(i);
-    return fn;
-}
-
-TEST(IrLoops, DetectsCountedShapeAndTripCount)
-{
-    Function fn = makeCountedLoop(0, 10);
-    IrLoopForest forest = findLoops(fn);
-    ASSERT_EQ(forest.loops.size(), 1u);
-    const IrLoop &l = forest.loops[0];
-    EXPECT_EQ(l.header, 1);
-    EXPECT_TRUE(l.hasCountedShape);
-    EXPECT_EQ(l.step, 1);
-    EXPECT_EQ(l.tripCount, 10);
-}
-
-TEST(IrLoops, TripCountHonorsStepAndCond)
-{
-    // i = 2; do { ... i += 1 } while (i < 11): iterations 2..10 -> 9.
-    Function fn = makeCountedLoop(2, 11);
-    IrLoopForest forest = findLoops(fn);
-    ASSERT_EQ(forest.loops.size(), 1u);
-    EXPECT_EQ(forest.loops[0].tripCount, 9);
-}
-
-// --------------------------------------------------------------------
-// Loop unrolling: differential, registers AND memory.
-// --------------------------------------------------------------------
-
-/** fn(p, n, q): sum the n doublewords at p (rotated do-while guarded
- *  by an entry test), store the running sum to q each iteration. */
-Function
-makeSumKernel()
-{
-    Function fn;
-    fn.name = "sumk";
-    IrBuilder b(fn);
-    b.declareArgs(3);
-    int entry = b.newBlock("entry");
-    int head = b.newBlock("head");
-    int done = b.newBlock("done");
-    b.setBlock(entry);
-    VReg sum = b.iconst(0);
-    VReg i = b.iconst(0);
-    b.br(Cond::LT, i, 1, head, done);
-    b.setBlock(head);
-    VReg v = b.loadx(0, b.shli(i, 3));
-    b.copyTo(sum, b.add(sum, v));
-    b.store(sum, 2, 0);
-    b.copyTo(i, b.addi(i, 1));
-    b.br(Cond::LT, i, 1, head, done);
-    b.setBlock(done);
-    b.ret(sum);
-    return fn;
-}
-
-TEST(Unroll, StatsAndNoOpFactors)
-{
-    Function fn = makeSumKernel();
-    UnrollOptions u0;
-    EXPECT_EQ(unrollLoops(fn, u0).unrolled, 0u); // factor 0: off
-    u0.factor = 4;
-    UnrollStats st = unrollLoops(fn, u0);
-    EXPECT_EQ(st.unrolled, 1u);
-    fn.verify(); // the rewritten CFG must still be well-formed
-}
-
-TEST(Unroll, BitIdenticalAcrossFactorsAndTripCounts)
-{
-    const uint64_t kArr = 0x40000, kOut = 0x50000;
-    for (unsigned factor : {2u, 3u, 4u}) {
-        for (int64_t n : {0, 1, 2, 3, 7, 8, 16}) {
-            Function rolled = makeSumKernel();
-            Function unrolled = makeSumKernel();
-            UnrollOptions uo;
-            uo.factor = factor;
-            UnrollStats st = unrollLoops(unrolled, uo);
-            ASSERT_EQ(st.unrolled, 1u);
-            unrolled.verify();
-
-            sim::Memory m1, m2;
-            for (int64_t k = 0; k < n; ++k) {
-                uint64_t val = static_cast<uint64_t>(k * 7 - 3);
-                m1.writeU64(kArr + 8 * static_cast<uint64_t>(k), val);
-                m2.writeU64(kArr + 8 * static_cast<uint64_t>(k), val);
-            }
-            std::vector<int64_t> args{int64_t(kArr), n, int64_t(kOut)};
-            InterpResult r1 = interpret(rolled, args, m1);
-            InterpResult r2 = interpret(unrolled, args, m2);
-            ASSERT_TRUE(r1.finished && r2.finished);
-            EXPECT_EQ(r1.value, r2.value)
-                << "factor=" << factor << " n=" << n;
-            EXPECT_EQ(m1.readU64(kOut), m2.readU64(kOut));
-        }
-    }
-}
-
-TEST(Unroll, CompiledUnrolledMatchesInterpreterOracle)
-{
-    // Full pipeline: unroll + regalloc + codegen + simulator vs the
-    // IR interpreter on the rolled original.
-    const uint64_t kArr = 0x40000, kOut = 0x50000;
-    CompileOptions opts;
-    opts.unrollFactor = 4;
-    Compiled c = compile(makeSumKernel(), opts);
-    EXPECT_EQ(c.unroll.unrolled, 1u);
-
-    for (int64_t n : {0, 1, 3, 5, 8, 13}) {
-        sim::Memory ref;
-        sim::Machine m;
-        for (int64_t k = 0; k < n; ++k) {
-            uint64_t val = static_cast<uint64_t>(k * k + 1);
-            ref.writeU64(kArr + 8 * static_cast<uint64_t>(k), val);
-            m.mem().writeU64(kArr + 8 * static_cast<uint64_t>(k), val);
-        }
-        std::vector<int64_t> args{int64_t(kArr), n, int64_t(kOut)};
-        InterpResult want = interpret(makeSumKernel(), args, ref);
-        int64_t got = runOnSim(c, args, m);
-        EXPECT_EQ(got, want.value) << "n=" << n;
-        EXPECT_EQ(m.mem().readU64(kOut), ref.readU64(kOut)) << "n=" << n;
-    }
-}
-
-// --------------------------------------------------------------------
-// Kernel-level checks: comp. spec and unrolled kernels.
+// Kernel-level checks: comp. spec.
 // --------------------------------------------------------------------
 
 TEST(CompSpec, ConvertsStrictlyMoreThanCompIsel)
@@ -425,34 +273,6 @@ TEST(CompSpec, ConvertsStrictlyMoreThanCompIsel)
         EXPECT_LT(spec.cg.branchesEmitted, isel.cg.branchesEmitted)
             << kernels::kernelName(k);
     }
-}
-
-TEST(KernelUnroll, UnrollsKernelLoopsAndMatchesReference)
-{
-    // The counted kernel loops match the unroller's shape;
-    // KernelMachine::run() validates results against the native
-    // reference internally (panics on mismatch).
-    Compiled c = kernels::compileKernel(kernels::KernelKind::ForwardPass,
-                                        Variant::Baseline, 2);
-    EXPECT_GE(c.unroll.unrolled, 1u);
-
-    bio::SequenceGenerator g(4242);
-    bio::Sequence a = g.random(24, "a");
-    bio::Sequence b = g.mutate(a, bio::MutationModel{0.2, 0.05, 0.05},
-                               "b");
-    const bio::SubstitutionMatrix &mat =
-        bio::SubstitutionMatrix::blosum62();
-    kernels::AlignProblem p{&a, &b, &mat, bio::GapPenalty{10, 1}};
-
-    kernels::KernelMachine rolled(kernels::KernelKind::ForwardPass,
-                                  Variant::Baseline,
-                                  sim::MachineConfig());
-    kernels::KernelMachine unrolled(kernels::KernelKind::ForwardPass,
-                                    Variant::Baseline,
-                                    sim::MachineConfig(), 2);
-    rolled.setFunctionalOnly(true);
-    unrolled.setFunctionalOnly(true);
-    EXPECT_EQ(rolled.run(p), unrolled.run(p));
 }
 
 } // namespace

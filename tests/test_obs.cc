@@ -19,6 +19,7 @@
 #include "bench/bench_util.h"
 #include "bio/generator.h"
 #include "driver/driver.h"
+#include "isa/disasm.h"
 #include "kernels/kernels.h"
 #include "masm/assembler.h"
 #include "obs/cpi_stack.h"
@@ -29,6 +30,7 @@
 #include "obs/pmu_sampler.h"
 #include "obs/site_profile.h"
 #include "obs/trace_mux.h"
+#include "serve/job.h"
 #include "sim/machine.h"
 
 namespace bp5 {
@@ -625,6 +627,60 @@ TEST(PerfettoSink, RespectsEventCap)
     obs::JsonValue doc;
     std::string err;
     EXPECT_TRUE(obs::parseJson(sink.finish(), doc, err)) << err;
+}
+
+TEST(PerfettoSink, SliceNamesAreTheDisassembly)
+{
+    // A slice name is disassembly text, so it carries no control
+    // bytes; check that its quoting and escaping parse back exactly.
+    masm::Program p = loopProgram(10, 2);
+    obs::PerfettoSink sink;
+    runWithSink(p, &sink);
+    sim::Machine m;
+    m.loadProgram(p);
+
+    obs::JsonValue doc;
+    std::string err;
+    ASSERT_TRUE(obs::parseJson(sink.finish(), doc, err)) << err;
+    size_t slices = 0;
+    for (const obs::JsonValue &e : doc.find("traceEvents")->items) {
+        if (e.find("ph")->str != "X")
+            continue;
+        ++slices;
+        uint64_t pc = std::stoull(e.find("args")->find("pc")->str,
+                                  nullptr, 16);
+        EXPECT_EQ(e.find("name")->str,
+                  isa::disassemble(m.mem().readU32(pc), pc));
+    }
+    EXPECT_GT(slices, 0u);
+}
+
+// ---------------------------------------------------------------------
+// JSON string escape (support::jsonEscape), shared by every writer.
+// ---------------------------------------------------------------------
+
+TEST(JsonEscape, EveryAsciiByteRoundTrips)
+{
+    std::string all;
+    for (int c = 0x01; c <= 0x7f; ++c)
+        all += static_cast<char>(c);
+
+    obs::JsonValue doc;
+    std::string err;
+    ASSERT_TRUE(obs::parseJson(support::jsonEscape(all), doc, err)) << err;
+    EXPECT_EQ(doc.str, all);
+
+    support::ResultRow row;
+    row.set("s", all);
+    ASSERT_TRUE(obs::parseJson(support::emitJsonLine({row}, all), doc, err))
+        << err;
+    EXPECT_EQ(doc.find("title")->str, all);
+    EXPECT_EQ(doc.find("rows")->items.at(0).find("s")->str, all);
+
+    ASSERT_TRUE(obs::parseJson(serve::resultLine(serve::errorResult(7, all)),
+                               doc, err))
+        << err;
+    EXPECT_EQ(doc.find("error")->str, all);
 }
 
 TEST(KonataSink, RoundTripsOnSmallKernel)

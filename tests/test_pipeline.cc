@@ -89,15 +89,6 @@ TEST(Pipeline, TakenBranchBubbleCosts)
     EXPECT_GT(a.counters.takenBubbles, 1900u);
 }
 
-TEST(Pipeline, SmtRaisesTakenPenalty)
-{
-    MachineConfig smt;
-    smt.smt = true;
-    RunResult a = runTimed(addLoop(2000, 2));
-    RunResult b = runTimed(addLoop(2000, 2), smt);
-    EXPECT_GT(b.counters.cycles, a.counters.cycles);
-}
-
 TEST(Pipeline, LoopBranchesPredictWell)
 {
     RunResult r = runTimed(addLoop(5000, 2));

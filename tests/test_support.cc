@@ -179,6 +179,36 @@ TEST(Logging, Strprintf)
     EXPECT_EQ(strprintf("x=%d s=%s", 5, "y"), "x=5 s=y");
 }
 
+TEST(Logging, ParseNumberIsStrict)
+{
+    uint64_t u = 7;
+    for (const char *bad : {"", "abc", "12x", "-1", "+1", " 1", "1 ",
+                            "18446744073709551616", "0x10"})
+        EXPECT_FALSE(parseNumber(bad, u)) << "'" << bad << "'";
+    EXPECT_EQ(u, 7u); // a rejected value leaves the destination alone
+    EXPECT_TRUE(parseNumber("18446744073709551615", u));
+    EXPECT_EQ(u, UINT64_MAX);
+    EXPECT_TRUE(parseNumber("0x10", u, 0)); // base 0 keeps C prefixes
+    EXPECT_EQ(u, 16u);
+    EXPECT_FALSE(parseNumber("0x", u, 0));
+
+    unsigned w = 7;
+    EXPECT_FALSE(parseNumber("4294967296", w)); // UINT_MAX + 1
+    EXPECT_FALSE(parseNumber("-1", w));
+    EXPECT_EQ(w, 7u);
+    EXPECT_TRUE(parseNumber("4294967295", w));
+    EXPECT_EQ(w, 4294967295u);
+
+    double d = 7.0;
+    for (const char *bad : {"", "abc", "1.5x", "-1", "inf", "nan", "1e999"})
+        EXPECT_FALSE(parseNumber(bad, d)) << "'" << bad << "'";
+    EXPECT_EQ(d, 7.0);
+    EXPECT_TRUE(parseNumber("600", d));
+    EXPECT_EQ(d, 600.0);
+    EXPECT_TRUE(parseNumber("0.25", d));
+    EXPECT_EQ(d, 0.25);
+}
+
 TEST(ThreadPool, EveryIndexRunsExactlyOnce)
 {
     support::ThreadPool pool(4);

@@ -63,6 +63,14 @@ usage()
         stderr);
 }
 
+/** Report a malformed numeric flag; returns the bad-argument status. */
+int
+badValue(const std::string &arg)
+{
+    std::fprintf(stderr, "bp5-lint: bad value in '%s'\n", arg.c_str());
+    return 2;
+}
+
 /** Lint one named program; returns the report (caller aggregates). */
 analysis::LintReport
 lintOne(const std::string &name, const masm::Program &prog,
@@ -136,8 +144,9 @@ main(int argc, char **argv)
                 return 2;
             }
             analysis::MemRegion r;
-            r.base = std::stoull(spec.substr(0, colon), nullptr, 0);
-            r.size = std::stoull(spec.substr(colon + 1), nullptr, 0);
+            if (!parseNumber(spec.substr(0, colon), r.base, 0) ||
+                !parseNumber(spec.substr(colon + 1), r.size, 0))
+                return badValue(arg);
             r.name = spec;
             opts.regions.push_back(std::move(r));
         } else if (arg == "--classify") {
@@ -145,7 +154,8 @@ main(int argc, char **argv)
         } else if (arg == "--kernels") {
             opts.kernels = true;
         } else if (arg.rfind("--base=", 0) == 0) {
-            opts.base = std::stoull(arg.substr(7), nullptr, 0);
+            if (!parseNumber(arg.substr(7), opts.base, 0))
+                return badValue(arg);
         } else if (arg == "--help" || arg == "-h") {
             usage();
             return 0;

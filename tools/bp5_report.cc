@@ -362,7 +362,11 @@ main(int argc, char **argv)
         } else if (a == "--fail-on-diff") {
             opts.failOnDiff = true;
         } else if (const char *v = val("--bar-width=")) {
-            opts.barWidth = unsigned(std::strtoul(v, nullptr, 10));
+            if (!parseNumber(v, opts.barWidth)) {
+                std::fprintf(stderr, "bp5-report: bad value in '%s'\n",
+                             a.c_str());
+                return 2;
+            }
         } else if (a == "--help" || a == "-h") {
             usage();
             return 0;

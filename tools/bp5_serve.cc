@@ -82,13 +82,16 @@ parseArg(const char *arg, const char *name, std::string &out)
     return true;
 }
 
+/** A numeric flag; a malformed value is fatal. */
+template <typename T>
 bool
-parseArg(const char *arg, const char *name, uint64_t &out)
+parseArg(const char *arg, const char *name, T &out)
 {
     std::string s;
     if (!parseArg(arg, name, s))
         return false;
-    out = std::strtoull(s.c_str(), nullptr, 0);
+    if (!parseNumber(s, out, 0))
+        fatal("bad value for %s: '%s'", name, s.c_str());
     return true;
 }
 
@@ -391,22 +394,18 @@ main(int argc, char **argv)
     Options opts;
     for (int i = 1; i < argc; ++i) {
         const char *arg = argv[i];
-        uint64_t n = 0;
         if (parseArg(arg, "--socket", opts.socketPath) ||
             parseArg(arg, "--jobs", opts.jobsFile) ||
             parseArg(arg, "--results", opts.resultsPath) ||
-            parseArg(arg, "--manifest", opts.manifestPath)) {
+            parseArg(arg, "--manifest", opts.manifestPath) ||
+            parseArg(arg, "--shards", opts.shards)) {
             continue;
-        } else if (parseArg(arg, "--shards", n)) {
-            opts.shards = unsigned(n);
-        } else if (parseArg(arg, "--queue-depth", n)) {
-            if (n == 0)
+        } else if (parseArg(arg, "--queue-depth", opts.queueDepth)) {
+            if (opts.queueDepth == 0)
                 fatal("--queue-depth must be positive");
-            opts.queueDepth = size_t(n);
-        } else if (parseArg(arg, "--batch", n)) {
-            if (n == 0)
+        } else if (parseArg(arg, "--batch", opts.batchMax)) {
+            if (opts.batchMax == 0)
                 fatal("--batch must be positive");
-            opts.batchMax = unsigned(n);
         } else if (std::strcmp(arg, "--json") == 0) {
             opts.json = true;
         } else {

@@ -99,6 +99,14 @@ usage()
         stderr);
 }
 
+/** Report a malformed numeric flag; returns the bad-argument status. */
+int
+badValue(const std::string &arg)
+{
+    std::fprintf(stderr, "bp5-trace: bad value in '%s'\n", arg.c_str());
+    return 2;
+}
+
 /** Problem scale of --kernel's canned inputs (kernels::SyntheticInputs). */
 unsigned
 cannedScale(kernels::KernelKind kind)
@@ -225,13 +233,17 @@ main(int argc, char **argv)
         } else if (const char *v = val("--klass=")) {
             opts.klass = v;
         } else if (const char *v = val("--budget=")) {
-            opts.budget = std::strtoull(v, nullptr, 10);
+            if (!parseNumber(v, opts.budget))
+                return badValue(a);
         } else if (const char *v = val("--seed=")) {
-            opts.seed = std::strtoull(v, nullptr, 10);
+            if (!parseNumber(v, opts.seed))
+                return badValue(a);
         } else if (const char *v = val("--interval=")) {
-            opts.interval = std::strtoull(v, nullptr, 10);
+            if (!parseNumber(v, opts.interval))
+                return badValue(a);
         } else if (const char *v = val("--max-events=")) {
-            opts.maxEvents = std::strtoull(v, nullptr, 10);
+            if (!parseNumber(v, opts.maxEvents))
+                return badValue(a);
         } else if (const char *v = val("--perfetto=")) {
             opts.perfetto = v;
         } else if (const char *v = val("--konata=")) {

@@ -5,10 +5,13 @@ Invoked by ctest as:
 
     test_bench_json.py <bench-binary-dir>
 
-Contract under test (see BenchOptions::emit and ::note in
+Contract under test (see BenchOptions::emit, ::note and ::parse in
 bench/bench_util.h): under --json a bench exits 0 and every line of its
-stdout is one JSON object with a "title" and a non-empty "rows" list;
-the prose around the tables is suppressed.
+stdout is one JSON object with a non-empty "title", distinct among that
+bench's tables, and a non-empty "rows" list; the prose around the
+tables is suppressed.  A malformed numeric flag makes a bench exit
+non-zero and name the flag on stderr, rather than run with a value it
+made up.
 
 ablation_sampling is not listed: it deliberately exits 1 when its
 sampled-timing error exceeds the bound, which it does at this small
@@ -51,12 +54,27 @@ class BenchJsonContractTest(unittest.TestCase):
                 self.assertEqual(r.returncode, 0, r.stdout + r.stderr)
                 lines = r.stdout.splitlines()
                 self.assertTrue(lines, f"{bench}: empty stdout")
+                titles = []
                 for line in lines:
                     doc = json.loads(line)  # must not raise
                     self.assertIsInstance(doc, dict, line)
-                    self.assertIn("title", doc, line)
+                    self.assertIsInstance(doc.get("title"), str, line)
+                    self.assertTrue(doc["title"], f"{bench}: empty title")
                     self.assertIsInstance(doc.get("rows"), list, line)
                     self.assertTrue(doc["rows"], f"{bench}: empty rows")
+                    titles.append(doc["title"])
+                self.assertEqual(len(titles), len(set(titles)),
+                                 f"{bench}: repeated title in {titles}")
+
+    def test_malformed_numbers_are_rejected(self):
+        for flag in ("--budget=abc", "--seed=12x"):
+            with self.subTest(flag=flag):
+                r = subprocess.run(
+                    [os.path.join(BENCH_DIR, "table1_counters"), flag,
+                     "--klass=A"],
+                    capture_output=True, text=True)
+                self.assertNotEqual(r.returncode, 0, r.stdout)
+                self.assertIn(flag.split("=")[0], r.stderr)
 
 
 if __name__ == "__main__":

@@ -22,9 +22,14 @@
 # why the function stays.  Blank lines and lines starting with # are
 # ignored.
 #
-# Inline functions defined in headers are invisible to this audit: a
-# header function no library object calls is never emitted into a
-# libbp5_*.a, so an unused one is not reported.
+# The audit has two blind spots.  Inline functions defined in headers
+# are invisible to it: a header function no library object calls is
+# never emitted into a libbp5_*.a, so an unused one is not reported.
+# And it sees functions, not paths: code inside a linked function that
+# only an option value no shipped caller sets can reach (a pass behind
+# a factor nobody raises, an engine behind a flag nobody enables) links
+# like any other code.  For both, grep the function name, or every
+# writer of the option, over tools/, bench/, examples/ and perfbench/.
 #
 # Exit status: 0 when every unreached function is allowlisted; 1 when
 # some are not (they are printed); 2 when the allowlist is malformed
